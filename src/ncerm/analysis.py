@@ -22,11 +22,16 @@ class MCEstimate:
     trials: int
 
 
+def _check_trials(trials: int) -> None:
+    # A single trial has no spread, so its standard error would read 0.
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+
+
 def _mc(values: np.ndarray) -> MCEstimate:
     values = np.asarray(values, dtype=float)
     t = values.size
-    se = float(values.std(ddof=1) / math.sqrt(t)) if t > 1 else 0.0
-    return MCEstimate(float(values.mean()), se, t)
+    return MCEstimate(float(values.mean()), float(values.std(ddof=1) / math.sqrt(t)), t)
 
 
 def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> MCEstimate:
@@ -36,6 +41,7 @@ def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> M
     finite candidate subset of a class the estimate lower-bounds the
     class complexity in expectation.
     """
+    _check_trials(trials)
     X = np.asarray(batch_features, dtype=float)
     k = X.shape[0]
     F = np.stack([np.asarray(c(X), dtype=float) for c in candidates])
@@ -63,6 +69,7 @@ def generalization_gap_check(
     G(f) is the plain average of h(-y' f(x')) over k importance-resampled
     points; the Rademacher term is estimated on fresh per-trial batches.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     full = np.array([empirical_risk(c, loss, data) for c in candidates])
     gaps = np.empty(trials)
@@ -98,6 +105,7 @@ def jl_distortion_check(points, epsilon: float, trials: int, seed: int) -> JLChe
     s = min(d, ceil(12 ln n / eps^2)) and scaling sqrt(d/s).  The theory
     promises success probability at least 1/n.
     """
+    _check_trials(trials)
     P = np.asarray(points, dtype=float)
     n, d = P.shape
     if not (0.0 < epsilon < 0.5):
@@ -135,6 +143,7 @@ def maurey_sparsify(atoms, weights, s: int, trials: int, seed: int) -> MaureyRes
     """MC mean of ||v - v_s||^2 where v = sum_i w_i a_i and v_s averages s
     i.i.d. atoms drawn by weight; bounded by b^2/s, b = max ||a_i||_2.
     """
+    _check_trials(trials)
     A = np.asarray(atoms, dtype=float)
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or A.shape[0] != w.size:

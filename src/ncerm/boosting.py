@@ -24,10 +24,9 @@ from .networks import (
     Node,
     predictor,
 )
-from .util import child_seed, lq_norm
+from .util import NORM_TOL, check_unit_ball, child_seed
 
 _MU_HI = 1.0 - 1e-15
-_NORM_TOL = 1e-9
 
 
 class NoProgressError(RuntimeError):
@@ -167,7 +166,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     cfg = config_alg1(
         data.n, data.dim, eps, wc.delta, seed=round_seed, T_budget=wc.T_budget
     )
-    if cfg.r > spec.budget + _NORM_TOL:
+    if cfg.r > spec.budget + NORM_TOL:
         raise ValueError(
             f"sphere radius {cfg.r} exceeds the leaf budget {spec.budget}"
         )
@@ -182,8 +181,7 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     error, and the minimum margin of the rescaled combination (B/b_t) f_t.
     """
     spec = config.class_spec
-    if np.max(lq_norm(data.features, spec.input_q)) > 1.0 + _NORM_TOL:
-        raise ValueError(f"data must satisfy ||x||_{spec.input_q} <= 1")
+    check_unit_ball(data.features, spec.input_q)
     X, y = data.features, data.labels
     n = data.n
     B = spec.budget

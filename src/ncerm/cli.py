@@ -160,6 +160,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_types(key: str, default) -> tuple:
+    """Python types a config-file value may take, read off the option's default."""
+    if isinstance(default, bool):
+        return (bool,)
+    if isinstance(default, float):
+        return (int, float)
+    if isinstance(default, int) or key in ("k", "s"):  # k and s default to None
+        return (int,)
+    return (str,)
+
+
 def _merge_options(args: argparse.Namespace) -> SimpleNamespace:
     defaults = _DEFAULTS[args.command]
     merged = dict(defaults)
@@ -172,6 +183,12 @@ def _merge_options(args: argparse.Namespace) -> SimpleNamespace:
         unknown = sorted(set(loaded) - set(defaults))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            types = _config_types(key, defaults[key])
+            typed = isinstance(value, types) and (bool in types or not isinstance(value, bool))
+            if not (typed or value is None and defaults[key] is None):
+                names = " or ".join(t.__name__ for t in types)
+                raise ValueError(f"config key {key!r} must be {names}, not {value!r}")
         merged.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)

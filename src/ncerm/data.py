@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import lq_norm
+from .util import check_unit_ball, lq_norm
 
 _WEIGHT_SUM_TOL = 1e-12
-_NORM_TOL = 1e-9
 _PLANT_MAX_CHUNKS = 10_000
 
 
@@ -52,12 +51,7 @@ class WeightedDataset:
         if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
         if self.feature_norm_q is not None:
-            norms = lq_norm(X, self.feature_norm_q)
-            if np.max(norms) > 1.0 + _NORM_TOL:
-                raise ValueError(
-                    f"feature l_{self.feature_norm_q} norms exceed 1 "
-                    f"(max {np.max(norms)!r})"
-                )
+            check_unit_ball(X, self.feature_norm_q)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "weights", w)
@@ -76,6 +70,8 @@ class WeightedDataset:
     @staticmethod
     def uniform(features, labels, feature_norm_q=None) -> "WeightedDataset":
         n = np.asarray(features).shape[0]
+        if n < 1:
+            raise ValueError("features must be a nonempty (n, d) matrix")
         w = np.full(n, 1.0 / n)
         w /= w.sum()
         return WeightedDataset(features, labels, w, feature_norm_q)
@@ -244,9 +240,11 @@ def save_dataset_csv(path, data: WeightedDataset) -> None:
 def load_dataset_csv(path, feature_norm_q: float | None = None) -> WeightedDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) < 3 or header[-2:] != ["y", "weight"]:
             raise ValueError("expected columns x_1..x_d, y, weight")
         rows = [[float(v) for v in row] for row in reader if row]
+    if not rows:
+        raise ValueError("dataset has no rows")
     arr = np.asarray(rows, dtype=float)
     return WeightedDataset(arr[:, :-2], arr[:, -2], arr[:, -1], feature_norm_q)

@@ -1,11 +1,11 @@
 """Random-restart training of norm-bounded halfspaces.
 
-Two initialization schemes share the same outer loop: draw a candidate
-per round from an independent seed stream, optionally refine it locally,
-and keep the earliest round with the lowest weighted surrogate risk.
-Rounds are refined and scored CHUNK_ROUNDS at a time in lockstep; every
-round still draws from its own stream, so the chunk size changes no
-result.
+Two initialization schemes share the same outer loop, best_round, which
+Algorithm 3 also runs: draw a candidate per round from an independent
+seed stream, optionally refine it locally, and keep the earliest round
+with the lowest weighted surrogate risk.  Rounds are refined and scored
+CHUNK_ROUNDS at a time in lockstep; every round still draws from its own
+stream, so the chunk size changes no result.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ import numpy as np
 
 from .data import draw_batch
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent
-from .util import ceil_big_product, dual_exponent, lq_norm, round_rng
+from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm, round_rng
 
-_NORM_TOL = 1e-9
 DEFAULT_T_BUDGET = 1000
 CHUNK_ROUNDS = 256
 
@@ -42,7 +41,7 @@ class LinearModel:
         return float(lq_norm(self.w, self.p_exponent))
 
     def check_feasible(self) -> None:
-        if self.norm() > self.radius + _NORM_TOL:
+        if self.norm() > self.radius + NORM_TOL:
             raise ValueError(
                 f"||w||_{self.p_exponent} = {self.norm()} exceeds radius {self.radius}"
             )
@@ -127,23 +126,17 @@ def config_alg2(
     )
 
 
-def _check_data(data, q: float) -> None:
-    if np.max(lq_norm(data.features, q)) > 1.0 + _NORM_TOL:
-        raise ValueError(f"data must satisfy ||x||_{q} <= 1")
+def best_round(T: int, candidate, kernels, refine_budget: int) -> np.ndarray:
+    """Parameter row of the earliest best round among rounds 0..T-1.
 
-
-def best_linear_round(data, loss, T: int, p: float, radius: float,
-                      refine_budget: int, candidate) -> np.ndarray:
-    """Weights of the earliest best round among rounds 0..T-1.
-
-    candidate(t) returns round t's start in the l_p ball of the given
-    radius.  Starts are refined CHUNK_ROUNDS at a time by lockstep_descent
-    and scored by the same row-wise risk, which computes each row on its
-    own, so the chunk size changes no result.
+    candidate(t) returns round t's feasible start as a flat row; kernels
+    are the row functions (risk, gradient, projection) of its model class.
+    Starts are refined CHUNK_ROUNDS at a time by lockstep_descent and
+    scored by the same row-wise risk, which computes each row on its own,
+    so the chunk size changes no result.
     """
     if T < 1:
         raise ValueError("T_budget must be >= 1")
-    kernels = linear_kernels(data, loss, p, radius)
     best_w, best_risk = None, math.inf
     for start in range(0, T, CHUNK_ROUNDS):
         W0 = [candidate(t) for t in range(start, min(T, start + CHUNK_ROUNDS))]
@@ -160,14 +153,14 @@ def algorithm1(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -
     """
     if config.algorithm != 1:
         raise ValueError("config was not built for the sphere scheme")
-    _check_data(data, 2.0)
+    check_unit_ball(data.features, 2.0)
 
     def candidate(t):
         g = round_rng(config.seed, t).standard_normal(data.dim)
         return config.r * (g / np.linalg.norm(g))
 
-    w = best_linear_round(data, loss, config.T_budget, 2.0, config.r,
-                          refine_budget, candidate)
+    w = best_round(config.T_budget, candidate,
+                   linear_kernels(data, loss, 2.0, config.r), refine_budget)
     return LinearModel(w, 2.0, config.r)
 
 
@@ -180,8 +173,7 @@ def algorithm2(
     """
     if config.algorithm != 2:
         raise ValueError("config was not built for the least-squares scheme")
-    q = dual_exponent(config.p_exponent)
-    _check_data(data, q)
+    check_unit_ball(data.features, dual_exponent(config.p_exponent))
 
     def candidate(t):
         rng = round_rng(config.seed, t)
@@ -192,6 +184,6 @@ def algorithm2(
             u = np.asarray(u_override(batch), dtype=float)
         return constrained_least_squares(batch.features, u, config.p_exponent, 1.0)
 
-    w = best_linear_round(data, loss, config.T_budget, config.p_exponent, 1.0,
-                          refine_budget, candidate)
+    w = best_round(config.T_budget, candidate,
+                   linear_kernels(data, loss, config.p_exponent, 1.0), refine_budget)
     return LinearModel(w, config.p_exponent, 1.0)

@@ -1,11 +1,12 @@
-"""Norm-bounded tree networks and their random-restart training loop.
+"""Norm-bounded networks and their random-restart training loop.
 
 The class is defined recursively: depth 1 holds linear maps x -> <w, x>
 with ||w||_p <= B; at depth m, outputs of depth m-1 members pass through
 a bounded odd activation and are combined linearly under an l1 budget B.
-Training draws a fresh candidate per round (random targets fitted by
-constrained least squares, leaves first) and keeps the best after
-optional joint local refinement.
+Leaf/Node trees are uniform (one width per level) and all arithmetic
+runs on their level tensors (to_levels).  Training draws a candidate per
+round (random targets fitted by constrained least squares, leaves first)
+and keeps the best after optional joint local refinement.
 """
 
 from __future__ import annotations
@@ -18,13 +19,18 @@ import numpy as np
 from scipy.special import erf
 
 from .data import draw_batch
-from .halfspace import best_linear_round
-from .losses import empirical_risk
-from .solvers import constrained_least_squares, monotone_descent, project, project_l1
-from .util import ceil_big_product, dual_exponent, lq_norm, round_rng
+from .halfspace import best_round
+from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, project
+from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm, round_rng
 
-_NORM_TOL = 1e-9
 _ERF_SCALE = math.sqrt(math.pi) / 2.0
+# name -> (value, derivative); erf is rescaled from slope 2/sqrt(pi) to 1 at 0.
+_ACTIVATIONS = {
+    "tanh": (np.tanh, lambda x: 1.0 - np.square(np.tanh(x))),
+    "erf": (lambda x: erf(_ERF_SCALE * x), lambda x: np.exp(-(_ERF_SCALE * x) ** 2)),
+    "clamp": (lambda x: np.clip(x, -1.0, 1.0), lambda x: (np.abs(x) < 1.0).astype(float)),
+}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
 @dataclass(frozen=True)
@@ -33,30 +39,15 @@ class Activation:
 
     name: str
 
+    def __post_init__(self):
+        if self.name not in _ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, not {self.name!r}")
+
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.name == "tanh":
-            return np.tanh(x)
-        if self.name == "erf":
-            # plain erf has slope 2/sqrt(pi) at 0; rescale to unit slope
-            return erf(_ERF_SCALE * x)
-        if self.name == "clamp":
-            return np.clip(x, -1.0, 1.0)
-        raise ValueError(f"unknown activation {self.name!r}")
+        return _ACTIVATIONS[self.name][0](np.asarray(x, dtype=float))
 
     def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.name == "tanh":
-            t = np.tanh(x)
-            return 1.0 - t * t
-        if self.name == "erf":
-            return np.exp(-(_ERF_SCALE * x) ** 2)
-        if self.name == "clamp":
-            return (np.abs(x) < 1.0).astype(float)
-        raise ValueError(f"unknown activation {self.name!r}")
-
-
-ACTIVATIONS = ("tanh", "erf", "clamp")
+        return _ACTIVATIONS[self.name][1](np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -82,8 +73,7 @@ class NetworkClassSpec:
             raise ValueError("leaf_p must be in (1, 2]")
         if abs(1.0 / self.leaf_p + 1.0 / self.input_q - 1.0) > 1e-9:
             raise ValueError("input_q must be the dual exponent of leaf_p")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+        Activation(self.activation)  # raises ValueError for an unknown name
 
     @property
     def act(self) -> Activation:
@@ -115,66 +105,75 @@ class Node:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(
-            self, "comb_weights", np.ascontiguousarray(self.comb_weights, dtype=float)
-        )
+        object.__setattr__(self, "comb_weights", np.ascontiguousarray(self.comb_weights, dtype=float))
+
+
+def to_levels(net) -> list:
+    """Level tensors [W, C_1, ..., C_{m-1}] of a depth-m uniform tree.
+
+    W (N, d) holds the leaf weights left to right; row i of C_j (N_j, s_j)
+    combines outputs i*s_j .. (i+1)*s_j - 1 of level j.
+    """
+    nodes, levels = [net], []
+    while isinstance(nodes[0], Node):
+        s = len(nodes[0].children)
+        if s < 1 or not all(isinstance(n, Node) and n.comb_weights.shape == (s,) == (len(n.children),)
+                            for n in nodes):
+            raise ValueError("network not uniform: nodes need children, one weight each")
+        levels.insert(0, np.array([n.comb_weights for n in nodes]))
+        nodes = [c for n in nodes for c in n.children]
+    if not all(isinstance(n, Leaf) and n.w.shape == nodes[0].w.shape for n in nodes) or (
+            nodes[0].w.ndim != 1 or nodes[0].w.size < 1):
+        raise ValueError("network not uniform: leaves need one depth and one dimension")
+    return [np.array([n.w for n in nodes]), *levels]
+
+
+def from_levels(levels):
+    """The tree whose level tensors are given (inverse of to_levels)."""
+    nodes = [Leaf(w.copy()) for w in levels[0]]
+    for C in levels[1:]:
+        nodes = [Node(nodes[i * len(c):(i + 1) * len(c)], c.copy()) for i, c in enumerate(C)]
+    return nodes[0]
+
+
+def _flat(levels) -> np.ndarray:
+    return np.concatenate([L.ravel() for L in levels])
+
+
+def _split(row: np.ndarray, shapes) -> list:
+    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return [part.reshape(shape) for part, shape in zip(np.split(row, cuts), shapes)]
+
+
+def _forward(levels, act: Activation, X: np.ndarray) -> list:
+    """Pre-activation outputs Z_j (n, N_j) of every level; the last is (n, 1)."""
+    Z = [X @ levels[0].T]
+    for C in levels[1:]:
+        Z.append(np.einsum("nis,is->ni", act.value(Z[-1].reshape(len(X), *C.shape)), C))
+    return Z
 
 
 def depth(net) -> int:
-    if isinstance(net, Leaf):
-        return 1
-    return 1 + max(depth(c) for c in net.children)
+    return len(to_levels(net))
 
 
 def validate(net, spec: NetworkClassSpec) -> None:
-    """Raise ValueError unless every weight budget and the depth hold."""
-
-    def walk(sub, path):
-        if isinstance(sub, Leaf):
-            if sub.w.ndim != 1 or sub.w.size < 1:
-                raise ValueError(f"{path}: leaf weights must be a nonempty vector")
-            if not np.all(np.isfinite(sub.w)):
-                raise ValueError(f"{path}: leaf weights must be finite")
-            norm = float(lq_norm(sub.w, spec.leaf_p))
-            if norm > spec.budget + _NORM_TOL:
-                raise ValueError(
-                    f"{path}: ||w||_{spec.leaf_p} = {norm} exceeds budget {spec.budget}"
-                )
-            return
-        if not isinstance(sub, Node):
-            raise ValueError(f"{path}: not a Leaf or Node")
-        if len(sub.children) < 1 or len(sub.children) != sub.comb_weights.size:
-            raise ValueError(f"{path}: children/weights length mismatch")
-        if not np.all(np.isfinite(sub.comb_weights)):
-            raise ValueError(f"{path}: combination weights must be finite")
-        norm = float(np.sum(np.abs(sub.comb_weights)))
-        if norm > spec.budget + _NORM_TOL:
-            raise ValueError(
-                f"{path}: ||comb||_1 = {norm} exceeds budget {spec.budget}"
-            )
-        for i, child in enumerate(sub.children):
-            walk(child, f"{path}.children[{i}]")
-
-    walk(net, "net")
-    if depth(net) > spec.depth:
-        raise ValueError(f"network depth {depth(net)} exceeds class depth {spec.depth}")
+    """Raise ValueError unless net is a uniform member of the class."""
+    levels = to_levels(net)
+    if len(levels) > spec.depth:
+        raise ValueError(f"network depth {len(levels)} exceeds class depth {spec.depth}")
+    norms = [lq_norm(levels[0], spec.leaf_p), *(np.sum(np.abs(C), axis=1) for C in levels[1:])]
+    for j, (L, norm) in enumerate(zip(levels, norms), start=1):
+        if not (np.all(np.isfinite(L)) and np.max(norm) <= spec.budget + NORM_TOL):
+            raise ValueError(f"level {j} weights must be finite with norms within "
+                             f"budget {spec.budget} (max norm {np.max(norm)})")
 
 
 def evaluate(net, spec: NetworkClassSpec, x):
     """Network value at a point (1-D input) or per row of a matrix."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    act = spec.act
-
-    def walk(sub):
-        if isinstance(sub, Leaf):
-            return X @ sub.w
-        vals = np.stack([act.value(walk(c)) for c in sub.children], axis=1)
-        return vals @ sub.comb_weights
-
-    out = walk(net)
-    return float(out[0]) if single else out
+    out = _forward(to_levels(net), spec.act, np.atleast_2d(x))[-1][:, 0]
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def predictor(net, spec: NetworkClassSpec):
@@ -185,20 +184,25 @@ def predictor(net, spec: NetworkClassSpec):
 def net_to_dict(net) -> dict:
     if isinstance(net, Leaf):
         return {"type": "leaf", "w": [float(v) for v in net.w]}
-    return {
-        "type": "node",
-        "weights": [float(v) for v in net.comb_weights],
-        "children": [net_to_dict(c) for c in net.children],
-    }
+    return {"type": "node", "weights": [float(v) for v in net.comb_weights],
+            "children": [net_to_dict(c) for c in net.children]}
 
 
-def net_from_dict(obj: dict):
-    if obj["type"] == "leaf":
-        return Leaf(np.asarray(obj["w"], dtype=float))
-    if obj["type"] == "node":
-        children = tuple(net_from_dict(c) for c in obj["children"])
-        return Node(children, np.asarray(obj["weights"], dtype=float))
-    raise ValueError(f"unknown node type {obj.get('type')!r}")
+def net_from_dict(obj):
+    """Inverse of net_to_dict; raises ValueError for anything it cannot
+    have written, including a tree that is not uniform."""
+    try:
+        if obj["type"] == "leaf":
+            net = Leaf(np.asarray(obj["w"], dtype=float))
+        elif obj["type"] == "node":
+            net = Node(tuple(net_from_dict(c) for c in obj["children"]),
+                       np.asarray(obj["weights"], dtype=float))
+        else:
+            raise ValueError(f"unknown node type {obj['type']!r}")
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"network JSON: not a leaf or node object ({exc!r})") from None
+    to_levels(net)
+    return net
 
 
 def save_network(path, net) -> None:
@@ -236,197 +240,103 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
 
 def _generate(X: np.ndarray, spec: NetworkClassSpec, level: int, s: int,
               rng: np.random.Generator):
-    """One random candidate on a fixed batch.
+    """(values on X, level tensors) of one random candidate on a fixed batch.
 
     Randomness is consumed depth-first: children are generated before the
     node's target vector u is drawn, so a given (seed, structure) pair
-    always yields the same candidate.
-    """
-    k = X.shape[0]
-    B = spec.budget
+    always yields the same candidate."""
     if level == 1:
-        u = rng.uniform(-B, B, size=k)
-        w = constrained_least_squares(X, u, spec.leaf_p, B)
-        return Leaf(w)
-    children = [_generate(X, spec, level - 1, s, rng) for _ in range(s)]
-    act = spec.act
-    design = np.stack(
-        [act.value(evaluate(c, spec, X)) for c in children], axis=1
-    )
-    u = rng.uniform(-B, B, size=k)
-    c = constrained_least_squares(design, u, 1.0, B)
-    return Node(tuple(children), c)
+        design, p, levels = X, spec.leaf_p, []
+    else:
+        parts = [_generate(X, spec, level - 1, s, rng) for _ in range(s)]
+        design, p = spec.act.value(np.stack([v for v, _ in parts], axis=1)), 1.0
+        levels = [np.concatenate(same) for same in zip(*(ls for _, ls in parts))]
+    B = spec.budget
+    u = rng.uniform(-B, B, size=len(X))
+    c = constrained_least_squares(design, u, p, B)
+    return design @ c, levels + [c[None, :]]
 
 
 def generate_candidate(batch, spec: NetworkClassSpec, level: int, s: int, seed: int):
     """Random candidate of the given depth fitted to uniform targets."""
-    if level < 1 or level > spec.depth:
-        raise ValueError("level must be in [1, class depth]")
-    if s < 1:
-        raise ValueError("s must be >= 1")
+    if not 1 <= level <= spec.depth or s < 1:
+        raise ValueError("level must be in [1, class depth] and s >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return _generate(np.asarray(batch.features, dtype=float), spec, level, s, rng)
+    return from_levels(_generate(np.asarray(batch.features, dtype=float), spec, level, s, rng)[1])
 
 
-def _flatten(net) -> np.ndarray:
-    parts = []
+def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
+    """Row functions (risk, gradient, projection) for networks whose flat
+    rows concatenate level tensors of the given shapes.  Each row is
+    computed on its own, so its values do not depend on which rows share
+    the call.  Depth 1 uses linear_kernels, as Algorithm 2 does.
+    """
+    if len(shapes) == 1:
+        return linear_kernels(data, loss, spec.leaf_p, spec.budget)
+    X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
 
-    def walk(sub):
-        if isinstance(sub, Leaf):
-            parts.append(sub.w)
-            return
-        parts.append(sub.comb_weights)
-        for c in sub.children:
-            walk(c)
+    def risk(row):
+        return a @ loss.value(-y * _forward(_split(row, shapes), act, X)[-1][:, 0])
 
-    walk(net)
-    return np.concatenate(parts)
+    def grad(row):
+        # Backward pass: G holds d risk / d Z_j, from the output down.
+        levels = _split(row, shapes)
+        Z = _forward(levels, act, X)
+        G = (a * loss.grad(-y * Z[-1][:, 0]) * -y)[:, None]
+        grads = []
+        for C, Z_in in zip(levels[:0:-1], Z[-2::-1]):
+            Z_in = Z_in.reshape(len(X), *C.shape)
+            grads.append(np.einsum("ni,nis->is", G, act.value(Z_in)))
+            G = (G[:, :, None] * C * act.deriv(Z_in)).reshape(len(X), -1)
+        return _flat([G.T @ X, *grads[::-1]])
 
+    def project_row(row):
+        W, *blocks = _split(row, shapes)
+        return _flat([project(W, spec.leaf_p, B), *(project(C, 1.0, B) for C in blocks)])
 
-def _rebuild(template, vec: np.ndarray):
-    # node weights are consumed before children, matching _flatten
-    pos = 0
+    def by_row(fn):
+        return lambda P: np.array([fn(row) for row in P])
 
-    def walk(sub):
-        nonlocal pos
-        if isinstance(sub, Leaf):
-            w = vec[pos:pos + sub.w.size].copy()
-            pos += sub.w.size
-            return Leaf(w)
-        c = vec[pos:pos + sub.comb_weights.size].copy()
-        pos += sub.comb_weights.size
-        children = tuple(walk(ch) for ch in sub.children)
-        return Node(children, c)
-
-    out = walk(template)
-    if pos != vec.size:
-        raise ValueError("parameter vector length mismatch")
-    return out
-
-
-def _project_slices(template, spec: NetworkClassSpec):
-    """Per-level projection applied to the flat parameter vector."""
-    specs = []
-
-    def walk(sub, pos):
-        if isinstance(sub, Leaf):
-            specs.append(("leaf", pos, pos + sub.w.size))
-            return pos + sub.w.size
-        specs.append(("node", pos, pos + sub.comb_weights.size))
-        pos += sub.comb_weights.size
-        for c in sub.children:
-            pos = walk(c, pos)
-        return pos
-
-    walk(template, 0)
-
-    def project_fn(vec):
-        out = vec.copy()
-        for kind, a, b in specs:
-            if kind == "leaf":
-                out[a:b] = project(out[a:b], spec.leaf_p, spec.budget)
-            else:
-                out[a:b] = project_l1(out[a:b], spec.budget)
-        return out
-
-    return project_fn
-
-
-def _forward(net, spec: NetworkClassSpec, X: np.ndarray):
-    act = spec.act
-    if isinstance(net, Leaf):
-        return X @ net.w, None
-    child_out = [_forward(c, spec, X) for c in net.children]
-    raw = np.stack([v for v, _ in child_out], axis=1)
-    A = act.value(raw)
-    return A @ net.comb_weights, (child_out, raw, A)
-
-
-def _backward(net, spec: NetworkClassSpec, X: np.ndarray, cache, gout, grads: list):
-    act = spec.act
-    if isinstance(net, Leaf):
-        grads.append(X.T @ gout)
-        return
-    child_out, raw, A = cache
-    grads.append(A.T @ gout)
-    for l, child in enumerate(net.children):
-        gchild = gout * net.comb_weights[l] * act.deriv(raw[:, l])
-        _backward(child, spec, X, child_out[l][1], gchild, grads)
+    return by_row(risk), by_row(grad), by_row(project_row)
 
 
 def refine_network(net, spec: NetworkClassSpec, data, loss, step_budget: int):
-    """Joint monotone projected descent over all weights of the tree."""
-    X, y, a = data.features, data.labels, data.weights
-    x0 = _flatten(net)
-    project_fn = _project_slices(net, spec)
-
-    def risk_fn(vec):
-        cand = _rebuild(net, vec)
-        vals, _ = _forward(cand, spec, X)
-        return float(a @ loss.value(-y * vals))
-
-    def grad_fn(vec):
-        cand = _rebuild(net, vec)
-        vals, cache = _forward(cand, spec, X)
-        gout = a * loss.grad(-y * vals) * (-y)
-        grads: list = []
-        _backward(cand, spec, X, cache, gout, grads)
-        return np.concatenate(grads)
-
-    vec, _ = monotone_descent(x0, risk_fn, grad_fn, project_fn, step_budget)
-    return _rebuild(net, vec)
+    """Joint monotone projected descent over all weights of the network."""
+    levels = to_levels(net)
+    shapes = [L.shape for L in levels]
+    P, _ = lockstep_descent(_flat(levels), *network_kernels(data, loss, spec, shapes),
+                            step_budget)
+    return from_levels(_split(P[0], shapes))
 
 
-def algorithm3(
-    data,
-    loss,
-    spec: NetworkClassSpec,
-    epsilon: float,
-    delta: float,
-    T_budget: int,
-    refine_budget: int,
-    seed: int,
-    k: int | None = None,
-    s: int | None = None,
-):
+def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
+               T_budget: int, refine_budget: int, seed: int,
+               k: int | None = None, s: int | None = None):
     """Best-of-T random candidates, each optionally refined.
 
     Each round draws k points by importance weight, builds a candidate of
     the class depth (leaves fitted to uniform targets, then each level's
     combination weights), refines it, and scores it on the full sample;
-    the earliest best round wins.  Runs min(T_theory, T_budget) rounds.
-    Depth 1 runs through the halfspace schemes' lockstep round loop.
+    the earliest best of min(T_theory, T_budget) rounds of
+    halfspace.best_round wins, exactly as in Algorithm 2 at depth 1.
     """
-    if T_budget < 1:
-        raise ValueError("T_budget must be >= 1")
-    norms = lq_norm(data.features, spec.input_q)
-    if np.max(norms) > 1.0 + _NORM_TOL:
-        raise ValueError(f"data must satisfy ||x||_{spec.input_q} <= 1")
+    check_unit_ball(data.features, spec.input_q)
     k_cfg, s_cfg, T_theory = config_alg3(spec.input_q, epsilon, delta, spec.depth)
     k = k_cfg if k is None else int(k)
     s = s_cfg if s is None else int(s)
     if k < 1 or s < 1:
         raise ValueError("k and s must be >= 1")
-    T_run = min(T_budget, T_theory)
-    if spec.depth == 1:
-        def candidate(t):
-            rng = round_rng(seed, t)
-            batch = draw_batch(rng, data, k)
-            return _generate(batch.features, spec, 1, s, rng).w
+    # Level j (leaves are level 0) has s^(m-1-j) members.
+    shapes = [(s ** (spec.depth - 1 - j), s if j else data.dim) for j in range(spec.depth)]
 
-        return Leaf(best_linear_round(data, loss, T_run, spec.leaf_p, spec.budget,
-                                      refine_budget, candidate))
-    best_net, best_risk = None, math.inf
-    for t in range(T_run):
+    def candidate(t):
         rng = round_rng(seed, t)
         batch = draw_batch(rng, data, k)
-        net = _generate(batch.features, spec, spec.depth, s, rng)
-        if refine_budget > 0:
-            net = refine_network(net, spec, data, loss, refine_budget)
-        risk = empirical_risk(predictor(net, spec), loss, data)
-        if risk < best_risk:
-            best_net, best_risk = net, risk
-    return best_net
+        return _flat(_generate(batch.features, spec, spec.depth, s, rng)[1])
+
+    row = best_round(min(T_budget, T_theory), candidate,
+                     network_kernels(data, loss, spec, shapes), refine_budget)
+    return from_levels(_split(row, shapes))
 
 
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):

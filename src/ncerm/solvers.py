@@ -191,8 +191,13 @@ def constrained_least_squares(
     if p == 2.0:
         return _least_squares_l2(X, u, radius)
     sigma = float(np.linalg.norm(X, 2))
-    # Gradient 2 X^T resid times step 1/(2 sigma^2) folds into one matrix.
-    step_T = X.T / (sigma * sigma)
+    # Inside the ball X w moves the fit by at most sigma * radius; below an
+    # ulp of ||u|| every feasible w has the objective of w = 0.
+    if sigma * radius <= np.finfo(float).eps * np.linalg.norm(u):
+        return w
+    # Gradient 2 X^T resid times step 1/(2 sigma^2) folds into one matrix,
+    # divided by sigma twice so that a tiny sigma^2 cannot underflow.
+    step_T = (X / sigma).T / sigma
     resid = X @ w - u
     obj = float(resid @ resid)
     for _ in range(max_iter):

@@ -11,6 +11,9 @@ import numpy as np
 # this many decimal digits; past it a conservative round-up is returned.
 _EXACT_DIGIT_LIMIT = 400
 
+# Slack allowed on every norm budget and on the unit-ball data condition.
+NORM_TOL = 1e-9
+
 
 def round_rng(seed: int, index: int) -> np.random.Generator:
     """Independent per-round generator derived from a master seed.
@@ -63,3 +66,10 @@ def lq_norm(x: np.ndarray, q: float) -> np.ndarray | float:
     if math.isinf(q):
         return np.max(np.abs(x), axis=-1)
     return np.sum(np.abs(x) ** q, axis=-1) ** (1.0 / q)
+
+
+def check_unit_ball(features, q: float) -> None:
+    """Raise ValueError unless every row x of features has ||x||_q <= 1."""
+    top = float(np.max(lq_norm(features, q)))
+    if top > 1.0 + NORM_TOL:
+        raise ValueError(f"data must satisfy ||x||_{q} <= 1 (max {top!r})")

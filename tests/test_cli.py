@@ -132,3 +132,27 @@ def test_dataset_csv_input(tmp_path):
                  "--out", str(out)]) == 0
     body = out.read_text()
     assert "nan" in body  # planted risk is unknown for external data
+
+
+BAD_INPUTS = {
+    "zero_points": (["halfspace", "--n", "0"], None),
+    "string_count_in_config": (["hardness", "--config", "{path}"], '{"instances": "2"}'),
+    "csv_header_only": (["halfspace", "--data", "{path}"], "x_1,x_2,y,weight\n"),
+    "csv_empty": (["halfspace", "--data", "{path}"], ""),
+    "one_monte_carlo_trial": (["analysis", "--check", "maurey", "--trials", "1"], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
+    """Each input ends in one 'error:' line and exit code 1: no traceback,
+    and no estimate with a standard error of 0 from a single trial."""
+    argv, text = BAD_INPUTS[case]
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    assert main([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

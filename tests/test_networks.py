@@ -29,6 +29,9 @@ from ncerm.networks import (
     zero_network,
 )
 from ncerm.util import lq_norm, round_rng
+from ncerm import halfspace
+from ncerm.losses import logistic_sigmoid
+from ncerm.networks import network_kernels, to_levels
 
 
 @pytest.mark.parametrize("name", ACTIVATIONS)
@@ -243,3 +246,74 @@ def test_round_rng_replayable():
     c = round_rng(5, 4).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_json_golden_format(tmp_path):
+    """The saved file is exactly this text: type/w for leaves and
+    type/weights/children for nodes, floats as shortest repr."""
+    net = Node((Leaf(np.array([0.5, -0.25])), Leaf(np.array([0.0, 1.0]))),
+               np.array([0.75, -0.25]))
+    path = tmp_path / "net.json"
+    save_network(path, net)
+    assert path.read_text() == (
+        '{"type": "node", "weights": [0.75, -0.25], "children": ['
+        '{"type": "leaf", "w": [0.5, -0.25]}, {"type": "leaf", "w": [0.0, 1.0]}]}\n'
+    )
+
+
+def _leaf(*w):
+    return {"type": "leaf", "w": list(w)}
+
+
+def _node(weights, *children):
+    return {"type": "node", "weights": list(weights), "children": list(children)}
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "leaf"},
+    [_leaf(1.0)],
+    "leaf",
+    None,
+    {"type": "node", "weights": [1.0]},
+    _node([]),
+    _node([1.0, 0.0], _leaf(1.0)),
+    _node([0.5, 0.5], _leaf(1.0), _node([1.0], _leaf(1.0))),
+    _node([0.5, 0.5], _leaf(1.0), _leaf(1.0, 0.0)),
+    _node([0.5, 0.5], _node([1.0], _leaf(1.0)), _node([0.5, 0.5], _leaf(1.0), _leaf(1.0))),
+], ids=["leaf_without_w", "list", "string", "null", "node_without_children",
+        "node_with_no_children", "weight_count", "mixed_depth", "leaf_dims", "level_widths"])
+def test_net_from_dict_rejects_malformed(obj):
+    """Anything net_to_dict cannot have written, including a tree that is
+    not uniform, is a ValueError rather than a KeyError or TypeError."""
+    with pytest.raises(ValueError):
+        net_from_dict(obj)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_network_gradient_matches_finite_differences(m):
+    """The per-level backward pass agrees with central differences of the
+    risk at depth 2 and 3 (smooth loss and activation)."""
+    spec = network_spec(m, 1.5, 2.0, "tanh")
+    data, _ = planted_network(40, 3, 0.1, network_spec(2, 1.5), 2, seed=1)
+    levels = to_levels(random_network(spec, 3, 2, seed=3))
+    risk, grad, _ = network_kernels(data, logistic_sigmoid(1.0), spec,
+                                    [L.shape for L in levels])
+    x = 0.5 * np.concatenate([L.ravel() for L in levels])
+    h = 1e-6
+    fd = [(risk((x + h * e)[None])[0] - risk((x - h * e)[None])[0]) / (2.0 * h)
+          for e in np.eye(x.size)]
+    assert np.allclose(grad(x[None])[0], fd, rtol=0.0, atol=1e-8)
+
+
+def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
+    """Depth-2 rounds refined one at a time or CHUNK_ROUNDS at a time in
+    lockstep give the same network, bit for bit."""
+    spec = network_spec(2, 1.0)
+    loss = piecewise_linear(1.0)
+    data, _ = planted_network(80, 3, 0.15, spec, 2, seed=6)
+    args = (data, loss, spec, 0.5, 0.05, 60, 40, 3)
+    chunked = algorithm3(*args, k=8, s=2)
+    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
+    single = algorithm3(*args, k=8, s=2)
+    assert all(np.array_equal(a, b) for a, b in zip(to_levels(chunked), to_levels(single)))
+    validate(chunked, spec)

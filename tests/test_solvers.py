@@ -291,3 +291,15 @@ def test_lockstep_descent_stop_rules():
     W0 = np.array([[0.0], [1e-9], [4e-8], [0.3], [2.0], [1e6]])
     for budget in (500, 5):
         _assert_rows_follow_monotone_descent(W0, kernels, budget)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("scale,target", [(1e-200, 1.0), (1e-170, 1e-160)])
+def test_least_squares_tiny_x_finite_and_feasible(p, scale, target):
+    """sigma_max(X)^2 underflows to 0 for these X; projected gradient must
+    still return a finite point in the ball, no worse than w = 0."""
+    X, u = np.array([[scale, 0.0]]), np.array([target])
+    w = constrained_least_squares(X, u, p, 1.0)
+    assert np.all(np.isfinite(w))
+    assert lq_norm(w, p) <= 1.0 + _FEAS_TOL
+    assert np.sum((X @ w - u) ** 2) <= np.sum(u * u)
