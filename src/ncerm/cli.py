@@ -171,7 +171,13 @@ def _config_types(key: str, default) -> tuple:
     return (str,)
 
 
-def _merge_options(args: argparse.Namespace) -> SimpleNamespace:
+def _option_choices(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The allowed values of each option of a subcommand that lists them."""
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    return {a.dest: a.choices for a in subparsers.choices[command]._actions if a.choices}
+
+
+def _merge_options(args: argparse.Namespace, choices: dict) -> SimpleNamespace:
     defaults = _DEFAULTS[args.command]
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
@@ -189,6 +195,9 @@ def _merge_options(args: argparse.Namespace) -> SimpleNamespace:
             if not (typed or value is None and defaults[key] is None):
                 names = " or ".join(t.__name__ for t in types)
                 raise ValueError(f"config key {key!r} must be {names}, not {value!r}")
+            if key in choices and value not in choices[key]:
+                allowed = ", ".join(map(repr, choices[key]))
+                raise ValueError(f"config key {key!r} must be one of {allowed}, not {value!r}")
         merged.update(loaded)
     for key in defaults:
         value = getattr(args, key, None)
@@ -258,7 +267,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        options = _merge_options(args)
+        options = _merge_options(args, _option_choices(parser, args.command))
         header, rows, lines = _dispatch(args.command, options)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -151,6 +151,8 @@ def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: in
 
     if not (0.0 < margin < 1.0):
         raise ValueError("margin must be in (0, 1)")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     q = dual_exponent(p_exponent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     w = rng.standard_normal(d)
@@ -184,6 +186,8 @@ def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed:
     """
     from .networks import Leaf, Node, evaluate
 
+    if d < 1:
+        raise ValueError("d must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     B = class_spec.budget
     leaves = []
@@ -243,7 +247,15 @@ def load_dataset_csv(path, feature_norm_q: float | None = None) -> WeightedDatas
         header = next(reader, [])
         if len(header) < 3 or header[-2:] != ["y", "weight"]:
             raise ValueError("expected columns x_1..x_d, y, weight")
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"line {reader.line_num} has {len(row)} values, the header {len(header)}"
+                )
+            rows.append([float(v) for v in row])
     if not rows:
         raise ValueError("dataset has no rows")
     arr = np.asarray(rows, dtype=float)

@@ -334,6 +334,8 @@ def run_hardness(instances: int, n_literals: int, clauses: int, seed: int,
 def run_analysis(check: str, trials: int, k: int, n: int, d: int,
                  epsilon: float, budget: float, m: int, width: int, seed: int):
     header = ("check", "estimate", "stderr", "bound", "ok")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if check == "rademacher":
         spec = network_spec(m, budget, 2.0, "tanh")

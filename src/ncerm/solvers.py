@@ -12,12 +12,8 @@ _STEP_FLOOR = 1e-13
 _STALL_REJECTS = 25
 _GAIN_RTOL = 1e-8
 _FEAS_TOL = 1e-9
-_SECULAR_MAX_ITER = 100
-_SECULAR_RTOL = 4.0 * np.finfo(float).eps
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge within its fixed budget."""
+_NEWTON_MAX_ITER = 100
+_NEWTON_RTOL = 4.0 * np.finfo(float).eps
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
@@ -45,30 +41,87 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     return np.where(inside[..., None], v, out)
 
 
-def _lp_coordinate_solve(a: np.ndarray, lam: float, p: float) -> np.ndarray:
-    """Solve w + lam*p*w^(p-1) = a coordinatewise for w in [0, a].
+def _lp_magnitudes(a: np.ndarray, lp: np.ndarray, q: float):
+    """Solve w + lp*w^q = a elementwise for w in [0, a], given lp > 0.
 
-    The left side is strictly increasing in w, so bisection converges;
-    64 halvings put the error near machine precision relative to a.
+    Newton runs on s = w^q, where s^(1/q) + lp*s = a is convex and
+    increasing.  It starts at min(a/lp, a^q), which is never left of the
+    root, so the iterates fall monotonically to it and never reach w = 0,
+    where the derivative in w is infinite.  Each entry stops on its own
+    once a step no longer lowers it.  w = s^(1/q) carries the rounding
+    error of s times 1/q, so one Newton step on the equation in w itself
+    follows, which restores the precision lost as p nears 1.  Returns
+    (w, w^q).
     """
-    lo = np.zeros_like(a)
-    hi = a.copy()
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        val = mid + lam * p * np.power(mid, p - 1.0, where=mid > 0, out=np.zeros_like(mid))
-        too_big = val > a
-        hi = np.where(too_big, mid, hi)
-        lo = np.where(too_big, lo, mid)
-    return 0.5 * (lo + hi)
+    k = 1.0 / q
+    s = np.minimum(a / lp, a**q)
+    for _ in range(_NEWTON_MAX_ITER):
+        sk = s ** (k - 1.0)
+        s_new = s - (sk * s + lp * s - a) / (k * sk + lp)
+        falling = s_new < s
+        if not falling.any():
+            break
+        s = np.where(falling, s_new, s)
+    w = s**k
+    t = w**q
+    den = w + q * lp * t
+    w = w - np.divide(w * (w + lp * t - a), den, out=np.zeros_like(w), where=den > 0)
+    return w, w**q
+
+
+def _project_lp_rows(A: np.ndarray, p: float, radius: float) -> np.ndarray:
+    """Projections of the rows of A >= 0, all outside the l_p ball.
+
+    Row i has its own dual scalar lam > 0 with sum_j w_j(lam)^p =
+    radius^p, where w_j(lam) solves w + lam*p*w^(p-1) = A_ij.  Safeguarded
+    Newton steps run on phi(lam) = ||w(lam)||_p^-(p-1), which is linear
+    in lam once every w_j is small, inside a bracket that starts at
+    [0, hi] with hi from w_j <= (A_ij / (lam*p))^(1/(p-1)); a step that
+    leaves the bracket bisects it instead.  Rows leave the working set as
+    they converge, so each row's result is the one it gets alone.  The
+    constraint is active at the projection of an outside point, so each
+    row is finally scaled onto the sphere; this also makes it feasible.
+    """
+    q = p - 1.0
+    rp = radius**p
+    top = A.max(axis=1)
+    hi = top * np.sum((A / top[:, None]) ** (p / q), axis=1) ** (q / p) / (p * radius**q)
+    lam, lo = hi, np.zeros_like(hi)
+    out = np.empty_like(A)
+    live, a = np.arange(A.shape[0]), A
+    for _ in range(_NEWTON_MAX_ITER):
+        w, s = _lp_magnitudes(a, (lam * p)[:, None], q)
+        out[live] = w
+        G = np.sum(w * s, axis=1)
+        # dG/dlam = -p^2 sum_j w^p / (w^(2-p) + lam*p*q); with top and
+        # bottom multiplied by s = w^(p-1) it needs no power, and w = 0 adds 0.
+        den = w + (lam * (p * q))[:, None] * s
+        terms = np.divide(w * s * s, den, out=np.zeros_like(w), where=den > 0)
+        dG = -p * p * np.sum(terms, axis=1)
+        over = G > rp
+        lo = np.where(over, lam, lo)
+        hi = np.where(over, hi, lam)
+        # Newton step on phi, with phi(root) / phi(lam) - 1 taken by expm1.
+        step = -p * G * np.expm1((q / p) * np.log(G / rp)) / (q * dG)
+        done = (np.abs(step) <= _NEWTON_RTOL * lam) | (hi - lo <= _NEWTON_RTOL * lam)
+        lam = lam + step
+        lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
+        if done.any():
+            live, a, lam, lo, hi = (x[~done] for x in (live, a, lam, lo, hi))
+            if live.size == 0:
+                break
+    norm = np.sum(out**p, axis=1) ** (1.0 / p)
+    return out * (radius / norm)[:, None]
 
 
 def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Euclidean projection onto the l_p ball, p in (1, 2].
 
     p = 2 rescales.  For p in (1, 2) the KKT system
-    w_i + lam*p*w_i^(p-1) = |v_i| is solved by bisection on the dual
-    scalar lam until the constraint is active.  A matrix is projected
-    row by row, each row on its own.
+    w_i + lam*p*w_i^(p-1) = |v_i| is solved by Newton on the dual scalar
+    lam, with an inner Newton solve per coordinate (the root-finding route
+    of Liu & Ye 2010).  A matrix is projected row by row in one solve,
+    each row exactly as it would be alone.
     """
     if not (1.0 < p <= 2.0):
         raise ValueError("p must be in (1, 2]")
@@ -79,33 +132,12 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
         # Rows inside the ball are scaled by radius / radius = 1 exactly.
         norm = np.sqrt(np.sum(v * v, axis=-1))
         return v * (radius / np.maximum(norm, radius))[..., None]
-    if v.ndim == 2:
-        return np.array([project_lp(row, p, radius) for row in v])
-    norm = float(np.sum(np.abs(v) ** p) ** (1.0 / p))
-    if norm <= radius:
+    a = np.abs(np.atleast_2d(v))
+    outside = np.sum(a**p, axis=1) ** (1.0 / p) > radius
+    if not outside.any():
         return v.copy()
-    a = np.abs(v)
-
-    def constraint(lam: float) -> float:
-        w = _lp_coordinate_solve(a, lam, p)
-        return float(np.sum(w**p) ** (1.0 / p)) - radius
-
-    lam_lo, lam_hi = 0.0, 1.0
-    for _ in range(200):
-        if constraint(lam_hi) <= 0:
-            break
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-    else:
-        raise ConvergenceError("l_p projection: dual upper bracket not found")
-    for _ in range(100):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if constraint(mid) > 0:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    w = _lp_coordinate_solve(a, lam_hi, p)
-    return np.sign(v) * w
+    a[outside] = _project_lp_rows(a[outside], p, radius)
+    return np.sign(v) * a.reshape(v.shape)
 
 
 def project(v: np.ndarray, p: float, radius: float) -> np.ndarray:
@@ -148,9 +180,9 @@ def _least_squares_l2(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray
     lo = 0.0
     z = hi = math.hypot(*tc)
     q = tc / (at2 + z)
-    for _ in range(_SECULAR_MAX_ITER):
+    for _ in range(_NEWTON_MAX_ITER):
         norm = math.hypot(*q)
-        if abs(norm - 1.0) <= _SECULAR_RTOL:
+        if abs(norm - 1.0) <= _NEWTON_RTOL:
             break
         if norm > 1.0:
             lo = z

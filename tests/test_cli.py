@@ -140,6 +140,13 @@ BAD_INPUTS = {
     "csv_header_only": (["halfspace", "--data", "{path}"], "x_1,x_2,y,weight\n"),
     "csv_empty": (["halfspace", "--data", "{path}"], ""),
     "one_monte_carlo_trial": (["analysis", "--check", "maurey", "--trials", "1"], None),
+    "config_value_not_a_choice": (["halfspace", "--config", "{path}"], '{"algorithm": 3}'),
+    "csv_rows_narrower_than_header": (
+        ["halfspace", "--data", "{path}"], "x_1,x_2,y,weight\n0.1,1,0.5\n0.2,-1,0.5\n",
+    ),
+    "zero_dimensions": (["halfspace", "--d", "0"], None),
+    "zero_dimensions_nn": (["nn", "--d", "0"], None),
+    "zero_dimensions_analysis": (["analysis", "--check", "jl", "--d", "0"], None),
 }
 
 

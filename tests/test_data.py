@@ -144,3 +144,13 @@ def test_csv_header_checked(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset_csv(path)
+
+
+@pytest.mark.parametrize("body", ["0.1,1,0.5\n", "0.1,0.2,0.3,1,0.5\n", "0.1,0.2,1,0.5\n0.3,1,0.5\n"])
+def test_csv_row_width_checked(tmp_path, body):
+    """Every row must have as many values as the header has columns; a
+    narrower file used to load as a dataset of lower dimension."""
+    path = tmp_path / "ragged.csv"
+    path.write_text("x_1,x_2,y,weight\n" + body)
+    with pytest.raises(ValueError, match="line"):
+        load_dataset_csv(path)

@@ -178,6 +178,20 @@ def test_algorithm2_chunk_size_changes_nothing(p, monkeypatch):
     chunked.check_feasible()
 
 
+def test_algorithm2_chunk_size_changes_nothing_lp(monkeypatch):
+    """The same at p = 1.5, where every refinement step projects the
+    chunk's rows onto the l_1.5 ball in one batched solve; T is smaller
+    because least squares there runs projected gradient."""
+    loss = piecewise_linear(1.0)
+    data, _ = planted_halfspace(200, 5, 0.3, 1.5, seed=41)
+    cfg = config_alg2(200, 5, 1.5, 0.5, 0.05, seed=43, T_budget=30)
+    chunked = algorithm2(data, loss, cfg, refine_budget=200)
+    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
+    single = algorithm2(data, loss, cfg, refine_budget=200)
+    assert np.array_equal(chunked.w, single.w)
+    chunked.check_feasible()
+
+
 def test_zero_round_budget_is_an_error():
     """An empty round range has no best round to return."""
     loss = piecewise_linear(1.0)

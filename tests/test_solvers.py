@@ -1,8 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -23,11 +24,17 @@ from ncerm.solvers import (
 from ncerm.util import lq_norm
 
 
-def _grid_project_oracle(v, p, radius, half_width=3.0, steps=2001):
-    """Dense 2-D search for the closest feasible point (slow, exact-ish)."""
+@functools.lru_cache(maxsize=None)
+def _feasible_grid(p, radius, half_width, steps):
+    """The points of a dense 2-D grid that lie in the l_p ball (built once)."""
     g = np.linspace(-half_width, half_width, steps)
     G = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
-    feas = G[lq_norm(G, p) <= radius]
+    return G[lq_norm(G, p) <= radius]
+
+
+def _grid_project_oracle(v, p, radius, half_width=3.0, steps=2001):
+    """Dense 2-D search for the closest feasible point (slow, exact-ish)."""
+    feas = _feasible_grid(p, radius, half_width, steps)
     d2 = np.sum((feas - v) ** 2, axis=1)
     return feas[np.argmin(d2)]
 
@@ -303,3 +310,62 @@ def test_least_squares_tiny_x_finite_and_feasible(p, scale, target):
     assert np.all(np.isfinite(w))
     assert lq_norm(w, p) <= 1.0 + _FEAS_TOL
     assert np.sum((X @ w - u) ** 2) <= np.sum(u * u)
+
+
+@st.composite
+def _lp_projection_problems(draw):
+    """A point with magnitudes from 1e-6 to 1e3 (some entries zero), an
+    exponent p in (1, 2) and a radius."""
+    p = draw(st.floats(1.0, 2.0, exclude_min=True, exclude_max=True))
+    d = draw(st.integers(1, 60))
+    exponents = draw(hnp.arrays(float, d, elements=st.floats(-6.0, 3.0)))
+    signs = draw(hnp.arrays(float, d, elements=st.sampled_from((-1.0, 0.0, 1.0))))
+    radius = draw(st.floats(0.01, 100.0))
+    return signs * 10.0**exponents, p, radius
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lp_projection_problems())
+@example((np.array([-1.0]), 1.00001, 0.5))
+@example((np.array([-1.33352143, -1.0]), 1.0000000000000002, 1.0))
+def test_project_lp_kkt(problem):
+    """The projection is feasible, keeps signs and zeros, returns a point
+    inside the ball as it is, and otherwise meets the optimality
+    conditions w_i + lam*p*w_i^(p-1) = |v_i| with one lam > 0 for all i
+    and ||w||_p = radius."""
+    v, p, radius = problem
+    out = project_lp(v, p, radius)
+    assert lq_norm(out, p) <= radius * (1.0 + 1e-12)
+    assert np.all(out[v == 0.0] == 0.0)
+    assert np.all((np.sign(out) == np.sign(v)) | (out == 0.0))
+    if lq_norm(v, p) <= radius:
+        assert np.array_equal(out, v)
+        return
+    assert lq_norm(out, p) >= radius * (1.0 - 1e-12)
+    a, w, q = np.abs(v), np.abs(out), p - 1.0
+    # Below the smallest normal float w_i^(p-1) has lost its precision.
+    normal = w >= np.finfo(float).tiny
+    b = (a - w)[normal] / a[normal]
+    c = p * w[normal] ** q / a[normal]
+    lam = np.sum(b * c) / np.sum(c * c)  # least-squares fit of the multiplier
+    assert lam > 0.0
+    resid = np.abs(w + lam * p * w**q - a)[normal] / a[normal]
+    assert np.all(resid <= 1e-12)
+    # Where w_i underflowed, so does the exact root, which is below
+    # (|v_i| / (lam*p))^(1/(p-1)).
+    hidden = (v != 0.0) & ~normal
+    assert np.all((a[hidden] / (lam * p)) ** (1.0 / q) <= 2.0 * np.finfo(float).tiny)
+
+
+def test_project_lp_rows_match_single_rows():
+    """A 300-row matrix mixing points inside and outside the ball projects
+    each row exactly as projecting that row alone does."""
+    rng = np.random.default_rng(17)
+    W = rng.standard_normal((300, 7)) * rng.choice([0.05, 0.3, 1.0, 5.0], size=(300, 1))
+    W[::25] = 0.0
+    inside = lq_norm(W, 1.5) <= 1.0
+    assert 0 < inside.sum() < 300
+    out = project_lp(W, 1.5, 1.0)
+    for i in range(300):
+        assert np.array_equal(out[i], project_lp(W[i], 1.5, 1.0))
+    assert np.array_equal(out[inside], W[inside])
