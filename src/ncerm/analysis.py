@@ -44,6 +44,8 @@ def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> M
     _check_trials(trials)
     X = np.asarray(batch_features, dtype=float)
     k = X.shape[0]
+    if k < 1:
+        raise ValueError("k must be >= 1")
     F = np.stack([np.asarray(c(X), dtype=float) for c in candidates])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     eps = rng.choice((-1.0, 1.0), size=(trials, k))

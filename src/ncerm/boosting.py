@@ -27,9 +27,10 @@ from .networks import (
 from .util import NORM_TOL, check_unit_ball, child_seed
 
 _MU_HI = 1.0 - 1e-15
+WEAK_KINDS = ("algorithm1", "algorithm2", "algorithm3")
 
 
-class NoProgressError(RuntimeError):
+class NoProgressError(ValueError):
     """Every round had a zero coefficient, so the output scale is undefined."""
 
 
@@ -67,7 +68,7 @@ class WeakLearnerConfig:
     delta: float = 0.05
 
     def __post_init__(self):
-        if self.kind not in ("algorithm3", "algorithm2", "algorithm1"):
+        if self.kind not in WEAK_KINDS:
             raise ValueError(f"unknown weak learner kind {self.kind!r}")
 
 

@@ -14,7 +14,7 @@ _WEIGHT_SUM_TOL = 1e-12
 _PLANT_MAX_CHUNKS = 10_000
 
 
-class PlantingError(RuntimeError):
+class PlantingError(ValueError):
     """Rejection sampling failed to collect enough points within the cap."""
 
 
@@ -188,6 +188,8 @@ def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed:
 
     if d < 1:
         raise ValueError("d must be >= 1")
+    if width < 1:
+        raise ValueError("width must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     B = class_spec.budget
     leaves = []

@@ -83,6 +83,8 @@ def run_parity_experiment(
     seeds = list(seeds)
     if not seeds:
         raise ValueError("at least one seed is required")
+    if n < 10:
+        raise ValueError("n must be >= 10 so that no split is empty")
     if weak is None:
         weak = WeakLearnerConfig(
             kind="algorithm3", epsilon=0.5, k=10, T_budget=1, refine_budget=150
@@ -144,6 +146,17 @@ def run_parity_experiment(
     return header, rows, []
 
 
+def run_parity(d: int, p_bits: int, n: int, noise: float, budget: float,
+               budget_rounds: int, seeds, restarts: int, seed: int):
+    """``ncerm parity``: train on the comma-separated ``seeds``, or on
+    ``restarts`` consecutive seeds from ``seed`` when ``seeds`` is None."""
+    if seeds is None:
+        seed_list = [seed + i for i in range(restarts)]
+    else:
+        seed_list = [int(tok) for tok in seeds.split(",") if tok.strip()]
+    return run_parity_experiment(d, p_bits, n, noise, seed_list, budget, budget_rounds)
+
+
 # ---------------------------------------------------------------------------
 # halfspace
 
@@ -154,14 +167,17 @@ def run_halfspace(
     d: int,
     margin: float,
     p: float,
-    epsilon: float,
+    epsilon,
     delta: float,
     budget_rounds: int,
     refine_steps: int,
     repetitions: int,
     seed: int,
-    data_path=None,
+    data=None,
 ):
+    """epsilon = None uses 0.4 for Algorithm 1 and 0.5 for Algorithm 2."""
+    if epsilon is None:
+        epsilon = 0.4 if algorithm == 1 else 0.5
     loss = piecewise_linear(1.0)
     header = (
         "rep", "seed", "algorithm", "n", "d", "p", "epsilon", "delta",
@@ -172,25 +188,25 @@ def run_halfspace(
     for rep in range(repetitions):
         data_seed = child_seed(seed, 2 * rep)
         run_seed = child_seed(seed, 2 * rep + 1)
-        if data_path is None:
-            data, teacher = planted_halfspace(n, d, margin, p, data_seed)
-            planted_risk = empirical_risk(teacher.predict, loss, data)
+        if data is None:
+            sample, teacher = planted_halfspace(n, d, margin, p, data_seed)
+            planted_risk = empirical_risk(teacher.predict, loss, sample)
         else:
-            data = load_dataset_csv(data_path, feature_norm_q=dual_exponent(p))
+            sample = load_dataset_csv(data, feature_norm_q=dual_exponent(p))
             planted_risk = math.nan
         if algorithm == 1:
-            cfg = config_alg1(data.n, data.dim, epsilon, delta,
+            cfg = config_alg1(sample.n, sample.dim, epsilon, delta,
                               seed=run_seed, T_budget=budget_rounds)
-            model = algorithm1(data, loss, cfg, refine_steps)
+            model = algorithm1(sample, loss, cfg, refine_steps)
         else:
-            cfg = config_alg2(data.n, data.dim, p, epsilon, delta,
+            cfg = config_alg2(sample.n, sample.dim, p, epsilon, delta,
                               seed=run_seed, T_budget=budget_rounds)
-            model = algorithm2(data, loss, cfg, refine_steps)
-        risk = empirical_risk(model.predict, loss, data)
+            model = algorithm2(sample, loss, cfg, refine_steps)
+        risk = empirical_risk(model.predict, loss, sample)
         rows.append((
-            rep, run_seed, algorithm, data.n, data.dim, p, epsilon, delta,
+            rep, run_seed, algorithm, sample.n, sample.dim, p, epsilon, delta,
             cfg.s, cfg.k, cfg.r, str(cfg.T_theory), cfg.T_budget, risk,
-            planted_risk, risk - planted_risk, zero_one_risk(model.predict, data),
+            planted_risk, risk - planted_risk, zero_one_risk(model.predict, sample),
         ))
     return header, rows, []
 
@@ -257,9 +273,9 @@ def run_boostnet(
     m: int,
     budget: float,
     gamma: float,
-    rounds,
+    budget_rounds,
     weak_kind: str,
-    weak_epsilon,
+    epsilon,
     weak_k,
     weak_rounds: int,
     weak_refine: int,
@@ -268,22 +284,25 @@ def run_boostnet(
     margin: float,
     activation: str,
     seed: int,
-    data_path=None,
+    data=None,
 ):
     """Per-round trace of one boosting run: t, mu_t, coefficient,
-    train_zero_one, min_margin."""
+    train_zero_one, min_margin.  The weak learners run at ``epsilon``;
+    None uses 0.4 for Algorithm 1 and 0.5 otherwise."""
+    if epsilon is None:
+        epsilon = 0.4 if weak_kind == "algorithm1" else 0.5
     spec = network_spec(m, budget, 2.0, activation)
-    if data_path is None:
-        data, _ = planted_network(n, d, margin, spec, 2, child_seed(seed, 0))
+    if data is None:
+        sample, _ = planted_network(n, d, margin, spec, 2, child_seed(seed, 0))
     else:
-        data = load_dataset_csv(data_path, feature_norm_q=spec.input_q)
+        sample = load_dataset_csv(data, feature_norm_q=spec.input_q)
     weak = WeakLearnerConfig(
-        kind=weak_kind, epsilon=weak_epsilon, k=weak_k,
+        kind=weak_kind, epsilon=epsilon, k=weak_k,
         T_budget=weak_rounds, refine_budget=weak_refine,
     )
-    cfg = BoostConfig(spec, gamma=gamma, T=rounds, weak=weak,
+    cfg = BoostConfig(spec, gamma=gamma, T=budget_rounds, weak=weak,
                       seed=child_seed(seed, 1))
-    result = boostnet_train(data, cfg)
+    result = boostnet_train(sample, cfg)
     header = ("t", "mu_t", "coefficient", "train_zero_one", "min_margin")
     rows = [
         (r.t, r.mu, r.coefficient, r.train_zero_one, r.min_margin)

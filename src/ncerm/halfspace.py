@@ -11,7 +11,7 @@ stream, so the chunk size changes no result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,12 +66,6 @@ class HalfspaceRunConfig:
     T_theory: int
     T_budget: int
     seed: int
-
-    def with_budget(self, T_budget: int) -> "HalfspaceRunConfig":
-        return replace(self, T_budget=int(T_budget))
-
-    def with_seed(self, seed: int) -> "HalfspaceRunConfig":
-        return replace(self, seed=int(seed))
 
 
 def _check_eps_delta(epsilon: float, delta: float, eps_hi: float) -> None:

@@ -82,16 +82,6 @@ def format_instance(inst: Max2SatInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_instance(path) -> Max2SatInstance:
-    with open(path) as fh:
-        return parse_instance(fh.read())
-
-
-def save_instance(path, inst: Max2SatInstance) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_instance(inst))
-
-
 def disjunction_to_conjunctions(lit_a: Literal, lit_b: Literal) -> tuple:
     """The three conjunctions exactly one of which holds iff the OR holds."""
     (a, sa), (b, sb) = lit_a, lit_b

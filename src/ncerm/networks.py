@@ -341,6 +341,8 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
 
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):
     """Random class member with every norm at the budget (test fixture)."""
+    if spec.depth > 1 and width < 1:
+        raise ValueError("width must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     B = spec.budget
 

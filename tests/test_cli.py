@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ncerm.cli import main
+from ncerm.cli import COMMANDS, command_options, main
 
 FAST_ARGS = {
     "halfspace": ["--n", "40", "--d", "3", "--repetitions", "2",
@@ -147,9 +147,17 @@ BAD_INPUTS = {
     "zero_dimensions": (["halfspace", "--d", "0"], None),
     "zero_dimensions_nn": (["nn", "--d", "0"], None),
     "zero_dimensions_analysis": (["analysis", "--check", "jl", "--d", "0"], None),
+    "zero_batch_rademacher": (["analysis", "--check", "rademacher", "--k", "0"], None),
+    "margin_too_large_to_plant": (["nn", "--margin", "0.99"], None),
+    "all_zero_features_boostnet": (
+        ["boostnet", "--data", "{path}"], "x_1,x_2,y,weight\n0,0,1,0.5\n0,0,-1,0.5\n",
+    ),
+    "empty_parity_split": (["parity", "--n", "5"], None),
+    "zero_width_nn": (["nn", "--width", "0"], None),
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
     """Each input ends in one 'error:' line and exit code 1: no traceback,
@@ -163,3 +171,27 @@ def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["halfspace", "--algorithm", "1", *FAST_ARGS["halfspace"]],
+    ["boostnet", "--weak-kind", "algorithm1", *FAST_ARGS["boostnet"]],
+])
+def test_algorithm1_runs_at_its_default_epsilon(tmp_path, argv):
+    """epsilon defaults to 0.4 under Algorithm 1, inside its range (0, 0.5)."""
+    out = tmp_path / "a1.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    if argv[0] == "halfspace":
+        header, row = out.read_text().split("\n")[:2]
+        assert float(dict(zip(header.split(","), row.split(",")))["epsilon"]) == 0.4
+
+
+@pytest.mark.parametrize("name", sorted(FAST_ARGS))
+def test_config_of_table_defaults_changes_nothing(tmp_path, name):
+    """A config file holding every option at its table default passes the
+    type and choice checks and gives the same CSV as no config."""
+    assert set(COMMANDS) == set(FAST_ARGS)
+    cfg = tmp_path / "defaults.json"
+    cfg.write_text(json.dumps({k: o.default for k, o in command_options(name).items()}))
+    plain = _run(tmp_path, name, FAST_ARGS[name], "plain")
+    assert _run(tmp_path, name, [*FAST_ARGS[name], "--config", str(cfg)], "cfg") == plain

@@ -66,13 +66,6 @@ def test_config_alg2_t_theory():
         config_alg2(10, 4, 2.0, 0.5, 0.0)
 
 
-def test_config_helpers():
-    cfg = config_alg2(10, 4, 2.0, 0.5, 0.05, seed=1, T_budget=50)
-    assert cfg.with_budget(7).T_budget == 7
-    assert cfg.with_seed(9).seed == 9
-    assert cfg.with_seed(9).T_budget == cfg.T_budget
-
-
 def test_linear_model_feasibility():
     m = LinearModel(np.array([0.6, 0.8]), 2.0, 1.0)
     m.check_feasible()

@@ -12,7 +12,6 @@ from ncerm.hardness import (
     format_instance,
     instance_to_vectors,
     lifted_instance,
-    load_instance,
     max_satisfied,
     min_reduction_loss,
     parse_instance,
@@ -20,7 +19,6 @@ from ncerm.hardness import (
     reduction_loss,
     reduction_pair_vectors,
     satisfied_count,
-    save_instance,
     verify_identity,
 )
 
@@ -50,13 +48,6 @@ def test_parse_format_roundtrip():
         parse_instance("1 0\n")
     with pytest.raises(ValueError):
         parse_instance("1 2 3\n")
-
-
-def test_save_load_instance(tmp_path):
-    inst = random_instance(5, 7, seed=1)
-    path = tmp_path / "inst.txt"
-    save_instance(path, inst)
-    assert load_instance(path) == inst
 
 
 def test_disjunction_expansion_exactly_one():
