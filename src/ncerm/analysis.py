@@ -1,4 +1,6 @@
-"""Monte-Carlo checks of the concentration and compression bounds."""
+"""Monte-Carlo checks of the concentration and compression bounds.  Candidates
+are vectorized callables mapping an (n, d) feature matrix to (n,) values;
+include the zero function for the symmetrization bounds to apply."""
 
 from __future__ import annotations
 
@@ -7,12 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import draw_batch
 from .losses import empirical_risk
 
-_candidate_doc = """Candidates are vectorized callables mapping an (n, d)
-feature matrix to (n,) values; include the zero function for the
-symmetrization bounds to apply."""
+# Trials drawn per numpy call, to bound memory.  Each kind of draw takes floats
+# from its own stream, and these split cleanly, so the size changes no result.
+BLOCK_TRIALS = 256
 
 
 @dataclass(frozen=True)
@@ -70,26 +71,27 @@ def generalization_gap_check(
 
     G(f) is the plain average of h(-y' f(x')) over k importance-resampled
     points; the Rademacher term is estimated on fresh per-trial batches.
+    Candidates are evaluated once on the sample, since on stacked batches a
+    value could depend on its row, and so on the block size.
     """
     _check_trials(trials)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if data.n < 2 or k < 1:
+        raise ValueError("need k >= 1 and a sample of at least two points")
     full = np.array([empirical_risk(c, loss, data) for c in candidates])
-    gaps = np.empty(trials)
-    rad = np.empty(trials)
-    for j in range(trials):
-        batch = draw_batch(rng, data, k)
-        vals = np.stack([np.asarray(c(batch.features), dtype=float) for c in candidates])
-        G = loss.value(-batch.labels[None, :] * vals).mean(axis=1)
-        gaps[j] = np.max(np.abs(G - full))
-        eps = rng.choice((-1.0, 1.0), size=k)
-        rad[j] = np.max(vals @ eps / k)
-    rad_est = _mc(rad)
-    L = loss.lipschitz
-    bound = 4.0 * L * (rad_est.value + 3.0 * rad_est.stderr)
-    gap_est = _mc(gaps)
-    return GapCheckResult(
-        gap_est.value, gap_est.stderr, float(gaps.max()), rad_est, bound, k
-    )
+    F = np.stack([np.asarray(c(data.features), dtype=float) for c in candidates])
+    H = loss.value(-data.labels * F)
+    batch_rng, sign_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    gaps, rad = np.empty(trials), np.empty(trials)
+    for start in range(0, trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, trials)
+        idx = batch_rng.choice(data.n, size=(stop - start, k), replace=True, p=data.weights)
+        eps = np.where(sign_rng.random(idx.shape) < 0.5, -1.0, 1.0)
+        G = H[:, idx].mean(axis=2)
+        gaps[start:stop] = np.max(np.abs(G - full[:, None]), axis=0)
+        rad[start:stop] = np.max(np.sum(F[:, idx] * eps, axis=2), axis=0) / k
+    rad_est, gap_est = _mc(rad), _mc(gaps)
+    bound = 4.0 * loss.lipschitz * (rad_est.value + 3.0 * rad_est.stderr)
+    return GapCheckResult(gap_est.value, gap_est.stderr, float(gaps.max()), rad_est, bound, k)
 
 
 @dataclass(frozen=True)
@@ -113,22 +115,23 @@ def jl_distortion_check(points, epsilon: float, trials: int, seed: int) -> JLChe
     if not (0.0 < epsilon < 0.5):
         raise ValueError("epsilon must be in (0, 1/2)")
     if n < 2:
-        return JLCheckResult(min(d, 1), 1.0, 0.0, 1.0 / max(n, 1), trials)
+        raise ValueError("jl needs at least two points")
     s = min(d, max(1, math.ceil(12.0 * math.log(n) / epsilon**2)))
-    iu = np.triu_indices(n, k=1)
-    diffs = P[:, None, :] - P[None, :, :]
-    orig = np.einsum("ijk,ijk->ij", diffs, diffs)[iu]
+    if s == d:  # an orthogonal map of the whole space keeps every distance
+        return JLCheckResult(s, 1.0, 0.0, 1.0 / n, trials)
+    i, j = np.triu_indices(n, k=1)
+    D = P[i] - P[j]
+    orig = np.sum(D * D, axis=1)
+    # A uniform s-dim subspace S is the complement of a uniform (d-s)-dim one and
+    # ||P_S x||^2 = ||x||^2 - ||P_S^perp x||^2: orthonormalize the narrower.
+    r = min(s, d - s)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    scale = math.sqrt(d / s)
     successes = 0
     for _ in range(trials):
-        G = rng.standard_normal((d, s))
-        Q, _ = np.linalg.qr(G)
-        proj = P @ Q * scale
-        pd = proj[:, None, :] - proj[None, :, :]
-        new = np.einsum("ijk,ijk->ij", pd, pd)[iu]
-        if np.all(np.abs(new - orig) <= epsilon * orig):
-            successes += 1
+        Q = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        part = np.sum((D @ Q) ** 2, axis=1)
+        new = (d / s) * (part if r == s else orig - part)
+        successes += bool(np.all(np.abs(new - orig) <= epsilon * orig))
     freq = successes / trials
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
     return JLCheckResult(s, freq, se, 1.0 / n, trials)
@@ -158,8 +161,8 @@ def maurey_sparsify(atoms, weights, s: int, trials: int, seed: int) -> MaureyRes
     b = float(np.max(np.linalg.norm(A, axis=1)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     errs = np.empty(trials)
-    for j in range(trials):
-        idx = rng.choice(A.shape[0], size=s, replace=True, p=w)
-        diff = v - A[idx].mean(axis=0)
-        errs[j] = diff @ diff
+    for start in range(0, trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, trials)
+        idx = rng.choice(A.shape[0], size=(stop - start, s), replace=True, p=w)
+        errs[start:stop] = np.sum((v - A[idx].mean(axis=1)) ** 2, axis=1)
     return MaureyResult(_mc(errs), b * b / s, s)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncerm import analysis
 from ncerm.analysis import (
     generalization_gap_check,
     jl_distortion_check,
@@ -103,6 +106,63 @@ def test_generalization_gap_shrinks_with_k():
     assert large.mean_gap < small.mean_gap
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_size_changes_nothing(block, monkeypatch):
+    """Trials drawn one at a time, or BLOCK_TRIALS at a time, give the same
+    per-trial values bit for bit, over several blocks and a partial last
+    one.  The values are caught on their way into the MC summary, where a
+    last-bit difference in one trial would be rounded away."""
+    data, _ = planted_halfspace(100, 4, 0.15, 2.0, seed=30)
+    dirs = np.random.default_rng(31).standard_normal((15, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cands = [lambda X: np.zeros(X.shape[0])]
+    cands += [(lambda w: (lambda X: X @ w))(w) for w in dirs]
+    loss = piecewise_linear(1.0)
+    atoms = np.random.default_rng(33).standard_normal((9, 5))
+    w = np.random.default_rng(34).dirichlet(np.ones(9))
+    summarize = analysis._mc
+
+    def per_trial_values():
+        seen = []
+        monkeypatch.setattr(analysis, "_mc", lambda v: seen.append(v.copy()) or summarize(v))
+        # k = 1 too: a one-row product of stacked batches would take another
+        # BLAS kernel than a many-row one.
+        for k in (1, 3):
+            generalization_gap_check(cands, loss, data, k=k, trials=600, seed=35)
+        maurey_sparsify(atoms, w, s=5, trials=600, seed=36)
+        return seen
+
+    blocked = per_trial_values()
+    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    single = per_trial_values()
+    assert len(blocked) == len(single) == 5
+    for a, b in zip(blocked, single):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bad", [dict(n=1), dict(k=0)])
+def test_generalization_rejects_vacuous_inputs(bad):
+    """One sample point makes every batch equal the sample: the gap would
+    read 0 with stderr 0.  An empty batch has no average."""
+    data, _ = planted_halfspace(bad.get("n", 10), 3, 0.1, 2.0, seed=37)
+    with pytest.raises(ValueError):
+        generalization_gap_check([lambda X: X[:, 0]], piecewise_linear(1.0), data,
+                                 k=bad.get("k", 5), trials=10, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_projection_complement_identity(d, data):
+    """||Q_S^T x||^2 = ||x||^2 - ||Q_perp^T x||^2 for the two column blocks
+    of one orthogonal Q, the identity the JL check projects through."""
+    s = data.draw(st.integers(1, d - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+    kept = np.sum((x @ Q[:, :s]) ** 2)
+    assert abs(kept - (x @ x - np.sum((x @ Q[:, s:]) ** 2))) <= 1e-12 * (x @ x)
+
+
 def test_jl_full_dimension_never_fails():
     rng = np.random.default_rng(17)
     P = rng.standard_normal((6, 4))
@@ -130,6 +190,21 @@ def test_jl_success_floor():
         jl_distortion_check(P, 0.6, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("n, d, eps", [
+    (10, 200, 0.4),   # s = 173: the trials project through the complement
+    (4, 300, 0.45),   # s = 83: the trials project onto the subspace itself
+])
+def test_jl_success_floor_below_full_dimension(n, d, eps):
+    """The floor above has s = d; here s < d on either side of d / 2.
+    One point has no pairs to check."""
+    P = np.random.default_rng(21).standard_normal((n, d))
+    res = jl_distortion_check(P, eps, trials=400, seed=22)
+    assert res.s < d
+    assert res.success_freq >= res.threshold - 3.0 * res.stderr
+    with pytest.raises(ValueError):
+        jl_distortion_check(P[:1], eps, trials=10, seed=0)
+
+
 def test_maurey_single_atom_is_exact():
     atoms = np.array([[0.3, -0.4, 0.5]])
     res = maurey_sparsify(atoms, np.array([1.0]), s=4, trials=50, seed=23)
@@ -147,6 +222,19 @@ def test_maurey_bound_holds():
         assert res.s == s
         assert res.bound == pytest.approx(1.0 / s, rel=1e-12)
         assert res.mse.value <= res.bound + 3.0 * res.mse.stderr
+
+
+@pytest.mark.parametrize("s", [1, 4, 16])
+def test_maurey_mean_matches_exact_value(s):
+    """E ||v - v_s||^2 = (sum_i w_i ||a_i||^2 - ||v||^2) / s exactly, so the
+    MC mean lies within 4 stderr of it; atoms of unequal norms."""
+    rng = np.random.default_rng(40)
+    atoms = rng.standard_normal((12, 5)) * rng.uniform(0.2, 2.0, size=(12, 1))
+    w = rng.dirichlet(np.ones(12))
+    v = w @ atoms
+    exact = (w @ np.sum(atoms**2, axis=1) - v @ v) / s
+    res = maurey_sparsify(atoms, w, s=s, trials=4000, seed=41 + s)
+    assert abs(res.mse.value - exact) <= 4.0 * res.mse.stderr
 
 
 def test_maurey_mse_decreases_in_s():

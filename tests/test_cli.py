@@ -148,6 +148,8 @@ BAD_INPUTS = {
     "zero_dimensions_nn": (["nn", "--d", "0"], None),
     "zero_dimensions_analysis": (["analysis", "--check", "jl", "--d", "0"], None),
     "zero_batch_rademacher": (["analysis", "--check", "rademacher", "--k", "0"], None),
+    "jl_single_point": (["analysis", "--check", "jl", "--n", "1"], None),
+    "generalization_single_point": (["analysis", "--check", "generalization", "--n", "1"], None),
     "margin_too_large_to_plant": (["nn", "--margin", "0.99"], None),
     "all_zero_features_boostnet": (
         ["boostnet", "--data", "{path}"], "x_1,x_2,y,weight\n0,0,1,0.5\n0,0,-1,0.5\n",
