@@ -90,16 +90,19 @@ class SampleBatch:
 
 
 def draw_batch(rng: np.random.Generator, data: WeightedDataset, k: int) -> SampleBatch:
+    """k i.i.d. draws from the dataset, point i with probability weight_i.
+
+    Indices come from the weights' CDF at k uniforms, the arithmetic of
+    rng.choice(n, size=k, replace=True, p=weights), so they follow its
+    stream without its per-call checks of p (the dataset already holds
+    finite nonnegative weights that sum to 1).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    idx = rng.choice(data.n, size=k, replace=True, p=data.weights)
-    return SampleBatch(data.features[idx].copy(), data.labels[idx].copy())
-
-
-def importance_sample(data: WeightedDataset, k: int, seed: int) -> SampleBatch:
-    """k i.i.d. draws from the dataset, point i with probability weight_i."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return draw_batch(rng, data, k)
+    cdf = np.cumsum(data.weights)
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(k), side="right")
+    return SampleBatch(data.features[idx], data.labels[idx])
 
 
 def _sample_q_ball(rng: np.random.Generator, count: int, d: int, q: float) -> np.ndarray:

@@ -383,6 +383,10 @@ def run_analysis(check: str, trials: int, k: int, n: int, d: int,
     if check == "jl":
         points = rng.standard_normal((n, d))
         res = analysis.jl_distortion_check(points, epsilon, trials, child_seed(seed, 3))
+        if res.s == d:  # the library's shortcut: every trial passes, nothing is checked
+            s_full = max(1, math.ceil(12.0 * math.log(n) / epsilon**2))
+            raise ValueError(f"jl at n={n}, epsilon={epsilon} projects onto all d={d} "
+                             f"dimensions and checks nothing; it needs d > {s_full}")
         ok = res.success_freq >= res.threshold - 3.0 * res.stderr
         return header, [(check, res.success_freq, res.stderr, res.threshold, ok)], []
     if check == "maurey":

@@ -3,9 +3,9 @@
 Two initialization schemes share the same outer loop, best_round, which
 Algorithm 3 also runs: draw a candidate per round from an independent
 seed stream, optionally refine it locally, and keep the earliest round
-with the lowest weighted surrogate risk.  Rounds are refined and scored
-CHUNK_ROUNDS at a time in lockstep; every round still draws from its own
-stream, so the chunk size changes no result.
+with the lowest weighted surrogate risk.  Rounds are drawn, fitted,
+refined and scored CHUNK_ROUNDS at a time; every round still draws from
+its own stream, so the chunk size changes no result.
 """
 
 from __future__ import annotations
@@ -120,20 +120,21 @@ def config_alg2(
     )
 
 
-def best_round(T: int, candidate, kernels, refine_budget: int) -> np.ndarray:
+def best_round(T: int, candidates, kernels, refine_budget: int) -> np.ndarray:
     """Parameter row of the earliest best round among rounds 0..T-1.
 
-    candidate(t) returns round t's feasible start as a flat row; kernels
-    are the row functions (risk, gradient, projection) of its model class.
-    Starts are refined CHUNK_ROUNDS at a time by lockstep_descent and
-    scored by the same row-wise risk, which computes each row on its own,
-    so the chunk size changes no result.
+    candidates(ts) returns the feasible starts of rounds ts as the rows of
+    a (len(ts), dim) matrix, each row the one its round gives alone;
+    kernels are the row functions (risk, gradient, projection) of its
+    model class.  Starts are drawn, refined by lockstep_descent and scored
+    CHUNK_ROUNDS at a time by the same row-wise risk, which computes each
+    row on its own, so the chunk size changes no result.
     """
     if T < 1:
         raise ValueError("T_budget must be >= 1")
     best_w, best_risk = None, math.inf
     for start in range(0, T, CHUNK_ROUNDS):
-        W0 = [candidate(t) for t in range(start, min(T, start + CHUNK_ROUNDS))]
+        W0 = candidates(range(start, min(T, start + CHUNK_ROUNDS)))
         W, risks = lockstep_descent(W0, *kernels, refine_budget)
         j = int(np.argmin(risks))
         if risks[j] < best_risk:
@@ -149,11 +150,11 @@ def algorithm1(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -
         raise ValueError("config was not built for the sphere scheme")
     check_unit_ball(data.features, 2.0)
 
-    def candidate(t):
-        g = round_rng(config.seed, t).standard_normal(data.dim)
-        return config.r * (g / np.linalg.norm(g))
+    def candidates(ts):
+        G = [round_rng(config.seed, t).standard_normal(data.dim) for t in ts]
+        return np.array([config.r * (g / np.linalg.norm(g)) for g in G])
 
-    w = best_round(config.T_budget, candidate,
+    w = best_round(config.T_budget, candidates,
                    linear_kernels(data, loss, 2.0, config.r), refine_budget)
     return LinearModel(w, 2.0, config.r)
 
@@ -163,21 +164,24 @@ def algorithm2(
 ) -> LinearModel:
     """Least-squares restarts: round t importance-samples k points, draws
     targets u uniform in [-1, 1]^k (u_override(batch) replaces the draw,
-    for testing), and fits the batch exactly under ||w||_p <= 1.
+    for testing), and fits the batch exactly under ||w||_p <= 1.  A
+    chunk's rounds are drawn one by one, each from its own stream, and
+    fitted in one stacked solve.
     """
     if config.algorithm != 2:
         raise ValueError("config was not built for the least-squares scheme")
     check_unit_ball(data.features, dual_exponent(config.p_exponent))
+    k = config.k
 
-    def candidate(t):
-        rng = round_rng(config.seed, t)
-        batch = draw_batch(rng, data, config.k)
-        if u_override is None:
-            u = rng.uniform(-1.0, 1.0, size=config.k)
-        else:
-            u = np.asarray(u_override(batch), dtype=float)
-        return constrained_least_squares(batch.features, u, config.p_exponent, 1.0)
+    def candidates(ts):
+        X, U = np.empty((len(ts), k, data.dim)), np.empty((len(ts), k))
+        for i, t in enumerate(ts):
+            rng = round_rng(config.seed, t)
+            batch = draw_batch(rng, data, k)
+            X[i] = batch.features
+            U[i] = rng.uniform(-1.0, 1.0, size=k) if u_override is None else u_override(batch)
+        return constrained_least_squares(X, U, config.p_exponent, 1.0)
 
-    w = best_round(config.T_budget, candidate,
+    w = best_round(config.T_budget, candidates,
                    linear_kernels(data, loss, config.p_exponent, 1.0), refine_budget)
     return LinearModel(w, config.p_exponent, 1.0)

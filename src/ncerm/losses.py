@@ -39,8 +39,10 @@ class LossFunction:
         t = np.asarray(t, dtype=float)
         L = self.lipschitz
         if self.kind == PIECEWISE_LINEAR:
-            # Branch first so the three anchor points 0, 1/2, 1 are exact.
-            out = np.where(t <= -0.5 / L, 0.0, np.where(t >= 0.5 / L, 1.0, L * t + 0.5))
+            # Branch on t so the three anchor points 0, 1/2, 1 are exact.
+            out = np.asarray(L * t + 0.5)
+            np.putmask(out, t <= -0.5 / L, 0.0)
+            np.putmask(out, t >= 0.5 / L, 1.0)
         elif self.kind == LOGISTIC_SIGMOID:
             out = expit(4.0 * L * t)
         elif self.kind == NEG_MIN:
@@ -56,7 +58,7 @@ class LossFunction:
         t = np.asarray(t, dtype=float)
         L = self.lipschitz
         if self.kind == PIECEWISE_LINEAR:
-            out = np.where((t >= -0.5 / L) & (t < 0.5 / L), L, 0.0)
+            out = ((t >= -0.5 / L) & (t < 0.5 / L)) * L
         elif self.kind == LOGISTIC_SIGMOID:
             s = expit(4.0 * L * t)
             out = 4.0 * L * s * (1.0 - s)

@@ -5,8 +5,9 @@ with ||w||_p <= B; at depth m, outputs of depth m-1 members pass through
 a bounded odd activation and are combined linearly under an l1 budget B.
 Leaf/Node trees are uniform (one width per level) and all arithmetic
 runs on their level tensors (to_levels).  Training draws a candidate per
-round (random targets fitted by constrained least squares, leaves first)
-and keeps the best after optional joint local refinement.
+round (random targets fitted by constrained least squares, leaves first,
+each level for a whole chunk of rounds at once) and keeps the best after
+optional joint local refinement.
 """
 
 from __future__ import annotations
@@ -238,33 +239,6 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
     return k, s, T_theory
 
 
-def _generate(X: np.ndarray, spec: NetworkClassSpec, level: int, s: int,
-              rng: np.random.Generator):
-    """(values on X, level tensors) of one random candidate on a fixed batch.
-
-    Randomness is consumed depth-first: children are generated before the
-    node's target vector u is drawn, so a given (seed, structure) pair
-    always yields the same candidate."""
-    if level == 1:
-        design, p, levels = X, spec.leaf_p, []
-    else:
-        parts = [_generate(X, spec, level - 1, s, rng) for _ in range(s)]
-        design, p = spec.act.value(np.stack([v for v, _ in parts], axis=1)), 1.0
-        levels = [np.concatenate(same) for same in zip(*(ls for _, ls in parts))]
-    B = spec.budget
-    u = rng.uniform(-B, B, size=len(X))
-    c = constrained_least_squares(design, u, p, B)
-    return design @ c, levels + [c[None, :]]
-
-
-def generate_candidate(batch, spec: NetworkClassSpec, level: int, s: int, seed: int):
-    """Random candidate of the given depth fitted to uniform targets."""
-    if not 1 <= level <= spec.depth or s < 1:
-        raise ValueError("level must be in [1, class depth] and s >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return from_levels(_generate(np.asarray(batch.features, dtype=float), spec, level, s, rng)[1])
-
-
 def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     """Row functions (risk, gradient, projection) for networks whose flat
     rows concatenate level tensors of the given shapes.  Each row is
@@ -314,11 +288,13 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
                k: int | None = None, s: int | None = None):
     """Best-of-T random candidates, each optionally refined.
 
-    Each round draws k points by importance weight, builds a candidate of
-    the class depth (leaves fitted to uniform targets, then each level's
-    combination weights), refines it, and scores it on the full sample;
-    the earliest best of min(T_theory, T_budget) rounds of
-    halfspace.best_round wins, exactly as in Algorithm 2 at depth 1.
+    Each round draws k points by importance weight and then uniform
+    targets for every node, depth-first.  Its candidate of the class depth
+    fits the leaves to their targets on the batch, then each level's
+    combination weights to theirs on the activated outputs below.  It is
+    refined and scored on the full sample; the earliest best of
+    min(T_theory, T_budget) rounds of halfspace.best_round wins, exactly
+    as in Algorithm 2 at depth 1.
     """
     check_unit_ball(data.features, spec.input_q)
     k_cfg, s_cfg, T_theory = config_alg3(spec.input_q, epsilon, delta, spec.depth)
@@ -328,15 +304,49 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
         raise ValueError("k and s must be >= 1")
     # Level j (leaves are level 0) has s^(m-1-j) members.
     shapes = [(s ** (spec.depth - 1 - j), s if j else data.dim) for j in range(spec.depth)]
+    counts = [n for n, _ in shapes]
+    rows, B = _target_rows(counts, s), spec.budget
 
-    def candidate(t):
-        rng = round_rng(seed, t)
-        batch = draw_batch(rng, data, k)
-        return _flat(_generate(batch.features, spec, spec.depth, s, rng)[1])
+    def candidates(ts):
+        c = len(ts)
+        X, U = np.empty((c, k, data.dim)), np.empty((c, len(rows), k))
+        for i, t in enumerate(ts):
+            rng = round_rng(seed, t)
+            X[i] = draw_batch(rng, data, k).features
+            U[i] = rng.uniform(-B, B, size=U.shape[1:])
+        U = U[:, rows]
+        # Leaves fit the round's batch and each level above the activated
+        # outputs of its children; each level of the chunk is one stacked fit.
+        D, levels, first = np.repeat(X[:, None], counts[0], axis=1), [], 0
+        for j, n in enumerate(counts):
+            if j:
+                Z = np.einsum("cnkd,cnd->cnk", D, levels[-1])
+                D = np.ascontiguousarray(
+                    spec.act.value(Z).reshape(c, n, s, k).transpose(0, 1, 3, 2))
+            u = U[:, first:first + n].reshape(c * n, k)
+            fits = constrained_least_squares(D.reshape(c * n, k, -1), u,
+                                             spec.leaf_p if j == 0 else 1.0, B)
+            levels.append(fits.reshape(c, n, -1))
+            first += n
+        return np.concatenate([L.reshape(c, -1) for L in levels], axis=1)
 
-    row = best_round(min(T_budget, T_theory), candidate,
+    row = best_round(min(T_budget, T_theory), candidates,
                      network_kernels(data, loss, spec, shapes), refine_budget)
     return from_levels(_split(row, shapes))
+
+
+def _target_rows(counts, s: int) -> np.ndarray:
+    """Row of each node in a round's block of target draws.
+
+    Nodes are numbered leaves first, then level by level up, as in the
+    level tensors, whose level j has counts[j] members.  A round draws its
+    targets depth-first: a node's after those of all its s children.
+    """
+    orders, first = [[i] for i in range(counts[0])], counts[0]
+    for n in counts[1:]:
+        orders = [sum(orders[i * s:(i + 1) * s], []) + [first + i] for i in range(n)]
+        first += n
+    return np.argsort(orders[0])
 
 
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):

@@ -147,81 +147,85 @@ def project(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     return project_lp(v, p, radius)
 
 
-def _least_squares_l2(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
-    """Exact argmin_{||w||_2 <= radius} ||X w - u||_2^2 (Moré & Sorensen 1983).
+def _rownorm(A: np.ndarray) -> np.ndarray:
+    return np.sqrt((A * A).sum(axis=-1))
 
-    With the thin SVD X = U diag(s) V^T and c = U^T u, the minimum-norm
+
+def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Exact argmin_{||w||_2 <= radius} ||X_i w - u_i||_2^2 for every fit i
+    of a stack X (c, k, d), u (c, k) (Moré & Sorensen 1983).
+
+    With the thin SVD X_i = U diag(s) V^T and c = U^T u_i, the minimum-norm
     least-squares solution has coordinates c/s in the basis V.  If it lies
     in the ball it is the answer.  Otherwise the solution is
     w(lam) = (X^T X + lam I)^{-1} X^T u for the lam > 0 with
     ||w(lam)|| = radius, found by safeguarded Newton steps on the secular
     equation 1/||w(lam)|| - 1/radius = 0, which is concave and increasing
-    in lam.  Directions with zero singular value never enter w.
+    in lam.  Directions with zero singular value never enter w.  Every
+    step is elementwise or a reduction within one fit, and fits leave the
+    Newton working set as they converge, so fit i of a stack equals the
+    fit of X[i] alone, bit for bit.
     """
+    n, k, d = X.shape
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    keep = s > max(X.shape) * np.finfo(float).eps * s[0]
-    s, V = s[keep], Vt[keep]
-    c = U[:, keep].T @ u
-    cmax = float(np.max(np.abs(c)))
-    if cmax == 0.0:
-        return np.zeros(X.shape[1])
-    t, c_hat = s / s[0], c / cmax
-    # ||c / s|| <= radius, in units of max|c| / s_max (Python floats, so
-    # an overflow is a silent inf).
-    a = radius * (float(s[0]) / cmax)
-    if math.hypot(*(c_hat / t)) <= a:
-        return (c / s) @ V
-    # In the same units w(lam) = V q / a with q = t c_hat / (a t^2 + z) and
-    # z = a lam / s_max^2, so ||w|| = radius becomes ||q|| = 1.  The search
-    # starts at z = ||t c_hat||, where ||q|| <= 1 and no entry can overflow;
-    # by concavity the first Newton step lands left of the root and the
-    # rest climb to it.  Norms use math.hypot, which cannot underflow.
-    at2, tc = a * t * t, t * c_hat
-    lo = 0.0
-    z = hi = math.hypot(*tc)
-    q = tc / (at2 + z)
+    # Dropped directions get c = 0, so dividing them by 1 below keeps them 0.
+    keep = s > max(k, d) * np.finfo(float).eps * s[:, :1]
+    c = np.where(keep, np.einsum("nkr,nk->nr", U, u), 0.0)
+    cmax = np.max(np.abs(c), axis=1)
+    W = np.zeros((n, d))
+    # An all-zero X, or u orthogonal to its range, has w = 0; the rest have
+    # a kept direction, so s_max > 0.
+    fit = np.flatnonzero(cmax > 0.0)
+    s, c, cmax, keep, Vt = s[fit], c[fit], cmax[fit], keep[fit], Vt[fit]
+    s0 = s[:, 0]
+    t = s / s0[:, None]
+    c_hat = c / cmax[:, None]
+    # ||c / s|| <= radius, in units of max|c| / s_max and multiplied out, so
+    # that neither side can overflow.
+    inside = _rownorm(c_hat / np.where(keep, t, 1.0)) * cmax <= radius * s0
+    i = np.flatnonzero(inside)
+    W[fit[i]] = np.einsum("nr,nrd->nd", c[i] / np.where(keep[i], s[i], 1.0), Vt[i])
+    b = np.flatnonzero(~inside)
+    if b.size == 0:
+        return W
+    # In the same units w(lam) = V q / a with a = radius s_max / max|c|,
+    # q = t c_hat / (a t^2 + z) and z = a lam / s_max^2, so ||w|| = radius
+    # becomes ||q|| = 1.  Outside the ball a < ||c_hat / t|| is finite.  The
+    # search starts at z = ||t c_hat||, where ||q|| <= 1 and no entry can
+    # overflow; by concavity the first Newton step lands left of the root
+    # and the rest climb to it.
+    a = radius * s0[b] / cmax[b]
+    at2, tc = a[:, None] * t[b] * t[b], t[b] * c_hat[b]
+    z = hi = _rownorm(tc)
+    lo = np.zeros_like(z)
+    Q = tc / (at2 + z[:, None])
+    live, q = np.arange(b.size), Q
     for _ in range(_NEWTON_MAX_ITER):
-        norm = math.hypot(*q)
-        if abs(norm - 1.0) <= _NEWTON_RTOL:
-            break
-        if norm > 1.0:
-            lo = z
-        else:
-            hi = z
-        dphi = (math.hypot(*(q / np.sqrt(at2 + z))) / norm) ** 2 / norm
+        norm = _rownorm(q)
+        moving = np.abs(norm - 1.0) > _NEWTON_RTOL
+        if not moving.all():
+            live, q, norm, z, lo, hi, at2, tc = (
+                x[moving] for x in (live, q, norm, z, lo, hi, at2, tc))
+            if live.size == 0:
+                break
+        over = norm > 1.0
+        lo = np.where(over, z, lo)
+        hi = np.where(over, hi, z)
+        dphi = (_rownorm(q / np.sqrt(at2 + z[:, None])) / norm) ** 2 / norm
         step = z - (1.0 / norm - 1.0) / dphi
-        z = step if lo < step < hi else 0.5 * (lo + hi)
-        q = tc / (at2 + z)
-    w = q @ V
-    return w * (radius / math.hypot(*w))
+        z = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        q = tc / (at2 + z[:, None])
+        Q[live] = q
+    w = np.einsum("nr,nrd->nd", Q, Vt[b])
+    W[fit[b]] = w * (radius / _rownorm(w))[:, None]
+    return W
 
 
-def constrained_least_squares(
-    X: np.ndarray,
-    u: np.ndarray,
-    p: float,
-    radius: float,
-    max_iter: int = LS_MAX_ITER,
-    rtol: float = LS_RTOL,
-) -> np.ndarray:
-    """argmin_{||w||_p <= radius} ||X w - u||_2^2.
-
-    p = 2 is solved exactly by one thin SVD and the trust-region secular
-    equation; max_iter and rtol do not apply.  p in [1, 2) uses projected
-    gradient: it starts at 0 (always feasible), steps with 1 over the
-    gradient's Lipschitz constant 2*sigma_max(X)^2, and stops early once
-    the objective improvement falls below rtol relative tolerance.
-    """
-    X = np.asarray(X, dtype=float)
-    u = np.asarray(u, dtype=float)
-    k, d = X.shape
-    if u.shape != (k,):
-        raise ValueError("u must have one entry per row of X")
-    w = np.zeros(d)
+def _projected_gradient_fit(X, u, p, radius, max_iter, rtol) -> np.ndarray:
+    """One l_p-ball fit, p in [1, 2), by projected gradient from w = 0."""
+    w = np.zeros(X.shape[1])
     if not X.any():
         return w
-    if p == 2.0:
-        return _least_squares_l2(X, u, radius)
     sigma = float(np.linalg.norm(X, 2))
     # Inside the ball X w moves the fit by at most sigma * radius; below an
     # ulp of ||u|| every feasible w has the objective of w = 0.
@@ -243,6 +247,39 @@ def constrained_least_squares(
         if improved <= rtol * max(obj, 1e-12):
             break
     return w
+
+
+def constrained_least_squares(
+    X: np.ndarray,
+    u: np.ndarray,
+    p: float,
+    radius: float,
+    max_iter: int = LS_MAX_ITER,
+    rtol: float = LS_RTOL,
+) -> np.ndarray:
+    """argmin_{||w||_p <= radius} ||X w - u||_2^2.
+
+    X (k, d) and u (k,) give one fit (d,); a stack X (c, k, d) and
+    u (c, k) gives c fits (c, d), fit i the one of X[i] alone.  p = 2 is
+    solved exactly for the whole stack by one batched thin SVD and the
+    trust-region secular equation; max_iter and rtol do not apply.
+    p in [1, 2) fits one at a time by projected gradient: it starts at 0
+    (always feasible), steps with 1 over the gradient's Lipschitz
+    constant 2*sigma_max(X)^2, and stops early once the objective
+    improvement falls below rtol relative tolerance.
+    """
+    X = np.asarray(X, dtype=float)
+    u = np.asarray(u, dtype=float)
+    Xs, us = (X, u) if X.ndim == 3 else (X[None], u[None])
+    if Xs.ndim != 3 or us.shape != Xs.shape[:2]:
+        raise ValueError("u must have one entry per row of X")
+    if p == 2.0:
+        W = _secular_fits(Xs, us, radius)
+    else:
+        W = np.zeros((len(Xs), Xs.shape[2]))
+        for i, (x, v) in enumerate(zip(Xs, us)):
+            W[i] = _projected_gradient_fit(x, v, p, radius, max_iter, rtol)
+    return W if X.ndim == 3 else W[0]
 
 
 def monotone_descent(x0, risk_fn, grad_fn, project_fn, step_budget: int):

@@ -149,6 +149,7 @@ BAD_INPUTS = {
     "zero_dimensions_analysis": (["analysis", "--check", "jl", "--d", "0"], None),
     "zero_batch_rademacher": (["analysis", "--check", "rademacher", "--k", "0"], None),
     "jl_single_point": (["analysis", "--check", "jl", "--n", "1"], None),
+    "jl_projects_onto_every_dimension": (["analysis", "--check", "jl"], None),
     "generalization_single_point": (["analysis", "--check", "generalization", "--n", "1"], None),
     "margin_too_large_to_plant": (["nn", "--margin", "0.99"], None),
     "all_zero_features_boostnet": (

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncerm.data import (
-    SampleBatch,
     WeightedDataset,
     draw_batch,
     flip_labels,
-    importance_sample,
     load_dataset_csv,
     parity_dataset,
     planted_halfspace,
@@ -64,12 +65,23 @@ def test_draw_batch_respects_weights():
         draw_batch(rng, data, 0)
 
 
-def test_importance_sample_deterministic():
-    data = WeightedDataset.uniform(np.eye(4), np.ones(4))
-    b1 = importance_sample(data, 50, seed=3)
-    b2 = importance_sample(data, 50, seed=3)
-    assert np.array_equal(b1.features, b2.features)
-    assert isinstance(b1, SampleBatch)
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(float, st.integers(1, 30),
+               elements=st.one_of(st.just(0.0), st.floats(1e-3, 10.0))).filter(np.any),
+    st.integers(1, 60),
+    st.integers(0, 2**32 - 1),
+)
+def test_draw_batch_follows_generator_choice(raw, k, seed):
+    """draw_batch picks the indices rng.choice(n, k, replace=True, p=w)
+    picks from an equal generator state, zero weights included, and
+    leaves the generator where choice leaves it."""
+    n = raw.size
+    data = WeightedDataset(np.arange(n, dtype=float)[:, None], np.ones(n), raw / raw.sum())
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    idx = draw_batch(ours, data, k).features[:, 0].astype(int)
+    assert np.array_equal(idx, ref.choice(n, size=k, replace=True, p=data.weights))
+    assert ours.random() == ref.random()
 
 
 def test_parity_dataset_labels_and_norms():

@@ -1,7 +1,11 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncerm import halfspace
 from ncerm.data import planted_halfspace
@@ -9,10 +13,12 @@ from ncerm.halfspace import (
     LinearModel,
     algorithm1,
     algorithm2,
+    best_round,
     config_alg1,
     config_alg2,
 )
 from ncerm.losses import empirical_risk, piecewise_linear, zero_one_risk
+from ncerm.solvers import linear_kernels, lockstep_descent
 from ncerm.util import lq_norm, round_rng
 
 
@@ -183,6 +189,31 @@ def test_algorithm2_chunk_size_changes_nothing_lp(monkeypatch):
     single = algorithm2(data, loss, cfg, refine_budget=200)
     assert np.array_equal(chunked.w, single.w)
     chunked.check_feasible()
+
+
+@functools.lru_cache(maxsize=None)
+def _small_linear_problem():
+    data, _ = planted_halfspace(60, 4, 0.2, 2.0, seed=71)
+    return linear_kernels(data, piecewise_linear(1.0), 2.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 70), st.integers(1, 60), st.integers(0, 15),
+       st.integers(0, 2**32 - 1))
+def test_best_round_same_row_for_any_chunk_size(T, chunk, period, refine_budget, seed):
+    """best_round returns, for any T and CHUNK_ROUNDS, the row of the
+    earliest round of least risk with every round refined alone.  Rounds
+    repeat with the given period, so equal risks straddle chunk edges."""
+    kernels = _small_linear_problem()
+
+    def candidates(ts):
+        return kernels[2](np.array([round_rng(seed, t % period).standard_normal(4) for t in ts]))
+
+    with mock.patch.object(halfspace, "CHUNK_ROUNDS", chunk):
+        row = best_round(T, candidates, kernels, refine_budget)
+    alone = [lockstep_descent(candidates([t]), *kernels, refine_budget) for t in range(T)]
+    W, risks = (np.concatenate(parts) for parts in zip(*alone))
+    assert np.array_equal(row, W[int(np.argmin(risks))])
 
 
 def test_zero_round_budget_is_an_error():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncerm.data import WeightedDataset, planted_network
+from ncerm.data import WeightedDataset, draw_batch, planted_network
 from ncerm.halfspace import algorithm2, config_alg2
 from ncerm.losses import empirical_risk, piecewise_linear
 from ncerm.networks import (
@@ -16,7 +16,6 @@ from ncerm.networks import (
     config_alg3,
     depth,
     evaluate,
-    generate_candidate,
     load_network,
     net_from_dict,
     net_to_dict,
@@ -32,6 +31,7 @@ from ncerm.util import lq_norm, round_rng
 from ncerm import halfspace
 from ncerm.losses import logistic_sigmoid
 from ncerm.networks import network_kernels, to_levels
+from ncerm.solvers import constrained_least_squares
 
 
 @pytest.mark.parametrize("name", ACTIVATIONS)
@@ -164,21 +164,6 @@ def test_config_alg3_eps_one():
     assert (k, s) == (2, 1)
     # s = 1 collapses the level count to m
     assert T == math.ceil(5.0 * 4.0**6 * math.log(2.0))
-
-
-def test_generate_candidate_feasible_and_deterministic():
-    spec = network_spec(2, 1.0)
-    data, _ = planted_network(50, 3, 0.1, spec, 2, seed=0)
-    from ncerm.data import importance_sample
-
-    batch = importance_sample(data, 12, seed=5)
-    c1 = generate_candidate(batch, spec, 2, 3, seed=9)
-    c2 = generate_candidate(batch, spec, 2, 3, seed=9)
-    assert net_to_dict(c1) == net_to_dict(c2)
-    validate(c1, spec)
-    assert len(c1.children) == 3
-    with pytest.raises(ValueError):
-        generate_candidate(batch, spec, 3, 2, seed=0)
 
 
 def test_refine_network_monotone_and_feasible():
@@ -317,3 +302,39 @@ def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
     single = algorithm3(*args, k=8, s=2)
     assert all(np.array_equal(a, b) for a, b in zip(to_levels(chunked), to_levels(single)))
     validate(chunked, spec)
+
+
+def _recursive_candidate(X, spec, level, s, rng):
+    """(values on X, level tensors) of one candidate, built the recursive
+    way: each node's children first, then its targets, then its fit."""
+    if level == 1:
+        design, p, levels = X, spec.leaf_p, []
+    else:
+        parts = [_recursive_candidate(X, spec, level - 1, s, rng) for _ in range(s)]
+        design, p = spec.act.value(np.stack([v for v, _ in parts], axis=1)), 1.0
+        levels = [np.concatenate(same) for same in zip(*(ls for _, ls in parts))]
+    u = rng.uniform(-spec.budget, spec.budget, size=len(X))
+    c = constrained_least_squares(design, u, p, spec.budget)
+    return design @ c, levels + [c[None, :]]
+
+
+@pytest.mark.parametrize("depth,s,leaf_p", [(2, 3, 2.0), (3, 2, 2.0), (3, 2, 1.5)])
+def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
+    """Without refinement, Algorithm 3's level-by-level chunk fits pick
+    the candidate that building each round recursively, one fit at a
+    time, picks; the two differ only by rounding (einsum against BLAS
+    products of child outputs)."""
+    spec = network_spec(depth, 1.5, leaf_p)
+    loss = piecewise_linear(1.0)
+    data, _ = planted_network(60, 3, 0.1, network_spec(2, 1.0), 2, seed=4)
+    T, k, seed = 7, 6, 11
+    rows = []
+    for t in range(T):
+        rng = round_rng(seed, t)
+        levels = _recursive_candidate(draw_batch(rng, data, k).features, spec, depth, s, rng)[1]
+        rows.append(np.concatenate([L.ravel() for L in levels]))
+    shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
+    risks = network_kernels(data, loss, spec, shapes)[0](np.array(rows))
+    net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
+    got = np.concatenate([L.ravel() for L in to_levels(net)])
+    assert np.allclose(got, rows[int(np.argmin(risks))], rtol=0.0, atol=1e-9)

@@ -201,27 +201,32 @@ def test_refine_network_requires_spec():
         refine(zero_network(3), data, piecewise_linear(1.0), 5)
 
 
+def _any_rank_matrix(draw, k, d):
+    """A k x d matrix of full rank, of lower rank, or all zero."""
+    entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    kind = draw(st.sampled_from(("full", "low_rank", "zero")))
+    if kind == "zero":
+        return np.zeros((k, d))
+    if kind == "low_rank":
+        r = draw(st.integers(1, min(k, d)))
+        return draw(hnp.arrays(float, (k, r), elements=entries)) @ draw(
+            hnp.arrays(float, (r, d), elements=entries)
+        )
+    return draw(hnp.arrays(float, (k, d), elements=entries))
+
+
 @st.composite
 def _l2_least_squares_problems(draw):
     """X of any rank (all-zero included), targets u and a radius."""
     k = draw(st.integers(1, 8))
     d = draw(st.integers(1, 8))
-    entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
-    kind = draw(st.sampled_from(("full", "low_rank", "zero")))
-    if kind == "zero":
-        X = np.zeros((k, d))
-    elif kind == "low_rank":
-        r = draw(st.integers(1, min(k, d)))
-        X = draw(hnp.arrays(float, (k, r), elements=entries)) @ draw(
-            hnp.arrays(float, (r, d), elements=entries)
-        )
-    else:
-        X = draw(hnp.arrays(float, (k, d), elements=entries))
+    X = _any_rank_matrix(draw, k, d)
     u = draw(hnp.arrays(float, k, elements=st.floats(-5.0, 5.0, allow_nan=False)))
     radius = draw(st.floats(0.01, 10.0))
     return X, u, radius
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=300, deadline=None)
 @given(_l2_least_squares_problems())
 def test_least_squares_l2_kkt(problem):
@@ -249,6 +254,43 @@ def test_least_squares_l2_kkt(problem):
         min_norm = np.linalg.norm(w_min)
     if min_norm < radius * (1.0 - 1e-6):
         assert np.allclose(w, w_min, rtol=1e-9, atol=1e-9 * (1.0 + min_norm))
+
+
+@st.composite
+def _l2_least_squares_stacks(draw):
+    """A stack of 1 to 6 fits of one shape, each of any rank (all-zero
+    included), with its targets, and a radius."""
+    k = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 8))
+    X = np.stack([_any_rank_matrix(draw, k, d) for _ in range(draw(st.integers(1, 6)))])
+    u = draw(hnp.arrays(float, X.shape[:2], elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    return X, u, draw(st.floats(0.01, 10.0))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(_l2_least_squares_stacks())
+def test_stacked_least_squares_l2_equals_single_fits(problem):
+    """Fit i of a stacked p=2 solve is the 2-D fit of (X[i], u[i]), bit for
+    bit, whatever else shares the stack."""
+    X, u, radius = problem
+    W = constrained_least_squares(X, u, 2.0, radius)
+    assert W.shape == (X.shape[0], X.shape[2])
+    for x, v, w in zip(X, u, W):
+        assert np.array_equal(w, constrained_least_squares(x, v, 2.0, radius))
+
+
+def test_stacked_least_squares_below_p2_fits_one_at_a_time():
+    """For p < 2 a stack is fitted member by member, and a u that does
+    not match X's rows is refused for stacks as for single fits."""
+    rng = np.random.default_rng(9)
+    X, u = rng.standard_normal((3, 6, 4)), rng.uniform(-1.0, 1.0, size=(3, 6))
+    for p in (1.0, 1.5):
+        W = constrained_least_squares(X, u, p, 1.0)
+        assert all(np.array_equal(w, constrained_least_squares(x, v, p, 1.0))
+                   for x, v, w in zip(X, u, W))
+    with pytest.raises(ValueError, match="one entry per row"):
+        constrained_least_squares(X, u[:, :5], 2.0, 1.0)
 
 
 def _assert_rows_follow_monotone_descent(W0, kernels, step_budget):
