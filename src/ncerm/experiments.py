@@ -176,6 +176,8 @@ def run_halfspace(
     data=None,
 ):
     """epsilon = None uses 0.4 for Algorithm 1 and 0.5 for Algorithm 2."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     if epsilon is None:
         epsilon = 0.4 if algorithm == 1 else 0.5
     loss = piecewise_linear(1.0)
@@ -233,6 +235,8 @@ def run_nn(
     seed: int,
     save_model=None,
 ):
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     loss = piecewise_linear(1.0)
     spec = network_spec(m, budget, 2.0, activation)
     header = (
@@ -323,6 +327,8 @@ def run_boostnet(
 
 def run_hardness(instances: int, n_literals: int, clauses: int, seed: int,
                  lifted: bool):
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
     header = ("check", "instance", "n", "d", "value", "reference", "ok")
     rows = []
     lines = []

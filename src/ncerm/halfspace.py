@@ -125,10 +125,10 @@ def best_round(T: int, candidates, kernels, refine_budget: int) -> np.ndarray:
 
     candidates(ts) returns the feasible starts of rounds ts as the rows of
     a (len(ts), dim) matrix, each row the one its round gives alone;
-    kernels are the row functions (risk, gradient, projection) of its
-    model class.  Starts are drawn, refined by lockstep_descent and scored
-    CHUNK_ROUNDS at a time by the same row-wise risk, which computes each
-    row on its own, so the chunk size changes no result.
+    kernels are the row functions (risk and state, gradient, projection)
+    of its model class.  Starts are drawn, refined by lockstep_descent and
+    scored CHUNK_ROUNDS at a time by the same row-wise risk, which computes
+    each row on its own, so the chunk size changes no result.
     """
     if T < 1:
         raise ValueError("T_budget must be >= 1")

@@ -82,16 +82,6 @@ def format_instance(inst: Max2SatInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def disjunction_to_conjunctions(lit_a: Literal, lit_b: Literal) -> tuple:
-    """The three conjunctions exactly one of which holds iff the OR holds."""
-    (a, sa), (b, sb) = lit_a, lit_b
-    return (
-        ((a, sa), (b, sb)),
-        ((a, -sa), (b, sb)),
-        ((a, sa), (b, -sb)),
-    )
-
-
 def random_instance(n: int, d: int, seed: int) -> Max2SatInstance:
     """Uniform random clauses over distinct variable pairs (test fixture)."""
     if n < 2:

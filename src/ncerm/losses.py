@@ -112,10 +112,3 @@ def zero_one_risk(predict, data) -> float:
     """Weighted misclassification sum_i a_i 1[-y_i predict(x_i) >= 0]."""
     preds = _predictions(predict, data)
     return float(np.dot(data.weights, (-data.labels * preds >= 0.0).astype(float)))
-
-
-def margin_stats(predict, data) -> tuple[float, float]:
-    """(min margin, weighted mean margin) where margin_i = y_i predict(x_i)."""
-    preds = _predictions(predict, data)
-    margins = data.labels * preds
-    return float(np.min(margins)), float(np.dot(data.weights, margins))

@@ -241,21 +241,24 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
 
 def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     """Row functions (risk, gradient, projection) for networks whose flat
-    rows concatenate level tensors of the given shapes.  Each row is
-    computed on its own, so its values do not depend on which rows share
-    the call.  Depth 1 uses linear_kernels, as Algorithm 2 does.
+    rows concatenate level tensors of the given shapes.  A row's state is
+    its flattened forward pre-activations, so the gradient runs only the
+    backward pass.  Each row is computed on its own, so its values do not
+    depend on which rows share the call.  Depth 1 uses linear_kernels, as
+    Algorithm 2 does.
     """
     if len(shapes) == 1:
         return linear_kernels(data, loss, spec.leaf_p, spec.budget)
     X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
+    z_shapes = [(len(X), n) for n, _ in shapes]
 
     def risk(row):
-        return a @ loss.value(-y * _forward(_split(row, shapes), act, X)[-1][:, 0])
+        Z = _forward(_split(row, shapes), act, X)
+        return a @ loss.value(-y * Z[-1][:, 0]), _flat(Z)
 
-    def grad(row):
+    def grad(row, z):
         # Backward pass: G holds d risk / d Z_j, from the output down.
-        levels = _split(row, shapes)
-        Z = _forward(levels, act, X)
+        levels, Z = _split(row, shapes), _split(z, z_shapes)
         G = (a * loss.grad(-y * Z[-1][:, 0]) * -y)[:, None]
         grads = []
         for C, Z_in in zip(levels[:0:-1], Z[-2::-1]):
@@ -268,10 +271,14 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
         W, *blocks = _split(row, shapes)
         return _flat([project(W, spec.leaf_p, B), *(project(C, 1.0, B) for C in blocks)])
 
-    def by_row(fn):
-        return lambda P: np.array([fn(row) for row in P])
+    def risk_rows(P):
+        risks, states = zip(*map(risk, P))
+        return np.array(risks), np.array(states)
 
-    return by_row(risk), by_row(grad), by_row(project_row)
+    def by_row(fn):
+        return lambda *arrays: np.array([fn(*rows) for rows in zip(*arrays)])
+
+    return risk_rows, by_row(grad), by_row(project_row)
 
 
 def refine_network(net, spec: NetworkClassSpec, data, loss, step_budget: int):

@@ -331,12 +331,20 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
 
     Each row keeps its own step size, reject counter, gradient and stop
     rule, exactly as monotone_descent would for that row alone; rows that
-    have stopped leave the working set.  The row functions map a (c, d)
-    matrix to c risks, c gradients and c projected rows, each row
-    computed on its own.  Returns (X, risks) with risks[i] <= risk(X0[i]).
+    have stopped leave the working set.  risk_rows(W) maps a (c, d)
+    matrix to (risks, state): c risks and a state with one row per row
+    of W, holding what the gradient at that row needs.  grad_rows(W,
+    state) gives the c gradients and project_rows(W) the c projected
+    rows.  Each row is computed on its own.  The state of every live
+    row's current point is kept from the risk call that evaluated it, so
+    an accepted point is evaluated once.  A negative step_budget is a
+    ValueError.  Returns (X, risks) with risks[i] <= risk(X0[i]).
     """
+    if step_budget < 0:
+        raise ValueError(f"refinement step budget must be >= 0, not {step_budget}")
     X = np.array(X0, dtype=float, ndmin=2)
-    risk = np.asarray(risk_rows(X), dtype=float)
+    risk, state = risk_rows(X)
+    risk = np.asarray(risk, dtype=float)
     live = np.arange(X.shape[0])
     eta = np.ones(live.size)
     rejects = np.zeros(live.size, dtype=int)
@@ -346,7 +354,7 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     for _ in range(step_budget):
         x, r = X[live], risk[live]
         if stale.any():
-            g[stale] = grad_rows(x[stale])
+            g[stale] = grad_rows(x[stale], state[live[stale]])
             gnorm[stale] = np.sqrt(np.sum(g[stale] * g[stale], axis=1))
             moving = ~stale | (gnorm != 0.0)
             if not moving.all():
@@ -356,10 +364,11 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
                 if live.size == 0:
                     break
         x_new = project_rows(x - (eta / np.maximum(gnorm, 1.0))[:, None] * g)
-        r_new = np.asarray(risk_rows(x_new), dtype=float)
+        r_new, s_new = risk_rows(x_new)
         accept = r_new < r
         X[live[accept]] = x_new[accept]
         risk[live[accept]] = r_new[accept]
+        state[live[accept]] = s_new[accept]
         stale = accept
         rejects = np.where(accept, 0, rejects + 1)
         eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
@@ -380,26 +389,20 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
 def linear_kernels(data, loss, p: float, radius: float):
     """Row functions (risk, gradient, projection) for linear predictors.
 
-    Row i of W is a weight vector.  Risk and gradient are sums over the
-    sample taken along each row with numpy's own summation, never through
-    BLAS, so a row's values do not depend on which rows share the call.
+    Row i of W is a weight vector, and its state is its margins
+    -y_j <w, x_j>, one per sample point.  Every contraction is one einsum
+    on numpy's own loops, never BLAS, so a row's values do not depend on
+    which rows share the call.
     """
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
     a = data.weights
 
-    def margins(W):
-        # -y_i <w, x_i> for every row w of W, accumulated coordinate by coordinate.
-        M = W[:, :1] * ZnegT[0]
-        for j in range(1, ZnegT.shape[0]):
-            M += W[:, j:j + 1] * ZnegT[j]
-        return M
-
     def risk_rows(W):
-        return np.sum(a * loss.value(margins(W)), axis=1)
+        M = np.einsum("cd,dn->cn", W, ZnegT, optimize=False)
+        return np.einsum("cn,n->c", loss.value(M), a, optimize=False), M
 
-    def grad_rows(W):
-        S = a * loss.grad(margins(W))
-        return np.stack([np.sum(S * z, axis=1) for z in ZnegT], axis=1)
+    def grad_rows(W, M):
+        return np.einsum("cn,dn->cd", a * loss.grad(M), ZnegT, optimize=False)
 
     def project_rows(W):
         return project(W, p, radius)

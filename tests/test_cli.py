@@ -157,6 +157,12 @@ BAD_INPUTS = {
     ),
     "empty_parity_split": (["parity", "--n", "5"], None),
     "zero_width_nn": (["nn", "--width", "0"], None),
+    "negative_refine_steps": (["halfspace", "--refine-steps", "-1"], None),
+    "negative_refine_steps_nn": (["nn", "--refine-steps", "-3"], None),
+    "negative_weak_refine_boostnet": (["boostnet", "--weak-refine", "-2"], None),
+    "zero_repetitions": (["halfspace", "--repetitions", "0"], None),
+    "zero_repetitions_nn": (["nn", "--repetitions", "0"], None),
+    "zero_instances_hardness": (["hardness", "--instances", "0"], None),
 }
 
 

@@ -7,7 +7,6 @@ import pytest
 from ncerm.hardness import (
     LiftedInstance,
     Max2SatInstance,
-    disjunction_to_conjunctions,
     enumerate_assignments,
     format_instance,
     instance_to_vectors,
@@ -48,20 +47,6 @@ def test_parse_format_roundtrip():
         parse_instance("1 0\n")
     with pytest.raises(ValueError):
         parse_instance("1 2 3\n")
-
-
-def test_disjunction_expansion_exactly_one():
-    """Across the four assignments of two variables: the OR holds on
-    three of them, and on each of those exactly one of the three
-    conjunctions holds; on the fourth none do."""
-    for sa, sb in itertools.product((-1, 1), repeat=2):
-        conjs = disjunction_to_conjunctions((1, sa), (2, sb))
-        assert len(conjs) == 3
-        for za, zb in itertools.product((False, True), repeat=2):
-            or_holds = (za == (sa > 0)) or (zb == (sb > 0))
-            inst = Max2SatInstance(2, conjs)
-            hits = satisfied_count(inst, [za, zb])
-            assert hits == (1 if or_holds else 0)
 
 
 def test_satisfied_count_hand_case():

@@ -7,7 +7,6 @@ from ncerm.losses import (
     NonFiniteError,
     empirical_risk,
     logistic_sigmoid,
-    margin_stats,
     neg_min,
     piecewise_linear,
     zero_one_risk,
@@ -135,15 +134,6 @@ def test_zero_one_risk_ties_count_as_errors():
     assert zero_one_risk(predict, data) == pytest.approx(0.4, abs=1e-15)
     zero = lambda X: np.zeros(X.shape[0])
     assert zero_one_risk(zero, data) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_margin_stats_hand_value():
-    data = _toy_data()
-    predict = lambda X: X @ np.array([1.0, 2.0])
-    margins = data.labels * predict(data.features)
-    mn, mean = margin_stats(predict, data)
-    assert mn == margins.min()
-    assert mean == pytest.approx(float(data.weights @ margins), abs=1e-15)
 
 
 def test_nonfinite_predictions_raise():

@@ -285,9 +285,9 @@ def test_network_gradient_matches_finite_differences(m):
                                     [L.shape for L in levels])
     x = 0.5 * np.concatenate([L.ravel() for L in levels])
     h = 1e-6
-    fd = [(risk((x + h * e)[None])[0] - risk((x - h * e)[None])[0]) / (2.0 * h)
+    fd = [(risk((x + h * e)[None])[0][0] - risk((x - h * e)[None])[0][0]) / (2.0 * h)
           for e in np.eye(x.size)]
-    assert np.allclose(grad(x[None])[0], fd, rtol=0.0, atol=1e-8)
+    assert np.allclose(grad(x[None], risk(x[None])[1])[0], fd, rtol=0.0, atol=1e-8)
 
 
 def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
@@ -334,7 +334,7 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
         levels = _recursive_candidate(draw_batch(rng, data, k).features, spec, depth, s, rng)[1]
         rows.append(np.concatenate([L.ravel() for L in levels]))
     shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
-    risks = network_kernels(data, loss, spec, shapes)[0](np.array(rows))
+    risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows))
     net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
     got = np.concatenate([L.ravel() for L in to_levels(net)])
     assert np.allclose(got, rows[int(np.argmin(risks))], rtol=0.0, atol=1e-9)

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from ncerm.data import WeightedDataset, planted_halfspace
 from ncerm.halfspace import LinearModel
-from ncerm.losses import piecewise_linear, empirical_risk
+from ncerm.losses import empirical_risk, logistic_sigmoid, piecewise_linear
 from ncerm.solvers import (
     _FEAS_TOL,
     constrained_least_squares,
@@ -299,14 +299,14 @@ def _assert_rows_follow_monotone_descent(W0, kernels, step_budget):
     for w0, w, r in zip(W0, W, risks):
         x, r_seq = monotone_descent(
             w0,
-            lambda v: risk_rows(v[None, :])[0],
-            lambda v: grad_rows(v[None, :])[0],
+            lambda v: risk_rows(v[None, :])[0][0],
+            lambda v: grad_rows(v[None, :], risk_rows(v[None, :])[1])[0],
             lambda v: project_rows(v[None, :])[0],
             step_budget,
         )
         assert np.array_equal(w, x)
         assert r == r_seq
-        assert r <= risk_rows(w0[None, :])[0]
+        assert r <= risk_rows(w0[None, :])[0][0]
     return W
 
 
@@ -333,13 +333,95 @@ def test_lockstep_descent_stop_rules():
     step size reached its cap; a budget of 5 stops all but the first
     early.  Each row still matches monotone_descent."""
     kernels = (
-        lambda W: 1e3 * np.sum(np.abs(W), axis=1),
-        lambda W: 1e3 * np.sign(W),
+        lambda W: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
+        lambda W, S: 1e3 * S,
         lambda W: W,
     )
     W0 = np.array([[0.0], [1e-9], [4e-8], [0.3], [2.0], [1e6]])
     for budget in (500, 5):
         _assert_rows_follow_monotone_descent(W0, kernels, budget)
+
+
+@st.composite
+def _linear_kernel_problems(draw):
+    """A weighted sample (n, d) with some zero weights, a stack W of c
+    weight rows at mixed scales, p, and a smooth or piecewise-linear
+    loss."""
+    n, d, c = draw(st.integers(1, 60)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(n) * (rng.random(n) < 0.8)
+    weights = np.full(n, 1.0 / n) if weights.sum() == 0.0 else weights / weights.sum()
+    data = WeightedDataset(rng.standard_normal((n, d)), rng.choice((-1.0, 1.0), size=n),
+                           weights)
+    W = rng.standard_normal((c, d)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(c, 1))
+    kind = draw(st.sampled_from((piecewise_linear, logistic_sigmoid)))
+    return data, W, draw(st.sampled_from((1.0, 1.5, 2.0))), kind(draw(st.floats(0.5, 5.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_kernel_problems(), st.data())
+def test_linear_kernel_rows_are_independent(problem, data_strategy):
+    """The risks, states, gradients and projections of any subset of rows
+    equal those rows of the call on the whole stack, bit for bit."""
+    data, W, p, loss = problem
+    risk_rows, grad_rows, project_rows = linear_kernels(data, loss, p, 1.0)
+    rows = data_strategy.draw(st.lists(st.integers(0, len(W) - 1), min_size=1,
+                                       max_size=len(W), unique=True))
+    risks, M = risk_rows(W)
+    risks_sub, M_sub = risk_rows(W[rows])
+    assert M.shape == (len(W), data.n)
+    assert np.array_equal(risks_sub, risks[rows])
+    assert np.array_equal(M_sub, M[rows])
+    assert np.array_equal(grad_rows(W[rows], M_sub), grad_rows(W, M)[rows])
+    assert np.array_equal(project_rows(W[rows]), project_rows(W)[rows])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_kernel_problems())
+def test_linear_kernel_matches_coordinate_sums(problem):
+    """The state is the margin matrix -y_j <w, x_j> accumulated coordinate
+    by coordinate; risk and gradient equal numpy sums over the sample to
+    1e-12 of the sum of the terms' magnitudes.  With one sample point
+    numpy sums the d products of a margin in its own order, so that
+    case agrees to rounding only."""
+    data, W, p, loss = problem
+    risk_rows, grad_rows, _ = linear_kernels(data, loss, p, 1.0)
+    risks, M = risk_rows(W)
+    ZnegT = (-data.labels[:, None] * data.features).T
+    loop, mag = W[:, :1] * ZnegT[0], np.abs(W[:, :1] * ZnegT[0])
+    for j in range(1, W.shape[1]):
+        loop += W[:, j:j + 1] * ZnegT[j]
+        mag += np.abs(W[:, j:j + 1] * ZnegT[j])
+    if data.n > 1:
+        assert np.array_equal(M, loop)
+    else:
+        assert np.all(np.abs(M - loop) <= 1e-14 * mag)
+    terms = data.weights * loss.value(M)
+    assert np.all(np.abs(risks - np.sum(terms, axis=1)) <= 1e-12 * np.sum(np.abs(terms), axis=1))
+    S = data.weights * loss.grad(M)
+    old = np.stack([np.sum(S * z, axis=1) for z in ZnegT], axis=1)
+    scale = np.stack([np.sum(np.abs(S * z), axis=1) for z in ZnegT], axis=1)
+    assert np.all(np.abs(grad_rows(W, M) - old) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_kernel_problems(), st.floats(0.1, 3.0), st.integers(0, 40))
+def test_lockstep_descent_rows_run_alone_and_never_raise_risk(problem, radius, budget):
+    """Over random shapes, p, radius and step budgets, every row ends in
+    its ball with a risk no higher than its start's, the risk returned is
+    the risk of the row returned, and each row equals its own
+    single-row run bit for bit."""
+    data, W, p, loss = problem
+    kernels = linear_kernels(data, loss, p, radius)
+    W0 = kernels[2](W)
+    X, risks = lockstep_descent(W0, *kernels, budget)
+    assert np.all(risks <= kernels[0](W0)[0])
+    assert np.array_equal(risks, kernels[0](X)[0])
+    assert np.all(lq_norm(X, p) <= radius * (1.0 + _FEAS_TOL))
+    for w0, x, r in zip(W0, X, risks):
+        x_alone, r_alone = lockstep_descent(w0, *kernels, budget)
+        assert np.array_equal(x_alone[0], x)
+        assert r_alone[0] == r
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
