@@ -2,148 +2,9 @@
 networks: random-search learners with certified round counts, a boosting
 wrapper, hardness reductions from clause satisfaction, and Monte Carlo
 checks of the concentration bounds the round counts rest on.
+
+The library is its submodules (``ncerm.halfspace``, ``ncerm.networks``,
+``ncerm.boosting``, ...); import names from them.
 """
 
-from .analysis import (
-    generalization_gap_check,
-    jl_distortion_check,
-    maurey_sparsify,
-    rademacher_estimate,
-)
-from .boosting import (
-    BoostConfig,
-    BoostResult,
-    WeakLearnerConfig,
-    boostnet_train,
-    default_rounds,
-    margin_certificate,
-    weak_epsilon,
-)
-from .data import (
-    SampleBatch,
-    WeightedDataset,
-    flip_labels,
-    load_dataset_csv,
-    parity_dataset,
-    planted_halfspace,
-    planted_network,
-    save_dataset_csv,
-)
-from .halfspace import (
-    HalfspaceRunConfig,
-    LinearModel,
-    algorithm1,
-    algorithm2,
-    config_alg1,
-    config_alg2,
-)
-from .hardness import (
-    LiftedInstance,
-    Max2SatInstance,
-    instance_to_vectors,
-    lifted_instance,
-    max_satisfied,
-    min_reduction_loss,
-    random_instance,
-    reduction_loss,
-    verify_identity,
-)
-from .losses import (
-    LossFunction,
-    NonFiniteError,
-    empirical_risk,
-    logistic_sigmoid,
-    neg_min,
-    piecewise_linear,
-    zero_one_risk,
-)
-from .networks import (
-    Activation,
-    Leaf,
-    NetworkClassSpec,
-    Node,
-    algorithm3,
-    config_alg3,
-    evaluate,
-    load_network,
-    network_spec,
-    predictor,
-    random_network,
-    save_network,
-    validate,
-    zero_network,
-)
-from .solvers import (
-    constrained_least_squares,
-    monotone_descent,
-    project,
-    project_l1,
-    project_lp,
-    refine,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Activation",
-    "BoostConfig",
-    "BoostResult",
-    "HalfspaceRunConfig",
-    "Leaf",
-    "LiftedInstance",
-    "LinearModel",
-    "LossFunction",
-    "Max2SatInstance",
-    "NetworkClassSpec",
-    "Node",
-    "NonFiniteError",
-    "SampleBatch",
-    "WeakLearnerConfig",
-    "WeightedDataset",
-    "algorithm1",
-    "algorithm2",
-    "algorithm3",
-    "boostnet_train",
-    "config_alg1",
-    "config_alg2",
-    "config_alg3",
-    "constrained_least_squares",
-    "default_rounds",
-    "empirical_risk",
-    "evaluate",
-    "flip_labels",
-    "generalization_gap_check",
-    "instance_to_vectors",
-    "jl_distortion_check",
-    "lifted_instance",
-    "load_dataset_csv",
-    "load_network",
-    "logistic_sigmoid",
-    "margin_certificate",
-    "maurey_sparsify",
-    "max_satisfied",
-    "min_reduction_loss",
-    "monotone_descent",
-    "neg_min",
-    "network_spec",
-    "parity_dataset",
-    "piecewise_linear",
-    "planted_halfspace",
-    "planted_network",
-    "predictor",
-    "project",
-    "project_l1",
-    "project_lp",
-    "rademacher_estimate",
-    "random_instance",
-    "random_network",
-    "reduction_loss",
-    "refine",
-    "save_dataset_csv",
-    "save_network",
-    "validate",
-    "verify_identity",
-    "weak_epsilon",
-    "zero_network",
-    "zero_one_risk",
-]

@@ -36,16 +36,19 @@ class NoProgressError(ValueError):
 
 @dataclass(frozen=True)
 class ActivationLoss:
-    """A bounded odd activation used as the weak learner's surrogate."""
+    """A bounded odd activation used as the weak learner's surrogate.
+
+    value and grad are the activation's own functions of a float array,
+    bound once, since the refiner calls them at every step.
+    """
 
     act: object
     lipschitz: float = 1.0
 
-    def value(self, t):
-        return self.act.value(t)
-
-    def grad(self, t):
-        return self.act.deriv(t)
+    def __post_init__(self):
+        value, grad = self.act.functions
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "grad", grad)
 
     def __call__(self, t):
         return self.value(t)

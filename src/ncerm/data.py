@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import dataclass
@@ -16,6 +17,17 @@ _PLANT_MAX_CHUNKS = 10_000
 
 class PlantingError(ValueError):
     """Rejection sampling failed to collect enough points within the cap."""
+
+
+def _checked_weights(weights, n: int) -> np.ndarray:
+    w = np.ascontiguousarray(weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError("weights must have one entry per row")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and nonnegative")
+    if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
+    return w
 
 
 @dataclass(frozen=True)
@@ -36,25 +48,19 @@ class WeightedDataset:
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=float)
         y = np.ascontiguousarray(self.labels, dtype=float)
-        w = np.ascontiguousarray(self.weights, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
-        n = X.shape[0]
-        if y.shape != (n,) or w.shape != (n,):
-            raise ValueError("labels and weights must have one entry per row")
+        if y.shape != (X.shape[0],):
+            raise ValueError("labels must have one entry per row")
         if not np.all(np.isfinite(X)):
             raise ValueError("features must be finite")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
         if self.feature_norm_q is not None:
             check_unit_ball(X, self.feature_norm_q)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _checked_weights(self.weights, X.shape[0]))
 
     @property
     def n(self) -> int:
@@ -65,7 +71,11 @@ class WeightedDataset:
         return self.features.shape[1]
 
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
-        return WeightedDataset(self.features, self.labels, weights, self.feature_norm_q)
+        """The same points under new weights; only the weights are checked,
+        and the feature and label arrays are shared."""
+        out = copy.copy(self)
+        object.__setattr__(out, "weights", _checked_weights(weights, self.n))
+        return out
 
     @staticmethod
     def uniform(features, labels, feature_norm_q=None) -> "WeightedDataset":

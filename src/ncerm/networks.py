@@ -12,6 +12,7 @@ optional joint local refinement.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from scipy.special import erf
 
 from .data import draw_batch
 from .halfspace import best_round
-from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, project
+from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm, round_rng
 
 _ERF_SCALE = math.sqrt(math.pi) / 2.0
@@ -49,6 +50,11 @@ class Activation:
 
     def deriv(self, x):
         return _ACTIVATIONS[self.name][1](np.asarray(x, dtype=float))
+
+    @property
+    def functions(self):
+        """(value, derivative) for float arrays, with no conversion."""
+        return _ACTIVATIONS[self.name]
 
 
 @dataclass(frozen=True)
@@ -218,11 +224,14 @@ def load_network(path):
         return net_from_dict(json.load(fh))
 
 
+@functools.lru_cache(maxsize=256)
 def config_alg3(q: float, epsilon: float, delta: float, m: int):
     """Per-round sample size k, width s, and the round count T_theory.
 
     k = ceil(q / eps^2), s = ceil(1 / eps^2),
     T = ceil(5 * (4/eps)^(k*(s^m - 1)/(s - 1)) * ln(1/delta)).
+    Each distinct argument tuple is computed once (BoostNet asks for the
+    same one every round).
     """
     if not (epsilon > 0):
         raise ValueError("epsilon must be positive")
@@ -267,9 +276,11 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
             G = (G[:, :, None] * C * act.deriv(Z_in)).reshape(len(X), -1)
         return _flat([G.T @ X, *grads[::-1]])
 
+    project_leaves, project_comb = projector(spec.leaf_p, B), projector(1.0, B)
+
     def project_row(row):
         W, *blocks = _split(row, shapes)
-        return _flat([project(W, spec.leaf_p, B), *(project(C, 1.0, B) for C in blocks)])
+        return _flat([project_leaves(W), *map(project_comb, blocks)])
 
     def risk_rows(P):
         risks, states = zip(*map(risk, P))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -129,9 +130,7 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
         raise ValueError("radius must be positive")
     v = np.asarray(v, dtype=float)
     if p == 2.0:
-        # Rows inside the ball are scaled by radius / radius = 1 exactly.
-        norm = np.sqrt(np.sum(v * v, axis=-1))
-        return v * (radius / np.maximum(norm, radius))[..., None]
+        return _scale_into_l2(v, radius)
     a = np.abs(np.atleast_2d(v))
     outside = np.sum(a**p, axis=1) ** (1.0 / p) > radius
     if not outside.any():
@@ -140,11 +139,28 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     return np.sign(v) * a.reshape(v.shape)
 
 
+def _scale_into_l2(v: np.ndarray, radius: float) -> np.ndarray:
+    # Rows inside the ball are scaled by radius / radius = 1 exactly.
+    return v * (radius / np.maximum(_rownorm(v), radius))[..., None]
+
+
+def projector(p: float, radius: float):
+    """The projection onto the l_p ball, p in [1, 2], of a float vector or
+    of each row of a float matrix, with p and radius checked once, here."""
+    if not (1.0 <= p <= 2.0):
+        raise ValueError("p must be in [1, 2]")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    if p == 2.0:
+        return functools.partial(_scale_into_l2, radius=radius)
+    if p == 1.0:
+        return functools.partial(project_l1, radius=radius)
+    return functools.partial(project_lp, p=p, radius=radius)
+
+
 def project(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Projection onto the l_p ball for p in [1, 2], row by row for a matrix."""
-    if p == 1.0:
-        return project_l1(v, radius)
-    return project_lp(v, p, radius)
+    return projector(p, radius)(np.asarray(v, dtype=float))
 
 
 def _rownorm(A: np.ndarray) -> np.ndarray:
@@ -236,8 +252,9 @@ def _projected_gradient_fit(X, u, p, radius, max_iter, rtol) -> np.ndarray:
     step_T = (X / sigma).T / sigma
     resid = X @ w - u
     obj = float(resid @ resid)
+    proj = projector(p, radius)
     for _ in range(max_iter):
-        w_new = project(w - step_T @ resid, p, radius)
+        w_new = proj(w - step_T @ resid)
         resid_new = X @ w_new - u
         obj_new = float(resid_new @ resid_new)
         if obj_new > obj:
@@ -330,14 +347,16 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     """monotone_descent run on every row of X0 at once.
 
     Each row keeps its own step size, reject counter, gradient and stop
-    rule, exactly as monotone_descent would for that row alone; rows that
-    have stopped leave the working set.  risk_rows(W) maps a (c, d)
-    matrix to (risks, state): c risks and a state with one row per row
-    of W, holding what the gradient at that row needs.  grad_rows(W,
-    state) gives the c gradients and project_rows(W) the c projected
-    rows.  Each row is computed on its own.  The state of every live
-    row's current point is kept from the risk call that evaluated it, so
-    an accepted point is evaluated once.  A negative step_budget is a
+    rule, exactly as monotone_descent would for that row alone.
+    risk_rows(W) maps a (c, d) matrix to (risks, state): c risks and a
+    state with one row per row of W, holding what the gradient at that
+    row needs.  grad_rows(W, state) gives the c gradients and
+    project_rows(W) the c projected rows.  Each row is computed on its
+    own.  The live rows are compact working copies, written back to X as
+    they stop.  A row's gradient is taken as soon as a step is accepted,
+    from the state of the risk call that evaluated the new point, so an
+    accepted point is evaluated once; when every live row accepts, the
+    trial arrays are adopted whole.  A negative step_budget is a
     ValueError.  Returns (X, risks) with risks[i] <= risk(X0[i]).
     """
     if step_budget < 0:
@@ -345,44 +364,44 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     X = np.array(X0, dtype=float, ndmin=2)
     risk, state = risk_rows(X)
     risk = np.asarray(risk, dtype=float)
-    live = np.arange(X.shape[0])
-    eta = np.ones(live.size)
-    rejects = np.zeros(live.size, dtype=int)
-    g = np.zeros_like(X)
-    gnorm = np.zeros(live.size)
-    stale = np.ones(live.size, dtype=bool)
-    for _ in range(step_budget):
-        x, r = X[live], risk[live]
-        if stale.any():
-            g[stale] = grad_rows(x[stale], state[live[stale]])
-            gnorm[stale] = np.sqrt(np.sum(g[stale] * g[stale], axis=1))
-            moving = ~stale | (gnorm != 0.0)
-            if not moving.all():
-                live, x, r, eta, rejects, g, gnorm = (
-                    arr[moving] for arr in (live, x, r, eta, rejects, g, gnorm)
-                )
-                if live.size == 0:
-                    break
+    if step_budget == 0:
+        return X, risk
+    rows, x, r = np.arange(len(X)), X.copy(), risk.copy()
+    eta, rejects = np.ones(len(X)), np.zeros(len(X), dtype=int)
+    g = grad_rows(x, state)
+    gnorm = np.sqrt((g * g).sum(axis=1))
+    done = gnorm == 0.0
+    for step in range(step_budget):
+        if done.any():
+            X[rows[done]], risk[rows[done]] = x[done], r[done]
+            keep = ~done
+            rows, x, r, state, eta, rejects, g, gnorm = (
+                a[keep] for a in (rows, x, r, state, eta, rejects, g, gnorm))
+            if rows.size == 0:
+                return X, risk
         x_new = project_rows(x - (eta / np.maximum(gnorm, 1.0))[:, None] * g)
         r_new, s_new = risk_rows(x_new)
         accept = r_new < r
-        X[live[accept]] = x_new[accept]
-        risk[live[accept]] = r_new[accept]
-        state[live[accept]] = s_new[accept]
-        stale = accept
-        rejects = np.where(accept, 0, rejects + 1)
-        eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
-        done = np.where(
-            accept,
-            r - r_new <= _GAIN_RTOL * np.maximum(np.abs(r_new), 1e-3),
-            (eta < _STEP_FLOOR) | (rejects >= _STALL_REJECTS),
-        )
-        if done.any():
-            live, eta, rejects, g, gnorm, stale = (
-                arr[~done] for arr in (live, eta, rejects, g, gnorm, stale)
-            )
-            if live.size == 0:
-                break
+        done = r - r_new <= _GAIN_RTOL * np.maximum(np.abs(r_new), 1e-3)
+        if accept.all():
+            x, r, state = x_new, r_new, s_new
+            rejects[:] = 0
+            eta = np.minimum(eta * 1.25, 1e3)
+            moved = slice(None)
+        else:
+            x[accept], r[accept], state[accept] = x_new[accept], r_new[accept], s_new[accept]
+            rejects = np.where(accept, 0, rejects + 1)
+            eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
+            done = np.where(accept, done, (eta < _STEP_FLOOR) | (rejects >= _STALL_REJECTS))
+            moved = accept & ~done
+            if not moved.any():
+                continue
+        # Rows that moved take their gradient now, unless the budget is spent.
+        if step + 1 < step_budget:
+            g[moved] = grad_rows(x[moved], state[moved])
+            gnorm = np.sqrt((g * g).sum(axis=1))
+            done |= gnorm == 0.0
+    X[rows], risk[rows] = x, r
     return X, risk
 
 
@@ -392,8 +411,10 @@ def linear_kernels(data, loss, p: float, radius: float):
     Row i of W is a weight vector, and its state is its margins
     -y_j <w, x_j>, one per sample point.  Every contraction is one einsum
     on numpy's own loops, never BLAS, so a row's values do not depend on
-    which rows share the call.
+    which rows share the call.  The projection is bound, and p and radius
+    checked, when the kernels are built.
     """
+    project_rows = projector(p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
     a = data.weights
 
@@ -403,9 +424,6 @@ def linear_kernels(data, loss, p: float, radius: float):
 
     def grad_rows(W, M):
         return np.einsum("cn,dn->cd", a * loss.grad(M), ZnegT, optimize=False)
-
-    def project_rows(W):
-        return project(W, p, radius)
 
     return risk_rows, grad_rows, project_rows
 

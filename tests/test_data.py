@@ -42,6 +42,28 @@ def test_dataset_validation():
     WeightedDataset(2.0 * X, y, w)  # no norm constraint requested
 
 
+def test_with_weights_checks_the_new_weights_and_shares_the_points():
+    """with_weights rejects bad weights as the constructor does, and the
+    dataset it returns holds the parent's own feature and label arrays."""
+    data = WeightedDataset.uniform(np.eye(3) * 0.5, np.array([1.0, -1.0, 1.0]), 2.0)
+    w = np.array([0.5, 0.25, 0.25])
+    out = data.with_weights(w)
+    assert out.features is data.features and out.labels is data.labels
+    assert out.feature_norm_q == 2.0
+    assert np.array_equal(out.weights, w) and out.weights.dtype == float
+    assert np.all(data.weights == 1.0 / 3.0)
+    bad_weights = {
+        "one entry per row": ([0.5, 0.5], [0.25] * 4, [[0.5, 0.25, 0.25]]),
+        "finite and nonnegative": ([0.5, -0.25, 0.75], [0.5, np.nan, 0.5],
+                                   [np.inf, 0.0, 0.0]),
+        "sum to 1": ([0.5, 0.25, 0.5], [0.0, 0.0, 0.0], [0.5, 0.25, 0.25 - 1e-9]),
+    }
+    for message, cases in bad_weights.items():
+        for bad in cases:
+            with pytest.raises(ValueError, match=message):
+                data.with_weights(np.array(bad))
+
+
 def test_uniform_weights_sum_to_one():
     for n in (1, 3, 7, 100):
         data = WeightedDataset.uniform(np.zeros((n, 2)), np.ones(n))

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncerm.data import WeightedDataset, draw_batch, planted_network
 from ncerm.halfspace import algorithm2, config_alg2
@@ -193,16 +196,21 @@ def test_algorithm3_improves_with_budget():
 
 
 @pytest.mark.parametrize("refine_budget", [0, 20])
-def test_algorithm3_depth1_matches_halfspace_scheme(refine_budget):
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 6))
+@example(13, 4, 6)
+def test_algorithm3_depth1_matches_halfspace_scheme(refine_budget, seed, k, T):
     """At depth 1 with unit budget and a shared batch size the network
     trainer and the least-squares halfspace scheme draw identical
-    candidates round by round, so their outputs agree bit for bit."""
+    candidates round by round, so their outputs agree bit for bit, for
+    any seed, batch size k and round count T."""
     loss = piecewise_linear(1.0)
     spec = network_spec(1, 1.0, 2.0)
     data, _ = planted_network(70, 4, 0.1, spec, 2, seed=8)
-    eps, delta, T, seed = 0.5, 0.05, 6, 13
-    cfg = config_alg2(data.n, data.dim, 2.0, eps, delta, seed=seed, T_budget=T)
-    net = algorithm3(data, loss, spec, eps, delta, T, refine_budget, seed, k=cfg.k)
+    eps, delta = 0.5, 0.05
+    cfg = dataclasses.replace(
+        config_alg2(data.n, data.dim, 2.0, eps, delta, seed=seed, T_budget=T), k=k)
+    net = algorithm3(data, loss, spec, eps, delta, T, refine_budget, seed, k=k)
     model = algorithm2(data, loss, cfg, refine_budget)
     assert isinstance(net, Leaf)
     assert np.array_equal(net.w, model.w)

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncerm.data import WeightedDataset, planted_halfspace
+from ncerm.boosting import ActivationLoss, boost_weights
+from ncerm.data import WeightedDataset, planted_halfspace, planted_network
 from ncerm.halfspace import LinearModel
 from ncerm.losses import empirical_risk, logistic_sigmoid, piecewise_linear
+from ncerm.networks import network_spec
 from ncerm.solvers import (
     _FEAS_TOL,
     constrained_least_squares,
@@ -342,6 +344,21 @@ def test_lockstep_descent_stop_rules():
         _assert_rows_follow_monotone_descent(W0, kernels, budget)
 
 
+def test_lockstep_descent_single_row_counts_rejects_from_its_last_acceptance():
+    """A row refined alone takes every accepted step on the path where all
+    live rows accept.  On 1000 |x| the start 4e-8 is rejected 24 times,
+    accepted, then rejected once and accepted again: its reject count
+    starts again from 0 at each acceptance, as in monotone_descent, so
+    the stall rule does not end it early."""
+    kernels = (
+        lambda W: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
+        lambda W, S: 1e3 * S,
+        lambda W: W,
+    )
+    for x0 in (4e-8, 1e-9, 0.3, 2.0):
+        _assert_rows_follow_monotone_descent(np.array([[x0]]), kernels, 500)
+
+
 @st.composite
 def _linear_kernel_problems(draw):
     """A weighted sample (n, d) with some zero weights, a stack W of c
@@ -422,6 +439,92 @@ def test_lockstep_descent_rows_run_alone_and_never_raise_risk(problem, radius, b
         x_alone, r_alone = lockstep_descent(w0, *kernels, budget)
         assert np.array_equal(x_alone[0], x)
         assert r_alone[0] == r
+
+
+def _boostnet_round_problem(seed, activation, radius, rows):
+    """A weak learner's refinement in BoostNet: a planted depth-2 sample
+    under boosting weights, the activation as the loss, p = 2, and rows
+    starts of mixed scale projected into the ball."""
+    rng = np.random.default_rng(seed)
+    spec = network_spec(2, 2.0, 2.0, activation)
+    data, _ = planted_network(20, 5, 0.3, spec, 2, seed=seed % 1000)
+    data = data.with_weights(boost_weights(6.0 * rng.standard_normal(data.n), data.labels))
+    kernels = linear_kernels(data, ActivationLoss(spec.act), 2.0, radius)
+    W = rng.standard_normal((rows, data.dim)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(rows, 1))
+    return kernels, kernels[2](W)
+
+
+def _step_kinds(kernels):
+    """Kernels that record, for each step of lockstep_descent after the
+    first, whether every row of the previous trial accepted it (the
+    gradient is then taken on all of them) or only some did."""
+    risk_rows, grad_rows, project_rows = kernels
+    kinds, trial = [], []
+
+    def risk(W):
+        trial.append(len(W))
+        return risk_rows(W)
+
+    def grad(W, state):
+        if len(trial) > 1:
+            kinds.append("all" if len(W) == trial[-1] else "some")
+        return grad_rows(W, state)
+
+    return (risk, grad, project_rows), kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("tanh", "erf")), st.floats(1.0, 3.0),
+       st.integers(1, 8), st.integers(0, 150))
+def test_lockstep_descent_activation_loss_rows_follow_monotone_descent(
+        seed, activation, radius, rows, budget):
+    """In BoostNet's regime (a few rows, a smooth activation loss, long
+    budgets) each row of the lockstep refinement equals its own
+    monotone_descent run bit for bit, whether a step was accepted by
+    every live row or by some."""
+    kernels, W0 = _boostnet_round_problem(seed, activation, radius, rows)
+    recording, kinds = _step_kinds(kernels)
+    lockstep_descent(W0, *recording, budget)
+    # Steer the search towards starts whose steps some rows reject.
+    target(float(kinds.count("some")), label="steps only some rows accept")
+    event(f"steps accepted by only some rows: {'some' in kinds}")
+    W = _assert_rows_follow_monotone_descent(W0, kernels, budget)
+    assert np.all(lq_norm(W, 2.0) <= radius * (1.0 + _FEAS_TOL))
+
+
+def test_lockstep_descent_boostnet_regime_takes_both_step_kinds():
+    """The problems of the oracle test above do reach both kinds of step:
+    ones every live row accepts and ones only some rows accept."""
+    kernels, W0 = _boostnet_round_problem(15, "tanh", 3.0, 6)
+    recording, kinds = _step_kinds(kernels)
+    lockstep_descent(W0, *recording, 150)
+    assert {"all", "some"} <= set(kinds)
+    _assert_rows_follow_monotone_descent(W0, kernels, 150)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_linear_kernel_problems(), st.floats(0.1, 3.0))
+def test_linear_kernel_projection_is_project(problem, radius):
+    """The projection bound into the kernels is solvers.project at the
+    same p and radius, bit for bit; at p = 2 both equal the rescale
+    w * min(1, radius / ||w||)."""
+    data, W, p, loss = problem
+    project_rows = linear_kernels(data, loss, p, radius)[2]
+    assert np.array_equal(project_rows(W), project(W, p, radius))
+    assert np.array_equal(project_rows(W[0]), project(W[0], p, radius))
+    if p == 2.0:
+        with np.errstate(divide="ignore"):
+            scale = np.minimum(1.0, radius / np.sqrt(np.sum(W * W, axis=1)))
+        assert np.array_equal(project_rows(W), W * scale[:, None])
+
+
+def test_linear_kernels_check_p_and_radius_when_built():
+    data, _ = planted_halfspace(20, 3, 0.3, 2.0, seed=1)
+    loss = piecewise_linear(1.0)
+    for p, radius in ((0.5, 1.0), (2.5, 1.0), (math.nan, 1.0), (1.0, 0.0),
+                      (2.0, -1.0), (1.5, math.nan)):
+        with pytest.raises(ValueError):
+            linear_kernels(data, loss, p, radius)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
