@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import empirical_risk
-from .networks import (
-    Leaf,
-    NetworkClassSpec,
-    algorithm3,
-    evaluate,
-    Node,
-    predictor,
-)
+from .networks import Leaf, NetworkClassSpec, Node, algorithm3, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
 _MU_HI = 1.0 - 1e-15
@@ -208,12 +201,13 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
         alpha = boost_weights(M, y)
         data_t = data.with_weights(alpha)
         net_t = weak_learn(data_t, config, child_seed(config.seed, t))
-        g_val = empirical_risk(predictor(net_t, weak_spec), act_loss, data_t)
+        F = evaluate(net_t, weak_spec, X)
+        g_val = empirical_risk(lambda _: F, act_loss, data_t)
         clamped = g_val < -0.5 or g_val >= _MU_HI
         mu = min(max(-0.5, g_val), _MU_HI)
         c = 0.5 * math.log((1.0 - mu) / (1.0 + mu))
         b += abs(c)
-        M = M + c * act.value(evaluate(net_t, weak_spec, X))
+        M += c * act.value(F)
         margins = y * M
         zero_one = float(np.dot(data.weights, (margins <= 0.0).astype(float)))
         min_margin = float((B / b) * np.min(margins)) if b > 0 else 0.0

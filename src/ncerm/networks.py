@@ -144,24 +144,26 @@ def from_levels(levels):
 
 
 def _flat(levels) -> np.ndarray:
-    return np.concatenate([L.ravel() for L in levels])
+    """Rows (c, D) of level stacks (c, ...); _split is its inverse."""
+    return np.concatenate([L.reshape(len(L), -1) for L in levels], axis=1)
 
 
-def _split(row: np.ndarray, shapes) -> list:
+def _split(P: np.ndarray, shapes) -> list:
     cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [part.reshape(shape) for part, shape in zip(np.split(row, cuts), shapes)]
+    return [part.reshape(len(P), *shape)
+            for part, shape in zip(np.split(P, cuts, axis=1), shapes)]
 
 
 def _forward(levels, act: Activation, X: np.ndarray) -> list:
-    """Pre-activation outputs Z_j (n, N_j) of every level; the last is (n, 1)."""
-    Z = [X @ levels[0].T]
+    """Pre-activation outputs Z_j (c, n, N_j) of every level of c networks
+    whose level stacks have a leading row axis; the last is (c, n, 1).
+    Leaves are one BLAS product per row slice, levels above one einsum.
+    """
+    Z = [X @ levels[0].transpose(0, 2, 1)]
     for C in levels[1:]:
-        Z.append(np.einsum("nis,is->ni", act.value(Z[-1].reshape(len(X), *C.shape)), C))
+        A = act.value(Z[-1].reshape(len(C), len(X), *C.shape[1:]))
+        Z.append(np.einsum("cnis,cis->cni", A, C))
     return Z
-
-
-def depth(net) -> int:
-    return len(to_levels(net))
 
 
 def validate(net, spec: NetworkClassSpec) -> None:
@@ -179,7 +181,7 @@ def validate(net, spec: NetworkClassSpec) -> None:
 def evaluate(net, spec: NetworkClassSpec, x):
     """Network value at a point (1-D input) or per row of a matrix."""
     x = np.asarray(x, dtype=float)
-    out = _forward(to_levels(net), spec.act, np.atleast_2d(x))[-1][:, 0]
+    out = _forward([L[None] for L in to_levels(net)], spec.act, np.atleast_2d(x))[-1][0, :, 0]
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -250,55 +252,51 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
 
 def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     """Row functions (risk, gradient, projection) for networks whose flat
-    rows concatenate level tensors of the given shapes.  A row's state is
-    its flattened forward pre-activations, so the gradient runs only the
-    backward pass.  Each row is computed on its own, so its values do not
-    depend on which rows share the call.  Depth 1 uses linear_kernels, as
-    Algorithm 2 does.
+    rows concatenate level tensors of the given shapes, each acting on a
+    whole stack of rows.  A row's state is its flattened forward
+    pre-activations, so the gradient runs only the backward pass.  Risks
+    are one BLAS dot per row (np.vecdot), so like the leaf products and
+    einsums they do not depend on which rows share the call.  Depth 1
+    uses linear_kernels, as Algorithm 2 does: their einsum margins differ
+    in the last bits from the BLAS leaf product, and sharing them keeps
+    Algorithm 3 at depth 1 equal to Algorithm 2 bit for bit.
     """
     if len(shapes) == 1:
         return linear_kernels(data, loss, spec.leaf_p, spec.budget)
     X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
     z_shapes = [(len(X), n) for n, _ in shapes]
 
-    def risk(row):
-        Z = _forward(_split(row, shapes), act, X)
-        return a @ loss.value(-y * Z[-1][:, 0]), _flat(Z)
+    def risk_rows(P):
+        Z = _forward(_split(P, shapes), act, X)
+        return np.vecdot(loss.value(-y * Z[-1][..., 0]), a), _flat(Z)
 
-    def grad(row, z):
+    def grad_rows(P, state):
         # Backward pass: G holds d risk / d Z_j, from the output down.
-        levels, Z = _split(row, shapes), _split(z, z_shapes)
-        G = (a * loss.grad(-y * Z[-1][:, 0]) * -y)[:, None]
+        levels, Z = _split(P, shapes), _split(state, z_shapes)
+        G = (a * loss.grad(-y * Z[-1][..., 0]) * -y)[..., None]
         grads = []
         for C, Z_in in zip(levels[:0:-1], Z[-2::-1]):
-            Z_in = Z_in.reshape(len(X), *C.shape)
-            grads.append(np.einsum("ni,nis->is", G, act.value(Z_in)))
-            G = (G[:, :, None] * C * act.deriv(Z_in)).reshape(len(X), -1)
-        return _flat([G.T @ X, *grads[::-1]])
+            Z_in = Z_in.reshape(len(P), len(X), *C.shape[1:])
+            grads.append(np.einsum("cni,cnis->cis", G, act.value(Z_in)))
+            G = (G[..., None] * C[:, None] * act.deriv(Z_in)).reshape(len(P), len(X), -1)
+        return _flat([G.transpose(0, 2, 1) @ X, *grads[::-1]])
 
     project_leaves, project_comb = projector(spec.leaf_p, B), projector(1.0, B)
 
-    def project_row(row):
-        W, *blocks = _split(row, shapes)
+    def project_rows(P):
+        W, *blocks = _split(P, shapes)
         return _flat([project_leaves(W), *map(project_comb, blocks)])
 
-    def risk_rows(P):
-        risks, states = zip(*map(risk, P))
-        return np.array(risks), np.array(states)
-
-    def by_row(fn):
-        return lambda *arrays: np.array([fn(*rows) for rows in zip(*arrays)])
-
-    return risk_rows, by_row(grad), by_row(project_row)
+    return risk_rows, grad_rows, project_rows
 
 
 def refine_network(net, spec: NetworkClassSpec, data, loss, step_budget: int):
     """Joint monotone projected descent over all weights of the network."""
     levels = to_levels(net)
     shapes = [L.shape for L in levels]
-    P, _ = lockstep_descent(_flat(levels), *network_kernels(data, loss, spec, shapes),
-                            step_budget)
-    return from_levels(_split(P[0], shapes))
+    P, _ = lockstep_descent(_flat([L[None] for L in levels]),
+                            *network_kernels(data, loss, spec, shapes), step_budget)
+    return from_levels([L[0] for L in _split(P, shapes)])
 
 
 def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
@@ -346,11 +344,11 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
                                              spec.leaf_p if j == 0 else 1.0, B)
             levels.append(fits.reshape(c, n, -1))
             first += n
-        return np.concatenate([L.reshape(c, -1) for L in levels], axis=1)
+        return _flat(levels)
 
     row = best_round(min(T_budget, T_theory), candidates,
                      network_kernels(data, loss, spec, shapes), refine_budget)
-    return from_levels(_split(row, shapes))
+    return from_levels([L[0] for L in _split(row[None], shapes)])
 
 
 def _target_rows(counts, s: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 
@@ -121,8 +122,8 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     p = 2 rescales.  For p in (1, 2) the KKT system
     w_i + lam*p*w_i^(p-1) = |v_i| is solved by Newton on the dual scalar
     lam, with an inner Newton solve per coordinate (the root-finding route
-    of Liu & Ye 2010).  A matrix is projected row by row in one solve,
-    each row exactly as it would be alone.
+    of Liu & Ye 2010).  A stack is projected along its last axis in one
+    solve, each row exactly as it would be alone.
     """
     if not (1.0 < p <= 2.0):
         raise ValueError("p must be in (1, 2]")
@@ -132,7 +133,7 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     if p == 2.0:
         return _scale_into_l2(v, radius)
     a = np.abs(np.atleast_2d(v))
-    outside = np.sum(a**p, axis=1) ** (1.0 / p) > radius
+    outside = np.sum(a**p, axis=-1) ** (1.0 / p) > radius
     if not outside.any():
         return v.copy()
     a[outside] = _project_lp_rows(a[outside], p, radius)
@@ -146,7 +147,8 @@ def _scale_into_l2(v: np.ndarray, radius: float) -> np.ndarray:
 
 def projector(p: float, radius: float):
     """The projection onto the l_p ball, p in [1, 2], of a float vector or
-    of each row of a float matrix, with p and radius checked once, here."""
+    of each row along the last axis of a float stack, with p and radius
+    checked once, here."""
     if not (1.0 <= p <= 2.0):
         raise ValueError("p must be in [1, 2]")
     if not radius > 0:
@@ -237,7 +239,7 @@ def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     return W
 
 
-def _projected_gradient_fit(X, u, p, radius, max_iter, rtol) -> np.ndarray:
+def _projected_gradient_fit(X, u, p, radius) -> np.ndarray:
     """One l_p-ball fit, p in [1, 2), by projected gradient from w = 0."""
     w = np.zeros(X.shape[1])
     if not X.any():
@@ -253,7 +255,7 @@ def _projected_gradient_fit(X, u, p, radius, max_iter, rtol) -> np.ndarray:
     resid = X @ w - u
     obj = float(resid @ resid)
     proj = projector(p, radius)
-    for _ in range(max_iter):
+    for _ in range(LS_MAX_ITER):
         w_new = proj(w - step_T @ resid)
         resid_new = X @ w_new - u
         obj_new = float(resid_new @ resid_new)
@@ -261,29 +263,22 @@ def _projected_gradient_fit(X, u, p, radius, max_iter, rtol) -> np.ndarray:
             break
         improved = obj - obj_new
         w, resid, obj = w_new, resid_new, obj_new
-        if improved <= rtol * max(obj, 1e-12):
+        if improved <= LS_RTOL * max(obj, 1e-12):
             break
     return w
 
 
-def constrained_least_squares(
-    X: np.ndarray,
-    u: np.ndarray,
-    p: float,
-    radius: float,
-    max_iter: int = LS_MAX_ITER,
-    rtol: float = LS_RTOL,
-) -> np.ndarray:
+def constrained_least_squares(X: np.ndarray, u: np.ndarray, p: float, radius: float) -> np.ndarray:
     """argmin_{||w||_p <= radius} ||X w - u||_2^2.
 
     X (k, d) and u (k,) give one fit (d,); a stack X (c, k, d) and
     u (c, k) gives c fits (c, d), fit i the one of X[i] alone.  p = 2 is
     solved exactly for the whole stack by one batched thin SVD and the
-    trust-region secular equation; max_iter and rtol do not apply.
-    p in [1, 2) fits one at a time by projected gradient: it starts at 0
-    (always feasible), steps with 1 over the gradient's Lipschitz
-    constant 2*sigma_max(X)^2, and stops early once the objective
-    improvement falls below rtol relative tolerance.
+    trust-region secular equation.  p in [1, 2) fits one at a time by
+    projected gradient: it starts at 0 (always feasible), steps with 1
+    over the gradient's Lipschitz constant 2*sigma_max(X)^2, and stops
+    after LS_MAX_ITER steps or once the objective improvement falls
+    below LS_RTOL relative tolerance.
     """
     X = np.asarray(X, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -295,7 +290,7 @@ def constrained_least_squares(
     else:
         W = np.zeros((len(Xs), Xs.shape[2]))
         for i, (x, v) in enumerate(zip(Xs, us)):
-            W[i] = _projected_gradient_fit(x, v, p, radius, max_iter, rtol)
+            W[i] = _projected_gradient_fit(x, v, p, radius)
     return W if X.ndim == 3 else W[0]
 
 
@@ -428,21 +423,12 @@ def linear_kernels(data, loss, p: float, radius: float):
     return risk_rows, grad_rows, project_rows
 
 
-def refine(model, data, loss, step_budget: int, spec=None):
-    """Local search from a feasible model; output stays feasible and its
-    risk never exceeds the input's.  step_budget = 0 returns the input.
-
-    Linear models refine over their own l_p ball; networks need their
-    class spec and refine all weights jointly with per-level projections.
+def refine(model, data, loss, step_budget: int):
+    """Local search from a feasible linear model over its own l_p ball;
+    the output stays feasible and its risk never exceeds the input's.
+    step_budget = 0 returns the input.  Networks refine with
+    networks.refine_network.
     """
-    from .halfspace import LinearModel
-
-    if isinstance(model, LinearModel):
-        kernels = linear_kernels(data, loss, model.p_exponent, model.radius)
-        W, _ = lockstep_descent(model.w, *kernels, step_budget)
-        return LinearModel(W[0], model.p_exponent, model.radius)
-    from .networks import refine_network
-
-    if spec is None:
-        raise ValueError("network refinement requires the class spec")
-    return refine_network(model, spec, data, loss, step_budget)
+    kernels = linear_kernels(data, loss, model.p_exponent, model.radius)
+    W, _ = lockstep_descent(model.w, *kernels, step_budget)
+    return dataclasses.replace(model, w=W[0])

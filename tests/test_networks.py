@@ -17,7 +17,6 @@ from ncerm.networks import (
     Node,
     algorithm3,
     config_alg3,
-    depth,
     evaluate,
     load_network,
     net_from_dict,
@@ -34,7 +33,7 @@ from ncerm.util import lq_norm, round_rng
 from ncerm import halfspace
 from ncerm.losses import logistic_sigmoid
 from ncerm.networks import network_kernels, to_levels
-from ncerm.solvers import constrained_least_squares
+from ncerm.solvers import constrained_least_squares, lockstep_descent, project_lp
 
 
 @pytest.mark.parametrize("name", ACTIVATIONS)
@@ -110,8 +109,8 @@ def test_evaluate_hand_computed():
     assert vals.shape == (2,)
     assert vals[0] == pytest.approx(expect, rel=1e-15)
     assert vals[1] == 0.0
-    assert depth(net) == 2
-    assert depth(zero_network(4)) == 1
+    assert len(to_levels(net)) == 2
+    assert len(to_levels(zero_network(4))) == 1
 
 
 def test_predictor_wraps_evaluate():
@@ -346,3 +345,52 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
     net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
     got = np.concatenate([L.ravel() for L in to_levels(net)])
     assert np.allclose(got, rows[int(np.argmin(risks))], rtol=0.0, atol=1e-9)
+
+
+@st.composite
+def _network_rows(draw):
+    """A weighted sample, a loss, a class of depth 2-3 and width 1-4 with
+    every activation, and 1-8 rows of its flat level tensors at mixed
+    scales."""
+    m, s, c = draw(st.integers(2, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    spec = network_spec(m, draw(st.floats(1.0, 3.0)), draw(st.sampled_from((1.5, 2.0))),
+                        draw(st.sampled_from(ACTIVATIONS)))
+    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(n) + 1e-3
+    data = WeightedDataset(rng.standard_normal((n, d)) / math.sqrt(d),
+                           rng.choice((-1.0, 1.0), size=n), weights / weights.sum())
+    loss = draw(st.sampled_from((piecewise_linear, logistic_sigmoid)))(draw(st.floats(0.5, 5.0)))
+    shapes = [(s ** (m - 1 - j), s if j else d) for j in range(m)]
+    P = rng.standard_normal((c, sum(math.prod(shape) for shape in shapes)))
+    return data, loss, spec, shapes, P * 10.0 ** rng.uniform(-2.0, 1.0, size=(c, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_network_rows(), st.integers(0, 30))
+def test_network_kernel_rows_run_alone(problem, budget):
+    """Each row's risk, state, gradient and projection from the stacked
+    network kernels, and its lockstep refinement, equal that row's call
+    alone, bit for bit; refinement never raises a row's risk.  project_lp
+    on the (c, N, d) leaf stack equals the same rows projected as a
+    matrix."""
+    data, loss, spec, shapes, P = problem
+    kernels = risk_rows, grad_rows, project_rows = network_kernels(data, loss, spec, shapes)
+    risks, state = risk_rows(P)
+    grads, starts = grad_rows(P, state), project_rows(P)
+    X, refined = lockstep_descent(starts, *kernels, budget)
+    assert np.all(refined <= risk_rows(starts)[0])
+    for i in range(len(P)):
+        risk, z = risk_rows(P[i:i + 1])
+        assert risk[0] == risks[i]
+        assert np.array_equal(z[0], state[i])
+        assert np.array_equal(grad_rows(P[i:i + 1], z)[0], grads[i])
+        assert np.array_equal(project_rows(P[i:i + 1])[0], starts[i])
+        x, r = lockstep_descent(starts[i], *kernels, budget)
+        assert np.array_equal(x[0], X[i])
+        assert r[0] == refined[i]
+    W = P[:, :math.prod(shapes[0])].reshape(len(P), *shapes[0])
+    for p in (1.5, 2.0):
+        stacked = project_lp(W, p, spec.budget)
+        assert np.array_equal(stacked, project_lp(W.reshape(-1, W.shape[-1]), p,
+                                                  spec.budget).reshape(W.shape))

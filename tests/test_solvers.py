@@ -195,14 +195,6 @@ def test_refine_linear_monotone_feasible():
     assert np.array_equal(same.w, model0.w)
 
 
-def test_refine_network_requires_spec():
-    from ncerm.networks import zero_network
-
-    data = WeightedDataset.uniform(np.eye(3) * 0.5, np.ones(3))
-    with pytest.raises(ValueError):
-        refine(zero_network(3), data, piecewise_linear(1.0), 5)
-
-
 def _any_rank_matrix(draw, k, d):
     """A k x d matrix of full rank, of lower rank, or all zero."""
     entries = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
