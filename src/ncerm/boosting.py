@@ -11,10 +11,11 @@ the combination rescaled so its l1 weight equals the class budget B.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .halfspace import algorithm1, algorithm2, config_alg1, config_alg2
 from .losses import empirical_risk
 from .networks import Leaf, NetworkClassSpec, Node, algorithm3, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
@@ -42,9 +43,6 @@ class ActivationLoss:
         value, grad = self.act.functions
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "grad", grad)
-
-    def __call__(self, t):
-        return self.value(t)
 
 
 @dataclass(frozen=True)
@@ -82,6 +80,11 @@ class BoostConfig:
         if self.class_spec.depth < 2:
             raise ValueError("boosting needs class depth >= 2")
 
+    @property
+    def weak_spec(self) -> NetworkClassSpec:
+        """The class of the weak networks: one level shallower."""
+        return replace(self.class_spec, depth=self.class_spec.depth - 1)
+
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -96,7 +99,6 @@ class RoundRecord:
 @dataclass(frozen=True)
 class BoostResult:
     network: Node
-    weak_nets: tuple
     coefficients: np.ndarray
     b_T: float
     rounds: tuple
@@ -134,9 +136,6 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     """
     spec = config.class_spec
     m = spec.depth
-    weak_spec = NetworkClassSpec(
-        m - 1, spec.budget, spec.leaf_p, spec.input_q, spec.activation
-    )
     act_loss = ActivationLoss(spec.act)
     wc = config.weak
     eps = wc.epsilon if wc.epsilon is not None else weak_epsilon(
@@ -144,13 +143,11 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     )
     if wc.kind == "algorithm3":
         return algorithm3(
-            data, act_loss, weak_spec, eps, wc.delta,
+            data, act_loss, config.weak_spec, eps, wc.delta,
             wc.T_budget, wc.refine_budget, round_seed, k=wc.k, s=wc.s,
         )
     if m - 1 != 1:
         raise ValueError("halfspace weak learners require class depth 2")
-    from .halfspace import algorithm1, algorithm2, config_alg1, config_alg2
-
     if wc.kind == "algorithm2":
         cfg = config_alg2(
             data.n, data.dim, spec.leaf_p, eps, wc.delta,
@@ -183,9 +180,7 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     n = data.n
     B = spec.budget
     act = spec.act
-    weak_spec = NetworkClassSpec(
-        spec.depth - 1, B, spec.leaf_p, spec.input_q, spec.activation
-    )
+    weak_spec = config.weak_spec
     T = config.T if config.T is not None else default_rounds(n, B, config.gamma)
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -225,7 +220,6 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     potential_bound = float(np.exp(-0.5 * np.sum(mus_arr**2)))
     return BoostResult(
         network=network,
-        weak_nets=tuple(children),
         coefficients=coeffs_arr,
         b_T=b,
         rounds=tuple(rounds),

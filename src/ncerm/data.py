@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import check_unit_ball, lq_norm
+from .util import check_unit_ball, dual_exponent, lq_norm
 
 _WEIGHT_SUM_TOL = 1e-12
 _PLANT_MAX_CHUNKS = 10_000
@@ -152,6 +152,26 @@ def parity_dataset(
     return WeightedDataset.uniform(features, y, feature_norm_q=2.0), hidden
 
 
+def _plant(rng: np.random.Generator, n: int, d: int, q: float, margin: float, f):
+    """n points rejection-sampled from the unit l_q ball in chunks until
+    |f(x)| >= margin, each labelled by the sign of its value of f."""
+    keep_X, keep_y, kept = [], [], 0
+    for _ in range(_PLANT_MAX_CHUNKS):
+        X = _sample_q_ball(rng, max(256, 2 * n), d, q)
+        vals = f(X)
+        ok = np.abs(vals) >= margin
+        keep_X.append(X[ok])
+        keep_y.append(np.sign(vals[ok]))
+        kept += int(ok.sum())
+        if kept >= n:
+            break
+    else:
+        raise PlantingError(f"could not plant {n} points at margin {margin}")
+    X = np.vstack(keep_X)[:n]
+    y = np.concatenate(keep_y)[:n]
+    return WeightedDataset.uniform(X, y, feature_norm_q=q)
+
+
 def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: int):
     """Linearly separable sample with margin: y_i <w*, x_i> >= margin.
 
@@ -160,7 +180,6 @@ def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: in
     Returns (dataset, planted LinearModel).
     """
     from .halfspace import LinearModel
-    from .util import dual_exponent
 
     if not (0.0 < margin < 1.0):
         raise ValueError("margin must be in (0, 1)")
@@ -170,23 +189,7 @@ def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: in
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     w = rng.standard_normal(d)
     w /= lq_norm(w, p_exponent)
-    keep_X = []
-    kept = 0
-    chunk = max(256, 2 * n)
-    for _ in range(_PLANT_MAX_CHUNKS):
-        X = _sample_q_ball(rng, chunk, d, q)
-        m = X @ w
-        X = X[np.abs(m) >= margin]
-        if len(X):
-            keep_X.append(X)
-            kept += len(X)
-        if kept >= n:
-            break
-    else:
-        raise PlantingError(f"could not plant {n} points at margin {margin}")
-    X = np.vstack(keep_X)[:n]
-    y = np.sign(X @ w)
-    data = WeightedDataset.uniform(X, y, feature_norm_q=q)
+    data = _plant(rng, n, d, q, margin, lambda X: X @ w)
     return data, LinearModel(w, float(p_exponent), 1.0)
 
 
@@ -213,24 +216,8 @@ def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed:
     c = rng.standard_normal(width)
     c *= B / np.sum(np.abs(c))
     teacher = Node(tuple(leaves), c) if class_spec.depth >= 2 else leaves[0]
-    keep_X, keep_y = [], []
-    kept = 0
-    chunk = max(256, 2 * n)
-    for _ in range(_PLANT_MAX_CHUNKS):
-        X = _sample_q_ball(rng, chunk, d, class_spec.input_q)
-        vals = evaluate(teacher, class_spec, X)
-        ok = np.abs(vals) >= margin
-        if np.any(ok):
-            keep_X.append(X[ok])
-            keep_y.append(np.sign(vals[ok]))
-            kept += int(ok.sum())
-        if kept >= n:
-            break
-    else:
-        raise PlantingError(f"could not plant {n} points at margin {margin}")
-    X = np.vstack(keep_X)[:n]
-    y = np.concatenate(keep_y)[:n]
-    data = WeightedDataset.uniform(X, y, feature_norm_q=class_spec.input_q)
+    data = _plant(rng, n, d, class_spec.input_q, margin,
+                  lambda X: evaluate(teacher, class_spec, X))
     return data, teacher
 
 

@@ -18,8 +18,8 @@ from .data import (
 from .halfspace import algorithm1, algorithm2, config_alg1, config_alg2
 from .losses import empirical_risk, piecewise_linear, zero_one_risk
 from .networks import (
-    NetworkClassSpec,
     algorithm3,
+    config_alg3,
     evaluate,
     network_spec,
     predictor,
@@ -32,10 +32,35 @@ from .util import child_seed, dual_exponent
 BACKPROP_EPOCHS = 300
 BACKPROP_LR_GRID = (0.5, 0.1, 0.02)
 BACKPROP_COUNTS = (1, 2, 5, 10, 20, 35, 50)
+PARITY_WEAK = WeakLearnerConfig(
+    kind="algorithm3", epsilon=0.5, k=10, T_budget=1, refine_budget=150
+)
 
 
 def _zero_one(margins: np.ndarray) -> float:
     return float(np.mean(margins <= 0.0))
+
+
+def _default_epsilon(epsilon, sphere: bool) -> float:
+    """epsilon, or when it is None 0.4 for the sphere scheme (Algorithm 1)
+    and 0.5 for the others."""
+    return epsilon if epsilon is not None else (0.4 if sphere else 0.5)
+
+
+def _repeat(repetitions: int, seed: int, run_one) -> list:
+    """run_one(rep, data_seed, run_seed) for rep = 0..repetitions-1, where
+    repetition rep draws its sample from child_seed(seed, 2 rep) and runs
+    its learner from child_seed(seed, 2 rep + 1)."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    return [run_one(rep, child_seed(seed, 2 * rep), child_seed(seed, 2 * rep + 1))
+            for rep in range(repetitions)]
+
+
+def _risk_columns(predict, loss, sample, planted_risk) -> tuple:
+    """The risk, planted_risk, excess and zero_one columns of a trained predictor."""
+    risk = empirical_risk(predict, loss, sample)
+    return risk, planted_risk, risk - planted_risk, zero_one_risk(predict, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +95,6 @@ def run_parity_experiment(
     seeds,
     budget: float = 10.0,
     hidden_budget: int = 50,
-    weak: WeakLearnerConfig | None = None,
 ):
     """Noisy-parity comparison: boosted networks vs. backprop vs. linear.
 
@@ -85,10 +109,6 @@ def run_parity_experiment(
         raise ValueError("at least one seed is required")
     if n < 10:
         raise ValueError("n must be >= 10 so that no split is empty")
-    if weak is None:
-        weak = WeakLearnerConfig(
-            kind="algorithm3", epsilon=0.5, k=10, T_budget=1, refine_budget=150
-        )
     data, _ = parity_dataset(n, d, p_bits, noise_rate, seeds[0])
     n_train = n // 2
     n_val = n // 10
@@ -98,21 +118,20 @@ def run_parity_experiment(
     X_te, y_te = X[n_train + n_val:], y[n_train + n_val:]
     train = WeightedDataset.uniform(X_tr, y_tr, feature_norm_q=2.0)
     spec = network_spec(2, budget, 2.0, "tanh")
-    weak_spec = NetworkClassSpec(1, budget, 2.0, 2.0, "tanh")
 
     # boosted nets: per-round validation/test errors for every seed
     val_err = np.ones((len(seeds), hidden_budget))
     test_err = np.ones((len(seeds), hidden_budget))
     for si, seed in enumerate(seeds):
-        cfg = BoostConfig(spec, gamma=0.1, T=hidden_budget, weak=weak, seed=seed)
+        cfg = BoostConfig(spec, gamma=0.1, T=hidden_budget, weak=PARITY_WEAK, seed=seed)
         result = boostnet_train(train, cfg)
         act = spec.act
         M_va = np.zeros(len(y_va))
         M_te = np.zeros(len(y_te))
-        for t, net in enumerate(result.weak_nets):
+        for t, net in enumerate(result.network.children):
             c = result.coefficients[t]
-            M_va += c * act.value(evaluate(net, weak_spec, X_va))
-            M_te += c * act.value(evaluate(net, weak_spec, X_te))
+            M_va += c * act.value(evaluate(net, cfg.weak_spec, X_va))
+            M_te += c * act.value(evaluate(net, cfg.weak_spec, X_te))
             val_err[si, t] = _zero_one(y_va * M_va)
             test_err[si, t] = _zero_one(y_te * M_te)
     rows = []
@@ -176,20 +195,15 @@ def run_halfspace(
     data=None,
 ):
     """epsilon = None uses 0.4 for Algorithm 1 and 0.5 for Algorithm 2."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if epsilon is None:
-        epsilon = 0.4 if algorithm == 1 else 0.5
+    epsilon = _default_epsilon(epsilon, algorithm == 1)
     loss = piecewise_linear(1.0)
     header = (
         "rep", "seed", "algorithm", "n", "d", "p", "epsilon", "delta",
         "s", "k", "r", "t_theory", "t_run", "risk", "planted_risk",
         "excess", "zero_one",
     )
-    rows = []
-    for rep in range(repetitions):
-        data_seed = child_seed(seed, 2 * rep)
-        run_seed = child_seed(seed, 2 * rep + 1)
+
+    def run_one(rep, data_seed, run_seed):
         if data is None:
             sample, teacher = planted_halfspace(n, d, margin, p, data_seed)
             planted_risk = empirical_risk(teacher.predict, loss, sample)
@@ -204,13 +218,13 @@ def run_halfspace(
             cfg = config_alg2(sample.n, sample.dim, p, epsilon, delta,
                               seed=run_seed, T_budget=budget_rounds)
             model = algorithm2(sample, loss, cfg, refine_steps)
-        risk = empirical_risk(model.predict, loss, sample)
-        rows.append((
+        return (
             rep, run_seed, algorithm, sample.n, sample.dim, p, epsilon, delta,
-            cfg.s, cfg.k, cfg.r, str(cfg.T_theory), cfg.T_budget, risk,
-            planted_risk, risk - planted_risk, zero_one_risk(model.predict, sample),
-        ))
-    return header, rows, []
+            cfg.s, cfg.k, cfg.r, str(cfg.T_theory), cfg.T_budget,
+            *_risk_columns(model.predict, loss, sample, planted_risk),
+        )
+
+    return header, _repeat(repetitions, seed, run_one), []
 
 
 # ---------------------------------------------------------------------------
@@ -235,37 +249,31 @@ def run_nn(
     seed: int,
     save_model=None,
 ):
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    """save_model receives the net of the earliest repetition with the lowest risk."""
     loss = piecewise_linear(1.0)
     spec = network_spec(m, budget, 2.0, activation)
+    k_cfg, s_cfg, T_theory = config_alg3(spec.input_q, epsilon, delta, m)
     header = (
         "rep", "seed", "m", "budget", "k", "s", "t_run", "risk",
         "planted_risk", "excess", "zero_one",
     )
-    rows = []
-    best = (math.inf, None)
-    for rep in range(repetitions):
-        data_seed = child_seed(seed, 2 * rep)
-        run_seed = child_seed(seed, 2 * rep + 1)
+    trained = []  # (risk, net) of each repetition
+
+    def run_one(rep, data_seed, run_seed):
         data, teacher = planted_network(n, d, margin, spec, width, data_seed)
         planted_risk = empirical_risk(predictor(teacher, spec), loss, data)
         net = algorithm3(data, loss, spec, epsilon, delta, budget_rounds,
                          refine_steps, run_seed, k=k, s=s)
-        risk = empirical_risk(predictor(net, spec), loss, data)
-        from .networks import config_alg3
+        columns = _risk_columns(predictor(net, spec), loss, data, planted_risk)
+        trained.append((columns[0], net))
+        return (
+            rep, run_seed, m, budget, k_cfg if k is None else k,
+            s_cfg if s is None else s, min(budget_rounds, T_theory), *columns,
+        )
 
-        k_cfg, s_cfg, T_theory = config_alg3(spec.input_q, epsilon, delta, m)
-        rows.append((
-            rep, run_seed, m, budget, k if k is not None else k_cfg,
-            s if s is not None else s_cfg, min(budget_rounds, T_theory),
-            risk, planted_risk, risk - planted_risk,
-            zero_one_risk(predictor(net, spec), data),
-        ))
-        if risk < best[0]:
-            best = (risk, net)
-    if save_model is not None and best[1] is not None:
-        save_network(save_model, best[1])
+    rows = _repeat(repetitions, seed, run_one)
+    if save_model is not None:
+        save_network(save_model, min(trained, key=lambda pair: pair[0])[1])
     return header, rows, []
 
 
@@ -293,8 +301,7 @@ def run_boostnet(
     """Per-round trace of one boosting run: t, mu_t, coefficient,
     train_zero_one, min_margin.  The weak learners run at ``epsilon``;
     None uses 0.4 for Algorithm 1 and 0.5 otherwise."""
-    if epsilon is None:
-        epsilon = 0.4 if weak_kind == "algorithm1" else 0.5
+    epsilon = _default_epsilon(epsilon, weak_kind == "algorithm1")
     spec = network_spec(m, budget, 2.0, activation)
     if data is None:
         sample, _ = planted_network(n, d, margin, spec, 2, child_seed(seed, 0))

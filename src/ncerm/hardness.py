@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import piecewise_linear
+from .util import check_unit_ball
 
 Literal = tuple[int, int]  # (variable index 1..n, sign +1/-1)
 Clause = tuple[Literal, Literal]
@@ -53,33 +54,6 @@ class Max2SatInstance:
     @property
     def d(self) -> int:
         return len(self.clauses)
-
-
-def parse_instance(text: str) -> Max2SatInstance:
-    """One clause per line as two signed integers; 'c'/'p' lines skipped."""
-    clauses = []
-    max_var = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line[0] in "cp":
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"expected two signed integers per line, got {line!r}")
-        lits = []
-        for tok in parts:
-            v = int(tok)
-            if v == 0:
-                raise ValueError("literal 0 is not allowed")
-            lits.append((abs(v), 1 if v > 0 else -1))
-            max_var = max(max_var, abs(v))
-        clauses.append((lits[0], lits[1]))
-    return Max2SatInstance(max_var, tuple(clauses))
-
-
-def format_instance(inst: Max2SatInstance) -> str:
-    lines = [f"{sa * a} {sb * b}" for (a, sa), (b, sb) in inst.clauses]
-    return "\n".join(lines) + "\n"
 
 
 def random_instance(n: int, d: int, seed: int) -> Max2SatInstance:
@@ -241,9 +215,7 @@ def lifted_instance(vectors: np.ndarray) -> LiftedInstance:
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("vectors must be a nonempty (n, d) matrix")
-    norms = np.linalg.norm(vectors, axis=1)
-    if np.max(norms) > 1.0 + 1e-9:
-        raise ValueError("base vectors must lie in the unit l2 ball")
+    check_unit_ball(vectors, 2.0)
     n, d = vectors.shape
     s = math.sqrt(2.0)
     lifted = np.hstack([vectors / s, np.full((n, 1), 1.0 / s)])

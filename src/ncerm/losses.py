@@ -70,9 +70,6 @@ class LossFunction:
             return float(out)
         return out
 
-    def __call__(self, t):
-        return self.value(t)
-
 
 def piecewise_linear(lipschitz: float) -> LossFunction:
     if not (np.isfinite(lipschitz) and lipschitz > 0):

@@ -115,7 +115,7 @@ def test_boostnet_weak_algorithm2_dispatch():
     weak = WeakLearnerConfig(kind="algorithm2", epsilon=0.5,
                              T_budget=4, refine_budget=40)
     res = boostnet_train(data, BoostConfig(spec, gamma=0.3, T=3, weak=weak, seed=7))
-    assert all(isinstance(c, Leaf) for c in res.weak_nets)
+    assert all(isinstance(c, Leaf) for c in res.network.children)
     validate(res.network, spec)
 
 
@@ -124,7 +124,7 @@ def test_boostnet_weak_algorithm1_dispatch():
     weak = WeakLearnerConfig(kind="algorithm1", epsilon=0.4,
                              T_budget=4, refine_budget=40)
     res = boostnet_train(data, BoostConfig(spec, gamma=0.3, T=2, weak=weak, seed=1))
-    assert all(isinstance(c, Leaf) for c in res.weak_nets)
+    assert all(isinstance(c, Leaf) for c in res.network.children)
     validate(res.network, spec)
 
 

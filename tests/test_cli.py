@@ -119,6 +119,48 @@ def test_nn_save_model(tmp_path):
     validate(net, network_spec(2, 1.0, 2.0, "tanh"))
 
 
+def _csv_rows(path):
+    lines = path.read_text().strip().split("\n")
+    keys = lines[0].split(",")
+    return [dict(zip(keys, line.split(","))) for line in lines[1:]]
+
+
+def test_repetition_contract(tmp_path):
+    """Repetition rep trains from child_seed(seed, 2 rep + 1) on the sample
+    planted from child_seed(seed, 2 rep), and --save-model keeps the net of
+    the earliest lowest-risk repetition."""
+    from ncerm.data import planted_halfspace, planted_network
+    from ncerm.losses import empirical_risk, piecewise_linear
+    from ncerm.networks import load_network, network_spec, predictor
+    from ncerm.util import child_seed
+
+    loss, seed = piecewise_linear(1.0), 2
+    hs_out, nn_out, net_path = (tmp_path / name for name in ("h.csv", "n.csv", "net.json"))
+    assert main(["halfspace", "--n", "40", "--d", "3", "--budget-rounds", "10",
+                 "--refine-steps", "10", "--repetitions", "3", "--seed", str(seed),
+                 "--out", str(hs_out)]) == 0
+    for rep, row in enumerate(_csv_rows(hs_out)):
+        assert row["seed"] == str(child_seed(seed, 2 * rep + 1))
+        sample, teacher = planted_halfspace(40, 3, 0.3, 2.0, child_seed(seed, 2 * rep))
+        assert row["planted_risk"] == f"{empirical_risk(teacher.predict, loss, sample):.17g}"
+
+    assert main(["nn", "--n", "40", "--d", "3", "--budget-rounds", "4",
+                 "--refine-steps", "10", "--repetitions", "3", "--seed", str(seed),
+                 "--out", str(nn_out), "--save-model", str(net_path)]) == 0
+    spec = network_spec(2, 1.0, 2.0, "tanh")
+    rows, samples = _csv_rows(nn_out), []
+    for rep, row in enumerate(rows):
+        assert row["seed"] == str(child_seed(seed, 2 * rep + 1))
+        sample, teacher = planted_network(40, 3, 0.3, spec, 2, child_seed(seed, 2 * rep))
+        risk = empirical_risk(predictor(teacher, spec), loss, sample)
+        assert row["planted_risk"] == f"{risk:.17g}"
+        samples.append(sample)
+    best = min(range(len(rows)), key=lambda rep: float(rows[rep]["risk"]))
+    assert best == 1  # neither the first nor the last: this seed tells them apart
+    risk = empirical_risk(predictor(load_network(net_path), spec), loss, samples[best])
+    assert f"{risk:.17g}" == rows[best]["risk"]
+
+
 def test_dataset_csv_input(tmp_path):
     from ncerm.data import planted_halfspace, save_dataset_csv
 

@@ -8,12 +8,10 @@ from ncerm.hardness import (
     LiftedInstance,
     Max2SatInstance,
     enumerate_assignments,
-    format_instance,
     instance_to_vectors,
     lifted_instance,
     max_satisfied,
     min_reduction_loss,
-    parse_instance,
     random_instance,
     reduction_loss,
     reduction_pair_vectors,
@@ -32,21 +30,6 @@ def test_instance_validation():
         Max2SatInstance(2, (((1, 2), (2, 1)),))  # bad sign
     with pytest.raises(ValueError):
         Max2SatInstance(2, ())
-
-
-def test_parse_format_roundtrip():
-    text = "c comment line\n1 -2\n-3 2\n\n-1 3\n"
-    inst = parse_instance(text)
-    assert inst.n_literals == 3
-    assert inst.d == 3
-    assert inst.clauses[0] == ((1, 1), (2, -1))
-    assert inst.clauses[1] == ((3, -1), (2, 1))
-    again = parse_instance(format_instance(inst))
-    assert again == inst
-    with pytest.raises(ValueError):
-        parse_instance("1 0\n")
-    with pytest.raises(ValueError):
-        parse_instance("1 2 3\n")
 
 
 def test_satisfied_count_hand_case():

@@ -95,7 +95,6 @@ def test_scalar_in_scalar_out():
     h = piecewise_linear(1.0)
     assert isinstance(h.value(0.1), float)
     assert isinstance(h.grad(0.1), float)
-    assert isinstance(h(0.1), float)
     arr = h.value(np.array([0.1, 0.2]))
     assert arr.shape == (2,)
 
