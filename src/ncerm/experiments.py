@@ -203,13 +203,16 @@ def run_halfspace(
         "excess", "zero_one",
     )
 
+    loaded = []  # the --data sample, parsed once, on the first repetition
+
     def run_one(rep, data_seed, run_seed):
         if data is None:
             sample, teacher = planted_halfspace(n, d, margin, p, data_seed)
             planted_risk = empirical_risk(teacher.predict, loss, sample)
         else:
-            sample = load_dataset_csv(data, feature_norm_q=dual_exponent(p))
-            planted_risk = math.nan
+            if not loaded:
+                loaded.append(load_dataset_csv(data, feature_norm_q=dual_exponent(p)))
+            sample, planted_risk = loaded[0], math.nan
         if algorithm == 1:
             cfg = config_alg1(sample.n, sample.dim, epsilon, delta,
                               seed=run_seed, T_budget=budget_rounds)

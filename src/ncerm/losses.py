@@ -30,6 +30,10 @@ class LossFunction:
       piecewise_linear  0 for t <= -1/(2L), 1 for t >= 1/(2L), L*t + 1/2 between
       logistic_sigmoid  1 / (1 + exp(-4 L t))
       neg_min           min{0, t}  (L is always 1)
+
+    piecewise_linear and logistic_sigmoid are symmetric, h(t) + h(-t) = 1, so
+    labels flipped at rate eta < 1/2 give expected risk eta + (1 - 2 eta) R(f)
+    and the same minimizers; neg_min is not symmetric.
     """
 
     kind: str

@@ -16,6 +16,10 @@ _GAIN_RTOL = 1e-8
 _FEAS_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
 _NEWTON_RTOL = 4.0 * np.finfo(float).eps
+_KKT_TOL = 1e-8
+_BRACKET_MARGIN = 1e-12
+_G_FLOOR = 1e-14
+_TINY = np.finfo(float).tiny
 
 
 def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
@@ -43,87 +47,78 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
     return np.where(inside[..., None], v, out)
 
 
-def _lp_magnitudes(a: np.ndarray, lp: np.ndarray, q: float):
-    """Solve w + lp*w^q = a elementwise for w in [0, a], given lp > 0.
-
-    Newton runs on s = w^q, where s^(1/q) + lp*s = a is convex and
-    increasing.  It starts at min(a/lp, a^q), which is never left of the
-    root, so the iterates fall monotonically to it and never reach w = 0,
-    where the derivative in w is infinite.  Each entry stops on its own
-    once a step no longer lowers it.  w = s^(1/q) carries the rounding
-    error of s times 1/q, so one Newton step on the equation in w itself
-    follows, which restores the precision lost as p nears 1.  Returns
-    (w, w^q).
+def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
+    """Project rows alpha >= 0 (max 1, l_p norm `norm` > c) onto the ball of
+    radius c (m, 1).  With w = c*omega, s = omega^(p-1), Newton runs on the
+    KKT system F = c*omega + rho*s - alpha = 0, G ln G = 0 (G = sum omega^p)
+    jointly in rho and u = ln(omega), whose rounding is |u|*eps for every p.
+    The Jacobian is D = c*omega + (p-1)*rho*s plus one row and column (Schur
+    complement).  rho starts at hi*(1 - c/norm), hi = ||alpha||_(p/(p-1))
+    its bound, and omega at 1/(c/alpha + (rho/alpha)^(1/(p-1))), a bound of
+    its root.  F is convex in u and concave in omega, so G at the roots for
+    this rho lies in [sum omega^p (1 - pF/D), sum omega^p exp(-pF/D)]: a step
+    leaving (lo, hi) tightens the bracket with them and bisects it.  A rho
+    step worth a rounding-level change of G is dropped.  A row stops after
+    the step from an iterate with |F| <= _KKT_TOL*alpha, |G ln G| and the
+    relative rho step <= _KKT_TOL, and leaves the working set, so it comes
+    out as it would alone: w = radius*omega/||omega||_p, on the sphere.
     """
-    k = 1.0 / q
-    s = np.minimum(a / lp, a**q)
-    for _ in range(_NEWTON_MAX_ITER):
-        sk = s ** (k - 1.0)
-        s_new = s - (sk * s + lp * s - a) / (k * sk + lp)
-        falling = s_new < s
-        if not falling.any():
-            break
-        s = np.where(falling, s_new, s)
-    w = s**k
-    t = w**q
-    den = w + q * lp * t
-    w = w - np.divide(w * (w + lp * t - a), den, out=np.zeros_like(w), where=den > 0)
-    return w, w**q
+    q, k = p - 1.0, 1.0 / (p - 1.0)
 
+    def bound(rho, cap, ln_inv, ln_a):
+        return np.minimum(cap, -np.logaddexp(ln_inv, k * (np.log(rho)[:, None] - ln_a)))
 
-def _project_lp_rows(A: np.ndarray, p: float, radius: float) -> np.ndarray:
-    """Projections of the rows of A >= 0, all outside the l_p ball.
-
-    Row i has its own dual scalar lam > 0 with sum_j w_j(lam)^p =
-    radius^p, where w_j(lam) solves w + lam*p*w^(p-1) = A_ij.  Safeguarded
-    Newton steps run on phi(lam) = ||w(lam)||_p^-(p-1), which is linear
-    in lam once every w_j is small, inside a bracket that starts at
-    [0, hi] with hi from w_j <= (A_ij / (lam*p))^(1/(p-1)); a step that
-    leaves the bracket bisects it instead.  Rows leave the working set as
-    they converge, so each row's result is the one it gets alone.  The
-    constraint is active at the projection of an outside point, so each
-    row is finally scaled onto the sphere; this also makes it feasible.
-    """
-    q = p - 1.0
-    rp = radius**p
-    top = A.max(axis=1)
-    hi = top * np.sum((A / top[:, None]) ** (p / q), axis=1) ** (q / p) / (p * radius**q)
-    lam, lo = hi, np.zeros_like(hi)
-    out = np.empty_like(A)
-    live, a = np.arange(A.shape[0]), A
-    for _ in range(_NEWTON_MAX_ITER):
-        w, s = _lp_magnitudes(a, (lam * p)[:, None], q)
-        out[live] = w
-        G = np.sum(w * s, axis=1)
-        # dG/dlam = -p^2 sum_j w^p / (w^(2-p) + lam*p*q); with top and
-        # bottom multiplied by s = w^(p-1) it needs no power, and w = 0 adds 0.
-        den = w + (lam * (p * q))[:, None] * s
-        terms = np.divide(w * s * s, den, out=np.zeros_like(w), where=den > 0)
-        dG = -p * p * np.sum(terms, axis=1)
-        over = G > rp
-        lo = np.where(over, lam, lo)
-        hi = np.where(over, hi, lam)
-        # Newton step on phi, with phi(root) / phi(lam) - 1 taken by expm1.
-        step = -p * G * np.expm1((q / p) * np.log(G / rp)) / (q * dG)
-        done = (np.abs(step) <= _NEWTON_RTOL * lam) | (hi - lo <= _NEWTON_RTOL * lam)
-        lam = lam + step
-        lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
-        if done.any():
-            live, a, lam, lo, hi = (x[~done] for x in (live, a, lam, lo, hi))
-            if live.size == 0:
-                break
-    norm = np.sum(out**p, axis=1) ** (1.0 / p)
-    return out * (radius / norm)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ln_a = np.log(alpha)
+        ln_inv = np.where(alpha > 0.0, np.log(c) - ln_a, np.inf)
+        a, cr, tol, cap = alpha, alpha * 0.0 + c, _KKT_TOL * alpha + _TINY, np.minimum(-ln_inv, 0.0)
+        hi = (a ** (p / q)).sum(axis=1) ** (q / p) * (1.0 + _BRACKET_MARGIN)
+        lo, rho = np.zeros_like(hi), hi * np.maximum(1.0 - c[:, 0] / norm, _TINY)
+        U, live, u = np.empty_like(a), np.arange(len(a)), bound(rho, cap, ln_inv, ln_a)
+        for _ in range(_NEWTON_MAX_ITER):
+            w, s = np.exp(u), np.exp(q * u)
+            cw, rs = cr * w, rho[:, None] * s
+            F, D = cw + rs - a, cw + q * rs + _TINY
+            ws, f, g = w * s, F / D, s / D
+            G, wf = ws.sum(axis=1), (ws * f).sum(axis=1)
+            E = G * np.log(G)
+            N = E / p - wf
+            step = N * (abs(N) > _G_FLOOR) / (ws * g).sum(axis=1)
+            new = rho + step
+            out = ~((lo < new) & (new < hi))
+            done = (abs(E) <= _KKT_TOL) & (abs(step) <= _KKT_TOL * rho) & ~out
+            if done.any():
+                done &= (abs(F) <= tol).all(axis=1)
+            top = cap
+            if out.any():
+                lo = np.where(out & (G - p * wf > 1.0 + _BRACKET_MARGIN), rho, lo)
+                up = np.exp(p * (u - f)).sum(axis=1) < 1.0 - _BRACKET_MARGIN
+                hi = np.where(out & up, rho, hi)
+                new = np.where(out, 0.5 * (lo + hi), new)
+                top = np.where(out[:, None], bound(new, cap, ln_inv, ln_a), cap)
+            u, rho = np.minimum(u - (f + g * (new - rho)[:, None]), top), new
+            if done.any():
+                U[live[done]] = u[done]
+                if done.all():
+                    break
+                keep = ~done
+                live, u, rho, lo, hi, a, cr, tol, cap, ln_inv, ln_a = (
+                    x[keep] for x in (live, u, rho, lo, hi, a, cr, tol, cap, ln_inv, ln_a))
+        else:
+            U[live] = u
+    # Formed in logs, so no entry underflows before w itself does.
+    return np.exp(U + (math.log(radius) - np.log(np.exp(p * U).sum(axis=1)) / p)[:, None])
 
 
 def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Euclidean projection onto the l_p ball, p in (1, 2].
 
-    p = 2 rescales.  For p in (1, 2) the KKT system
-    w_i + lam*p*w_i^(p-1) = |v_i| is solved by Newton on the dual scalar
-    lam, with an inner Newton solve per coordinate (the root-finding route
-    of Liu & Ye 2010).  A stack is projected along its last axis in one
-    solve, each row exactly as it would be alone.
+    p = 2 rescales.  For p in (1, 2) a row is tested and solved in units of
+    its largest magnitude t, as proj_{rB}(v) = t proj_{(r/t)B}(v/t), so no
+    magnitude of v or radius overflows or underflows.  A row outside the
+    ball is solved by one safeguarded Newton iteration on its whole KKT
+    system w_i + lam*p*w_i^(p-1) = |v_i|, ||w||_p = radius (_lp_sphere_rows).
+    A stack is projected along its last axis, each row as it would be alone.
     """
     if not (1.0 < p <= 2.0):
         raise ValueError("p must be in (1, 2]")
@@ -133,10 +128,15 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     if p == 2.0:
         return _scale_into_l2(v, radius)
     a = np.abs(np.atleast_2d(v))
-    outside = np.sum(a**p, axis=-1) ** (1.0 / p) > radius
+    top = a.max(axis=-1, keepdims=True)
+    # An all-zero row gives nan > inf and a subnormal top r/top = inf: inside.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha, c = a / top, radius / top
+        norm = (alpha**p).sum(axis=-1) ** (1.0 / p)
+        outside = norm > c[..., 0]
     if not outside.any():
         return v.copy()
-    a[outside] = _project_lp_rows(a[outside], p, radius)
+    a[outside] = _lp_sphere_rows(alpha[outside], c[outside], norm[outside], p, radius)
     return np.sign(v) * a.reshape(v.shape)
 
 

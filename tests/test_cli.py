@@ -176,6 +176,46 @@ def test_dataset_csv_input(tmp_path):
     assert "nan" in body  # planted risk is unknown for external data
 
 
+def test_dataset_csv_parsed_once_per_run(tmp_path, monkeypatch):
+    """halfspace --data parses its CSV once for all repetitions; the shared
+    sample leaves the run unchanged, and so do the input file and output."""
+    import numpy as np
+
+    from ncerm import experiments
+    from ncerm.data import load_dataset_csv, planted_halfspace, save_dataset_csv
+
+    data, _ = planted_halfspace(30, 3, 0.3, 2.0, seed=8)
+    dpath = tmp_path / "data.csv"
+    save_dataset_csv(dpath, data)
+    before = dpath.read_bytes()
+    loads = []
+
+    def counting_load(*args, **kwargs):
+        loads.append(load_dataset_csv(*args, **kwargs))
+        return loads[-1]
+
+    monkeypatch.setattr(experiments, "load_dataset_csv", counting_load)
+    argv = ["halfspace", "--data", str(dpath), "--n", "30", "--d", "3", "--repetitions", "3",
+            "--budget-rounds", "10", "--refine-steps", "10", "--seed", "4"]
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        assert main([*argv, "--out", str(out)]) == 0
+    assert len(loads) == 2  # one parse per run, not one per repetition
+    assert dpath.read_bytes() == before
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 4
+    fresh = load_dataset_csv(dpath, feature_norm_q=2.0)
+    for field in ("features", "labels", "weights"):
+        assert np.array_equal(getattr(loads[0], field), getattr(fresh, field))
+
+
+def test_bad_repetitions_reported_before_bad_data(tmp_path, capsys):
+    bad = tmp_path / "empty.csv"
+    bad.write_text("")
+    assert main(["halfspace", "--data", str(bad), "--repetitions", "0"]) == 1
+    assert "repetitions" in capsys.readouterr().err
+
+
 BAD_INPUTS = {
     "zero_points": (["halfspace", "--n", "0"], None),
     "string_count_in_config": (["hardness", "--config", "{path}"], '{"instances": "2"}'),

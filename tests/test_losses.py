@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncerm.data import WeightedDataset
 from ncerm.losses import (
@@ -144,3 +147,30 @@ def test_nonfinite_predictions_raise():
     wrong_shape = lambda X: np.zeros((X.shape[0], 2))
     with pytest.raises(ValueError):
         empirical_risk(wrong_shape, h, data)
+
+
+@st.composite
+def _noisy_risk_problems(draw):
+    """Weighted points with arbitrary predictions, a Lipschitz constant L
+    and a flip rate eta in [0, 1/2)."""
+    n = draw(st.integers(1, 40))
+    preds = draw(hnp.arrays(float, n, elements=st.floats(-5.0, 5.0)))
+    labels = draw(hnp.arrays(float, n, elements=st.sampled_from((-1.0, 1.0))))
+    weights = draw(hnp.arrays(float, n, elements=st.floats(0.0, 1.0)))
+    weights = weights + (weights.sum() == 0.0)
+    L = draw(st.floats(0.1, 10.0))
+    eta = draw(st.floats(0.0, 0.5, exclude_max=True))
+    return preds, WeightedDataset(np.zeros((n, 1)), labels, weights / weights.sum()), L, eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(_noisy_risk_problems(), st.sampled_from((piecewise_linear, logistic_sigmoid)))
+def test_symmetric_loss_label_noise_identity(problem, make):
+    """For h(t) + h(-t) = 1, flipping each label with probability eta turns
+    the expected weighted risk into eta + (1 - 2 eta) R(f)."""
+    preds, data, L, eta = problem
+    h = make(L)
+    flipped = WeightedDataset(data.features, -data.labels, data.weights)
+    risk = empirical_risk(lambda X: preds, h, data)
+    noisy = (1.0 - eta) * risk + eta * empirical_risk(lambda X: preds, h, flipped)
+    assert noisy == pytest.approx(eta + (1.0 - 2.0 * eta) * risk, abs=1e-12)

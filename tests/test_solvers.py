@@ -588,3 +588,96 @@ def test_project_lp_rows_match_single_rows():
     for i in range(300):
         assert np.array_equal(out[i], project_lp(W[i], 1.5, 1.0))
     assert np.array_equal(out[inside], W[inside])
+
+
+def _reference_lp_magnitudes(a, lp, q):
+    """Solve w + lp*w^q = a elementwise by Newton on s = w^q from the
+    right of the root, then one Newton step in w (the nested route of
+    Liu & Ye 2010, kept here as a reference solver)."""
+    k = 1.0 / q
+    s = np.minimum(a / lp, a**q)
+    for _ in range(100):
+        sk = s ** (k - 1.0)
+        s_new = s - (sk * s + lp * s - a) / (k * sk + lp)
+        falling = s_new < s
+        if not falling.any():
+            break
+        s = np.where(falling, s_new, s)
+    w = s**k
+    t = w**q
+    den = w + q * lp * t
+    w = w - np.divide(w * (w + lp * t - a), den, out=np.zeros_like(w), where=den > 0)
+    return w, w**q
+
+
+def _reference_project_lp(v, p, radius):
+    """The l_p projection by an outer safeguarded Newton iteration on the
+    dual scalar lam, with a full per-coordinate Newton solve at each step."""
+    v = np.asarray(v, dtype=float)
+    a = np.abs(np.atleast_2d(v))
+    outside = np.sum(a**p, axis=-1) ** (1.0 / p) > radius
+    if not outside.any():
+        return v.copy()
+    A, q, rp, eps4 = a[outside], p - 1.0, radius**p, 4.0 * np.finfo(float).eps
+    top = A.max(axis=1)
+    hi = top * np.sum((A / top[:, None]) ** (p / q), axis=1) ** (q / p) / (p * radius**q)
+    lam, lo = hi, np.zeros_like(hi)
+    out = np.empty_like(A)
+    live = np.arange(A.shape[0])
+    for _ in range(100):
+        w, s = _reference_lp_magnitudes(A, (lam * p)[:, None], q)
+        out[live] = w
+        G = np.sum(w * s, axis=1)
+        den = w + (lam * (p * q))[:, None] * s
+        terms = np.divide(w * s * s, den, out=np.zeros_like(w), where=den > 0)
+        dG = -p * p * np.sum(terms, axis=1)
+        over = G > rp
+        lo, hi = np.where(over, lam, lo), np.where(over, hi, lam)
+        step = -p * G * np.expm1((q / p) * np.log(G / rp)) / (q * dG)
+        done = (np.abs(step) <= eps4 * lam) | (hi - lo <= eps4 * lam)
+        lam = lam + step
+        lam = np.where((lo < lam) & (lam < hi), lam, 0.5 * (lo + hi))
+        if done.any():
+            live, A, lam, lo, hi = (x[~done] for x in (live, A, lam, lo, hi))
+            if live.size == 0:
+                break
+    a[outside] = out * (radius / np.sum(out**p, axis=1) ** (1.0 / p))[:, None]
+    return np.sign(v) * a.reshape(v.shape)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lp_projection_problems())
+@example((np.array([-1.0]), 1.00001, 0.5))
+@example((np.array([-1.33352143, -1.0]), 1.0000000000000002, 1.0))
+def test_project_lp_matches_nested_reference(problem):
+    """The joint Newton solve agrees with the nested reference solver to
+    1e-13 of the larger of the radius and max|v_i|."""
+    v, p, radius = problem
+    out = project_lp(v, p, radius)
+    ref = _reference_project_lp(v, p, radius)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * max(radius, np.max(np.abs(v)))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None)
+@given(_lp_projection_problems(), st.sampled_from((1e150, 1e-150)))
+def test_project_lp_scale_equivariant(problem, t):
+    """project_lp(t v, p, t r) = t project_lp(v, p, r) far from unit scale,
+    without overflow or underflow warnings."""
+    v, p, radius = problem
+    out = project_lp(t * v, p, t * radius)
+    assert np.max(np.abs(out - t * project_lp(v, p, radius))) <= 1e-13 * t * max(
+        radius, np.max(np.abs(v)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_project_lp_extreme_magnitudes():
+    """A radius 1e-400 times max|v| (r / max|v| underflows) and a point whose
+    sum |v_i|^p underflows are still projected onto the sphere."""
+    out = project_lp(np.array([1e200, 1.0]), 1.9, 1e-200)
+    assert out[0] == pytest.approx(1e-200, rel=1e-14)
+    assert out[1] == 0.0  # 1e-200 * (1e-200)^(1/0.9) underflows
+    v, t = np.array([1e-300, 3e-301]), 1e-300
+    out = project_lp(v, 1.5, 1e-305)
+    assert np.all(out > 0.0)
+    assert np.max(np.abs(out - t * _reference_project_lp(v / t, 1.5, 1e-305 / t))) <= 1e-13 * 1e-300
