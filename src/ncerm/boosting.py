@@ -21,6 +21,7 @@ from .networks import Leaf, NetworkClassSpec, Node, algorithm3, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
 _MU_HI = 1.0 - 1e-15
+WEAK_DELTA = 0.05  # failure probability of a weak learner's theory round count
 WEAK_KINDS = ("algorithm1", "algorithm2", "algorithm3")
 
 
@@ -59,7 +60,6 @@ class WeakLearnerConfig:
     s: int | None = None
     T_budget: int = 1
     refine_budget: int = 0
-    delta: float = 0.05
 
     def __post_init__(self):
         if self.kind not in WEAK_KINDS:
@@ -143,14 +143,14 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     )
     if wc.kind == "algorithm3":
         return algorithm3(
-            data, act_loss, config.weak_spec, eps, wc.delta,
+            data, act_loss, config.weak_spec, eps, WEAK_DELTA,
             wc.T_budget, wc.refine_budget, round_seed, k=wc.k, s=wc.s,
         )
     if m - 1 != 1:
         raise ValueError("halfspace weak learners require class depth 2")
     if wc.kind == "algorithm2":
         cfg = config_alg2(
-            data.n, data.dim, spec.leaf_p, eps, wc.delta,
+            data.n, data.dim, spec.leaf_p, eps, WEAK_DELTA,
             seed=round_seed, T_budget=wc.T_budget,
         )
         model = algorithm2(data, act_loss, cfg, wc.refine_budget)
@@ -158,7 +158,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     if spec.input_q != 2.0:
         raise ValueError("the sphere scheme needs l2-bounded data")
     cfg = config_alg1(
-        data.n, data.dim, eps, wc.delta, seed=round_seed, T_budget=wc.T_budget
+        data.n, data.dim, eps, WEAK_DELTA, seed=round_seed, T_budget=wc.T_budget
     )
     if cfg.r > spec.budget + NORM_TOL:
         raise ValueError(

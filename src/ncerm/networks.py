@@ -266,11 +266,11 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
     z_shapes = [(len(X), n) for n, _ in shapes]
 
-    def risk_rows(P):
+    def risk_rows(P, rows):
         Z = _forward(_split(P, shapes), act, X)
         return np.vecdot(loss.value(-y * Z[-1][..., 0]), a), _flat(Z)
 
-    def grad_rows(P, state):
+    def grad_rows(P, state, rows):
         # Backward pass: G holds d risk / d Z_j, from the output down.
         levels, Z = _split(P, shapes), _split(state, z_shapes)
         G = (a * loss.grad(-y * Z[-1][..., 0]) * -y)[..., None]

@@ -9,7 +9,6 @@ import math
 import numpy as np
 
 LS_MAX_ITER = 500
-LS_RTOL = 1e-8
 _STEP_FLOOR = 1e-13
 _STALL_REJECTS = 25
 _GAIN_RTOL = 1e-8
@@ -160,11 +159,6 @@ def projector(p: float, radius: float):
     return functools.partial(project_lp, p=p, radius=radius)
 
 
-def project(v: np.ndarray, p: float, radius: float) -> np.ndarray:
-    """Projection onto the l_p ball for p in [1, 2], row by row for a matrix."""
-    return projector(p, radius)(np.asarray(v, dtype=float))
-
-
 def _rownorm(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A * A).sum(axis=-1))
 
@@ -239,33 +233,35 @@ def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     return W
 
 
-def _projected_gradient_fit(X, u, p, radius) -> np.ndarray:
-    """One l_p-ball fit, p in [1, 2), by projected gradient from w = 0."""
-    w = np.zeros(X.shape[1])
-    if not X.any():
-        return w
-    sigma = float(np.linalg.norm(X, 2))
-    # Inside the ball X w moves the fit by at most sigma * radius; below an
-    # ulp of ||u|| every feasible w has the objective of w = 0.
-    if sigma * radius <= np.finfo(float).eps * np.linalg.norm(u):
-        return w
-    # Gradient 2 X^T resid times step 1/(2 sigma^2) folds into one matrix,
-    # divided by sigma twice so that a tiny sigma^2 cannot underflow.
-    step_T = (X / sigma).T / sigma
-    resid = X @ w - u
-    obj = float(resid @ resid)
-    proj = projector(p, radius)
-    for _ in range(LS_MAX_ITER):
-        w_new = proj(w - step_T @ resid)
-        resid_new = X @ w_new - u
-        obj_new = float(resid_new @ resid_new)
-        if obj_new > obj:
-            break
-        improved = obj - obj_new
-        w, resid, obj = w_new, resid_new, obj_new
-        if improved <= LS_RTOL * max(obj, 1e-12):
-            break
-    return w
+def _least_squares_kernels(X: np.ndarray, u: np.ndarray, p: float, radius: float):
+    """Row functions for the l_p-ball fits of a stack X (c, k, d), u (c, k),
+    row i of the iterate being fit i, each in units of its target: v in the
+    unit ball fits u / ||u|| with radius * X / ||u||, so that the refiner's
+    step and gain rules are scale-free, and w = radius * v.  A row's state
+    is its residual R; its gradient 2 X^T R is given in units of its
+    Lipschitz bound 2 ||X||_F^2, so the first step is a safe
+    projected-gradient step.  Every contraction is an einsum on numpy's own
+    loops, so a fit does not depend on which fits share the call.
+    """
+    # hypot takes ||u_i|| without underflow.  Floored at eps * radius *
+    # max|X_i|, it keeps every scaled entry of X_i below 1/eps.  A zero u
+    # has zero gradient at v = 0, so its fit is w = 0.
+    norm = np.maximum(np.hypot.reduce(u, axis=1, keepdims=True),
+                      np.finfo(float).eps * radius * np.abs(X).max(axis=(1, 2))[:, None])
+    norm[norm == 0.0] = 1.0
+    X, u = radius * (X / norm[..., None]), u / norm
+    # Floored at eps, below which no v in the ball moves the objective by
+    # 3e-8 ||u||^2, so that the gradient cannot overflow.
+    lip = np.maximum(np.einsum("ckd,ckd->c", X, X, optimize=False), np.finfo(float).eps)
+
+    def risk_rows(V, rows):
+        R = np.einsum("ckd,cd->ck", X[rows], V, optimize=False) - u[rows]
+        return np.einsum("ck,ck->c", R, R, optimize=False), R
+
+    def grad_rows(V, R, rows):
+        return np.einsum("ckd,ck->cd", X[rows], R, optimize=False) / lip[rows, None]
+
+    return risk_rows, grad_rows, projector(p, 1.0)
 
 
 def constrained_least_squares(X: np.ndarray, u: np.ndarray, p: float, radius: float) -> np.ndarray:
@@ -274,11 +270,8 @@ def constrained_least_squares(X: np.ndarray, u: np.ndarray, p: float, radius: fl
     X (k, d) and u (k,) give one fit (d,); a stack X (c, k, d) and
     u (c, k) gives c fits (c, d), fit i the one of X[i] alone.  p = 2 is
     solved exactly for the whole stack by one batched thin SVD and the
-    trust-region secular equation.  p in [1, 2) fits one at a time by
-    projected gradient: it starts at 0 (always feasible), steps with 1
-    over the gradient's Lipschitz constant 2*sigma_max(X)^2, and stops
-    after LS_MAX_ITER steps or once the objective improvement falls
-    below LS_RTOL relative tolerance.
+    trust-region secular equation.  p in [1, 2) runs lockstep_descent on
+    the whole stack from w = 0, twice, for up to LS_MAX_ITER steps in all.
     """
     X = np.asarray(X, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -288,9 +281,12 @@ def constrained_least_squares(X: np.ndarray, u: np.ndarray, p: float, radius: fl
     if p == 2.0:
         W = _secular_fits(Xs, us, radius)
     else:
-        W = np.zeros((len(Xs), Xs.shape[2]))
-        for i, (x, v) in enumerate(zip(Xs, us)):
-            W[i] = _projected_gradient_fit(x, v, p, radius)
+        kernels = _least_squares_kernels(Xs, us, p, radius)
+        # A fit stops at its first accepted step that gains little, which a
+        # step grown past its stable length can take early on an
+        # ill-conditioned fit; the second run starts again at the safe step.
+        V, _ = lockstep_descent(np.zeros((len(Xs), Xs.shape[2])), *kernels, LS_MAX_ITER // 2)
+        W = radius * lockstep_descent(V, *kernels, LS_MAX_ITER // 2)[0]
     return W if X.ndim == 3 else W[0]
 
 
@@ -343,27 +339,29 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
 
     Each row keeps its own step size, reject counter, gradient and stop
     rule, exactly as monotone_descent would for that row alone.
-    risk_rows(W) maps a (c, d) matrix to (risks, state): c risks and a
-    state with one row per row of W, holding what the gradient at that
-    row needs.  grad_rows(W, state) gives the c gradients and
-    project_rows(W) the c projected rows.  Each row is computed on its
-    own.  The live rows are compact working copies, written back to X as
-    they stop.  A row's gradient is taken as soon as a step is accepted,
-    from the state of the risk call that evaluated the new point, so an
-    accepted point is evaluated once; when every live row accepts, the
-    trial arrays are adopted whole.  A negative step_budget is a
-    ValueError.  Returns (X, risks) with risks[i] <= risk(X0[i]).
+    risk_rows(W, rows) maps a (c, d) matrix, whose rows are the rows
+    `rows` of X0, to (risks, state): c risks and a state with one row per
+    row of W, holding what the gradient at that row needs.
+    grad_rows(W, state, rows) gives the c gradients and project_rows(W)
+    the c projected rows.  Each row is computed on its own.  The live rows
+    are compact working copies, written back to X as they stop.  A row's
+    gradient is taken as soon as a step is accepted, from the state of the
+    risk call that evaluated the new point, so an accepted point is
+    evaluated once; when every live row accepts, the trial arrays are
+    adopted whole.  A negative step_budget is a ValueError.  Returns
+    (X, risks) with risks[i] <= risk(X0[i]).
     """
     if step_budget < 0:
         raise ValueError(f"refinement step budget must be >= 0, not {step_budget}")
     X = np.array(X0, dtype=float, ndmin=2)
-    risk, state = risk_rows(X)
+    rows = np.arange(len(X))
+    risk, state = risk_rows(X, rows)
     risk = np.asarray(risk, dtype=float)
     if step_budget == 0:
         return X, risk
-    rows, x, r = np.arange(len(X)), X.copy(), risk.copy()
+    x, r = X.copy(), risk.copy()
     eta, rejects = np.ones(len(X)), np.zeros(len(X), dtype=int)
-    g = grad_rows(x, state)
+    g = grad_rows(x, state, rows)
     gnorm = np.sqrt((g * g).sum(axis=1))
     done = gnorm == 0.0
     for step in range(step_budget):
@@ -375,7 +373,7 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
             if rows.size == 0:
                 return X, risk
         x_new = project_rows(x - (eta / np.maximum(gnorm, 1.0))[:, None] * g)
-        r_new, s_new = risk_rows(x_new)
+        r_new, s_new = risk_rows(x_new, rows)
         accept = r_new < r
         done = r - r_new <= _GAIN_RTOL * np.maximum(np.abs(r_new), 1e-3)
         if accept.all():
@@ -393,7 +391,7 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
                 continue
         # Rows that moved take their gradient now, unless the budget is spent.
         if step + 1 < step_budget:
-            g[moved] = grad_rows(x[moved], state[moved])
+            g[moved] = grad_rows(x[moved], state[moved], rows[moved])
             gnorm = np.sqrt((g * g).sum(axis=1))
             done |= gnorm == 0.0
     X[rows], risk[rows] = x, r
@@ -413,11 +411,11 @@ def linear_kernels(data, loss, p: float, radius: float):
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
     a = data.weights
 
-    def risk_rows(W):
+    def risk_rows(W, rows):
         M = np.einsum("cd,dn->cn", W, ZnegT, optimize=False)
         return np.einsum("cn,n->c", loss.value(M), a, optimize=False), M
 
-    def grad_rows(W, M):
+    def grad_rows(W, M, rows):
         return np.einsum("cn,dn->cd", a * loss.grad(M), ZnegT, optimize=False)
 
     return risk_rows, grad_rows, project_rows

@@ -38,7 +38,7 @@ from ncerm.networks import (
     random_network,
     zero_network,
 )
-from ncerm.solvers import project, project_l1
+from ncerm.solvers import project_l1, projector
 from ncerm.util import child_seed, lq_norm
 
 
@@ -129,7 +129,7 @@ def test_criterion_04_projection_grid_oracles():
         feasible = G[lq_norm(G, p) <= 1.0]
         for _ in range(50):
             v = rng.uniform(-2.5, 2.5, size=2)
-            out = project_l1(v, 1.0) if p == 1.0 else project(v, p, 1.0)
+            out = project_l1(v, 1.0) if p == 1.0 else projector(p, 1.0)(v)
             assert lq_norm(out, p) <= 1.0 + 1e-6
             best_d2 = float(np.min(np.sum((feasible - v) ** 2, axis=1)))
             worst = max(worst, float(np.sum((out - v) ** 2)) - best_d2)

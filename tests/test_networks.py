@@ -290,11 +290,11 @@ def test_network_gradient_matches_finite_differences(m):
     levels = to_levels(random_network(spec, 3, 2, seed=3))
     risk, grad, _ = network_kernels(data, logistic_sigmoid(1.0), spec,
                                     [L.shape for L in levels])
-    x = 0.5 * np.concatenate([L.ravel() for L in levels])
+    x, row = 0.5 * np.concatenate([L.ravel() for L in levels]), np.array([0])
     h = 1e-6
-    fd = [(risk((x + h * e)[None])[0][0] - risk((x - h * e)[None])[0][0]) / (2.0 * h)
+    fd = [(risk((x + h * e)[None], row)[0][0] - risk((x - h * e)[None], row)[0][0]) / (2.0 * h)
           for e in np.eye(x.size)]
-    assert np.allclose(grad(x[None], risk(x[None])[1])[0], fd, rtol=0.0, atol=1e-8)
+    assert np.allclose(grad(x[None], risk(x[None], row)[1], row)[0], fd, rtol=0.0, atol=1e-8)
 
 
 def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
@@ -341,7 +341,7 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
         levels = _recursive_candidate(draw_batch(rng, data, k).features, spec, depth, s, rng)[1]
         rows.append(np.concatenate([L.ravel() for L in levels]))
     shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
-    risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows))
+    risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows), np.arange(T))
     net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
     got = np.concatenate([L.ravel() for L in to_levels(net)])
     assert np.allclose(got, rows[int(np.argmin(risks))], rtol=0.0, atol=1e-9)
@@ -376,15 +376,16 @@ def test_network_kernel_rows_run_alone(problem, budget):
     matrix."""
     data, loss, spec, shapes, P = problem
     kernels = risk_rows, grad_rows, project_rows = network_kernels(data, loss, spec, shapes)
-    risks, state = risk_rows(P)
-    grads, starts = grad_rows(P, state), project_rows(P)
+    every = np.arange(len(P))
+    risks, state = risk_rows(P, every)
+    grads, starts = grad_rows(P, state, every), project_rows(P)
     X, refined = lockstep_descent(starts, *kernels, budget)
-    assert np.all(refined <= risk_rows(starts)[0])
+    assert np.all(refined <= risk_rows(starts, every)[0])
     for i in range(len(P)):
-        risk, z = risk_rows(P[i:i + 1])
+        risk, z = risk_rows(P[i:i + 1], every[i:i + 1])
         assert risk[0] == risks[i]
         assert np.array_equal(z[0], state[i])
-        assert np.array_equal(grad_rows(P[i:i + 1], z)[0], grads[i])
+        assert np.array_equal(grad_rows(P[i:i + 1], z, every[i:i + 1])[0], grads[i])
         assert np.array_equal(project_rows(P[i:i + 1])[0], starts[i])
         x, r = lockstep_descent(starts[i], *kernels, budget)
         assert np.array_equal(x[0], X[i])

@@ -14,13 +14,14 @@ from ncerm.losses import empirical_risk, logistic_sigmoid, piecewise_linear
 from ncerm.networks import network_spec
 from ncerm.solvers import (
     _FEAS_TOL,
+    LS_MAX_ITER,
     constrained_least_squares,
     linear_kernels,
     lockstep_descent,
     monotone_descent,
-    project,
     project_l1,
     project_lp,
+    projector,
     refine,
 )
 from ncerm.util import lq_norm
@@ -83,7 +84,7 @@ def test_project_matches_grid_oracle(p):
     rng = np.random.default_rng(7)
     for _ in range(50):
         v = rng.uniform(-2.5, 2.5, size=2)
-        out = project(v, p, 1.0)
+        out = projector(p, 1.0)(v)
         best = _grid_project_oracle(v, p, 1.0)
         assert np.sum((out - v) ** 2) <= np.sum((best - v) ** 2) + 1e-4
         assert lq_norm(out, p) <= 1.0 + 1e-6
@@ -274,33 +275,115 @@ def test_stacked_least_squares_l2_equals_single_fits(problem):
         assert np.array_equal(w, constrained_least_squares(x, v, 2.0, radius))
 
 
-def test_stacked_least_squares_below_p2_fits_one_at_a_time():
-    """For p < 2 a stack is fitted member by member, and a u that does
-    not match X's rows is refused for stacks as for single fits."""
-    rng = np.random.default_rng(9)
-    X, u = rng.standard_normal((3, 6, 4)), rng.uniform(-1.0, 1.0, size=(3, 6))
-    for p in (1.0, 1.5):
-        W = constrained_least_squares(X, u, p, 1.0)
-        assert all(np.array_equal(w, constrained_least_squares(x, v, p, 1.0))
-                   for x, v, w in zip(X, u, W))
+@st.composite
+def _below_p2_least_squares_stacks(draw):
+    """A stack of 1 to 6 fits of one shape, each of any rank, with an
+    all-zero X and a zero u among them when drawn, and p and a radius."""
+    X, u, radius = draw(_l2_least_squares_stacks())
+    if draw(st.booleans()):
+        X[draw(st.integers(0, len(X) - 1))] = 0.0
+    if draw(st.booleans()):
+        u[draw(st.integers(0, len(X) - 1))] = 0.0
+    return X, u, draw(st.sampled_from((1.0, 1.3, 1.5, 1.9))), radius
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(_below_p2_least_squares_stacks())
+@example((np.ones((1, 1, 1)), np.array([[2.2250738585072014e-309]]), 1.0, 1.0))
+@example((np.ones((1, 1, 1)), np.array([[5.79867881e-276]]), 1.0, 1.0))
+def test_stacked_least_squares_below_p2_equals_single_fits(problem):
+    """For p < 2, fit i of a stack is the fit of (X[i], u[i]) alone, bit for
+    bit, whatever else shares the stack; an all-zero X or a zero u gives
+    w = 0; and a u that does not match X's rows is refused for stacks as
+    for single fits.  The examples have ||u|| so far below ||X|| that
+    X / ||u|| would overflow."""
+    X, u, p, radius = problem
+    W = constrained_least_squares(X, u, p, radius)
+    assert W.shape == (X.shape[0], X.shape[2])
+    for x, v, w in zip(X, u, W):
+        assert np.array_equal(w, constrained_least_squares(x, v, p, radius))
+        if not (x.any() and v.any()):
+            assert not w.any()
     with pytest.raises(ValueError, match="one entry per row"):
-        constrained_least_squares(X, u[:, :5], 2.0, 1.0)
+        constrained_least_squares(X, u[:, 1:], p, radius)
+
+
+def _reference_projected_gradient_fit(X, u, p, radius):
+    """One l_p-ball fit, p in [1, 2), by monotone projected gradient from
+    w = 0 with step 1 over the gradient's Lipschitz constant 2 sigma_max(X)^2,
+    stopped after LS_MAX_ITER steps or on a 1e-8 relative gain (the solver
+    once used for p < 2, kept here as a reference)."""
+    w = np.zeros(X.shape[1])
+    if not X.any():
+        return w
+    sigma = float(np.linalg.norm(X, 2))
+    # Inside the ball X w moves the fit by at most sigma * radius; below an
+    # ulp of ||u|| every feasible w has the objective of w = 0.
+    if sigma * radius <= np.finfo(float).eps * np.linalg.norm(u):
+        return w
+    # Gradient 2 X^T resid times step 1/(2 sigma^2) folds into one matrix,
+    # divided by sigma twice so that a tiny sigma^2 cannot underflow.
+    step_T = (X / sigma).T / sigma
+    resid = X @ w - u
+    obj = float(resid @ resid)
+    proj = projector(p, radius)
+    for _ in range(LS_MAX_ITER):
+        w_new = proj(w - step_T @ resid)
+        resid_new = X @ w_new - u
+        obj_new = float(resid_new @ resid_new)
+        if obj_new > obj:
+            break
+        improved = obj - obj_new
+        w, resid, obj = w_new, resid_new, obj_new
+        if improved <= 1e-8 * max(obj, 1e-12):
+            break
+    return w
+
+
+@st.composite
+def _below_p2_least_squares_problems(draw):
+    """X (k, d) of full or lower rank and targets u in [-1, 1]^k, both
+    times one scale t in [1e-3, 1e3], p in [1, 2) and a radius."""
+    k, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = draw(st.integers(1, min(k, d)))
+    X = rng.standard_normal((k, r)) @ rng.standard_normal((r, d)) / math.sqrt(r)
+    t = 10.0 ** draw(st.floats(-3.0, 3.0))
+    p = draw(st.one_of(st.just(1.0), st.floats(1.0, 2.0, exclude_max=True)))
+    return t * X, t * rng.uniform(-1.0, 1.0, size=k), p, draw(st.floats(0.01, 10.0))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(_below_p2_least_squares_problems())
+def test_least_squares_below_p2_matches_projected_gradient_reference(problem):
+    """A p < 2 fit is finite, in its ball, and its objective is within
+    1e-4 ||u||^2 of the reference projected-gradient fit's or below it."""
+    X, u, p, radius = problem
+    w = constrained_least_squares(X, u, p, radius)
+    ref = _reference_projected_gradient_fit(X, u, p, radius)
+    assert np.all(np.isfinite(w))
+    assert lq_norm(w, p) <= radius * (1.0 + 1e-12)
+    obj = lambda v: float(np.sum((X @ v - u) ** 2))
+    assert obj(w) <= obj(ref) + 1e-4 * float(u @ u)
 
 
 def _assert_rows_follow_monotone_descent(W0, kernels, step_budget):
     risk_rows, grad_rows, project_rows = kernels
     W, risks = lockstep_descent(W0, risk_rows, grad_rows, project_rows, step_budget)
-    for w0, w, r in zip(W0, W, risks):
+    for i, (w0, w, r) in enumerate(zip(W0, W, risks)):
+        row = np.array([i])
         x, r_seq = monotone_descent(
             w0,
-            lambda v: risk_rows(v[None, :])[0][0],
-            lambda v: grad_rows(v[None, :], risk_rows(v[None, :])[1])[0],
+            lambda v: risk_rows(v[None, :], row)[0][0],
+            lambda v: grad_rows(v[None, :], risk_rows(v[None, :], row)[1], row)[0],
             lambda v: project_rows(v[None, :])[0],
             step_budget,
         )
         assert np.array_equal(w, x)
         assert r == r_seq
-        assert r <= risk_rows(w0[None, :])[0][0]
+        assert r <= risk_rows(w0[None, :], row)[0][0]
     return W
 
 
@@ -327,8 +410,8 @@ def test_lockstep_descent_stop_rules():
     step size reached its cap; a budget of 5 stops all but the first
     early.  Each row still matches monotone_descent."""
     kernels = (
-        lambda W: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
-        lambda W, S: 1e3 * S,
+        lambda W, rows: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
+        lambda W, S, rows: 1e3 * S,
         lambda W: W,
     )
     W0 = np.array([[0.0], [1e-9], [4e-8], [0.3], [2.0], [1e6]])
@@ -343,8 +426,8 @@ def test_lockstep_descent_single_row_counts_rejects_from_its_last_acceptance():
     starts again from 0 at each acceptance, as in monotone_descent, so
     the stall rule does not end it early."""
     kernels = (
-        lambda W: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
-        lambda W, S: 1e3 * S,
+        lambda W, rows: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
+        lambda W, S, rows: 1e3 * S,
         lambda W: W,
     )
     for x0 in (4e-8, 1e-9, 0.3, 2.0):
@@ -376,12 +459,13 @@ def test_linear_kernel_rows_are_independent(problem, data_strategy):
     risk_rows, grad_rows, project_rows = linear_kernels(data, loss, p, 1.0)
     rows = data_strategy.draw(st.lists(st.integers(0, len(W) - 1), min_size=1,
                                        max_size=len(W), unique=True))
-    risks, M = risk_rows(W)
-    risks_sub, M_sub = risk_rows(W[rows])
+    every = np.arange(len(W))
+    risks, M = risk_rows(W, every)
+    risks_sub, M_sub = risk_rows(W[rows], rows)
     assert M.shape == (len(W), data.n)
     assert np.array_equal(risks_sub, risks[rows])
     assert np.array_equal(M_sub, M[rows])
-    assert np.array_equal(grad_rows(W[rows], M_sub), grad_rows(W, M)[rows])
+    assert np.array_equal(grad_rows(W[rows], M_sub, rows), grad_rows(W, M, every)[rows])
     assert np.array_equal(project_rows(W[rows]), project_rows(W)[rows])
 
 
@@ -395,7 +479,8 @@ def test_linear_kernel_matches_coordinate_sums(problem):
     case agrees to rounding only."""
     data, W, p, loss = problem
     risk_rows, grad_rows, _ = linear_kernels(data, loss, p, 1.0)
-    risks, M = risk_rows(W)
+    every = np.arange(len(W))
+    risks, M = risk_rows(W, every)
     ZnegT = (-data.labels[:, None] * data.features).T
     loop, mag = W[:, :1] * ZnegT[0], np.abs(W[:, :1] * ZnegT[0])
     for j in range(1, W.shape[1]):
@@ -410,7 +495,7 @@ def test_linear_kernel_matches_coordinate_sums(problem):
     S = data.weights * loss.grad(M)
     old = np.stack([np.sum(S * z, axis=1) for z in ZnegT], axis=1)
     scale = np.stack([np.sum(np.abs(S * z), axis=1) for z in ZnegT], axis=1)
-    assert np.all(np.abs(grad_rows(W, M) - old) <= 1e-12 * scale)
+    assert np.all(np.abs(grad_rows(W, M, every) - old) <= 1e-12 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,8 +509,9 @@ def test_lockstep_descent_rows_run_alone_and_never_raise_risk(problem, radius, b
     kernels = linear_kernels(data, loss, p, radius)
     W0 = kernels[2](W)
     X, risks = lockstep_descent(W0, *kernels, budget)
-    assert np.all(risks <= kernels[0](W0)[0])
-    assert np.array_equal(risks, kernels[0](X)[0])
+    every = np.arange(len(W0))
+    assert np.all(risks <= kernels[0](W0, every)[0])
+    assert np.array_equal(risks, kernels[0](X, every)[0])
     assert np.all(lq_norm(X, p) <= radius * (1.0 + _FEAS_TOL))
     for w0, x, r in zip(W0, X, risks):
         x_alone, r_alone = lockstep_descent(w0, *kernels, budget)
@@ -453,14 +539,14 @@ def _step_kinds(kernels):
     risk_rows, grad_rows, project_rows = kernels
     kinds, trial = [], []
 
-    def risk(W):
+    def risk(W, rows):
         trial.append(len(W))
-        return risk_rows(W)
+        return risk_rows(W, rows)
 
-    def grad(W, state):
+    def grad(W, state, rows):
         if len(trial) > 1:
             kinds.append("all" if len(W) == trial[-1] else "some")
-        return grad_rows(W, state)
+        return grad_rows(W, state, rows)
 
     return (risk, grad, project_rows), kinds
 
@@ -497,13 +583,13 @@ def test_lockstep_descent_boostnet_regime_takes_both_step_kinds():
 @settings(max_examples=100, deadline=None)
 @given(_linear_kernel_problems(), st.floats(0.1, 3.0))
 def test_linear_kernel_projection_is_project(problem, radius):
-    """The projection bound into the kernels is solvers.project at the
+    """The projection bound into the kernels is solvers.projector at the
     same p and radius, bit for bit; at p = 2 both equal the rescale
     w * min(1, radius / ||w||)."""
     data, W, p, loss = problem
     project_rows = linear_kernels(data, loss, p, radius)[2]
-    assert np.array_equal(project_rows(W), project(W, p, radius))
-    assert np.array_equal(project_rows(W[0]), project(W[0], p, radius))
+    assert np.array_equal(project_rows(W), projector(p, radius)(W))
+    assert np.array_equal(project_rows(W[0]), projector(p, radius)(W[0]))
     if p == 2.0:
         with np.errstate(divide="ignore"):
             scale = np.minimum(1.0, radius / np.sqrt(np.sum(W * W, axis=1)))
