@@ -59,7 +59,6 @@ class GapCheckResult:
     mean_gap: float
     stderr_gap: float
     max_gap: float
-    rademacher: MCEstimate
     bound: float
     k: int
 
@@ -91,7 +90,7 @@ def generalization_gap_check(
         rad[start:stop] = np.max(np.sum(F[:, idx] * eps, axis=2), axis=0) / k
     rad_est, gap_est = _mc(rad), _mc(gaps)
     bound = 4.0 * loss.lipschitz * (rad_est.value + 3.0 * rad_est.stderr)
-    return GapCheckResult(gap_est.value, gap_est.stderr, float(gaps.max()), rad_est, bound, k)
+    return GapCheckResult(gap_est.value, gap_est.stderr, float(gaps.max()), bound, k)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,9 @@ class ActivationLoss:
 class WeakLearnerConfig:
     """Which subroutine trains the weak networks, and its budgets.
 
-    epsilon = None uses the theory value gamma / ((4m+10) L B^m); k and s
-    override the derived per-round sample size and width.
+    epsilon = None uses the theory value gamma / ((4m+10) L B^m); k
+    overrides the derived per-round sample size of Algorithms 2 and 3 (the
+    sphere scheme draws no batch) and s the width of Algorithm 3.
     """
 
     kind: str = "algorithm3"
@@ -64,6 +65,8 @@ class WeakLearnerConfig:
     def __post_init__(self):
         if self.kind not in WEAK_KINDS:
             raise ValueError(f"unknown weak learner kind {self.kind!r}")
+        if (self.k is not None and self.k < 1) or (self.s is not None and self.s < 1):
+            raise ValueError("k and s must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -153,6 +156,8 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
             data.n, data.dim, spec.leaf_p, eps, WEAK_DELTA,
             seed=round_seed, T_budget=wc.T_budget,
         )
+        if wc.k is not None:  # T_theory stays the one of the derived k
+            cfg = replace(cfg, k=int(wc.k))
         model = algorithm2(data, act_loss, cfg, wc.refine_budget)
         return Leaf(model.w)
     if spec.input_q != 2.0:
@@ -174,27 +179,16 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     Per-round records hold mu_t, the coefficient, the training zero-one
     error, and the minimum margin of the rescaled combination (B/b_t) f_t.
     """
-    spec = config.class_spec
+    spec, weak_spec = config.class_spec, config.weak_spec
     check_unit_ball(data.features, spec.input_q)
-    X, y = data.features, data.labels
-    n = data.n
-    B = spec.budget
-    act = spec.act
-    weak_spec = config.weak_spec
-    T = config.T if config.T is not None else default_rounds(n, B, config.gamma)
+    X, y, B, act = data.features, data.labels, spec.budget, spec.act
+    T = config.T if config.T is not None else default_rounds(data.n, B, config.gamma)
     if T < 1:
         raise ValueError("T must be >= 1")
     act_loss = ActivationLoss(act)
-    M = np.zeros(n)
-    b = 0.0
-    children: list = []
-    coeffs: list = []
-    mus: list = []
-    rounds: list = []
-    any_clamped = False
+    M, b, children, rounds = np.zeros(data.n), 0.0, [], []
     for t in range(T):
-        alpha = boost_weights(M, y)
-        data_t = data.with_weights(alpha)
+        data_t = data.with_weights(boost_weights(M, y))
         net_t = weak_learn(data_t, config, child_seed(config.seed, t))
         F = evaluate(net_t, weak_spec, X)
         g_val = empirical_risk(lambda _: F, act_loss, data_t)
@@ -207,26 +201,16 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
         zero_one = float(np.dot(data.weights, (margins <= 0.0).astype(float)))
         min_margin = float((B / b) * np.min(margins)) if b > 0 else 0.0
         children.append(net_t)
-        coeffs.append(c)
-        mus.append(mu)
-        any_clamped = any_clamped or clamped
         rounds.append(RoundRecord(t + 1, mu, c, zero_one, min_margin, clamped))
     if b == 0.0:
         raise NoProgressError("all boosting coefficients were zero")
-    coeffs_arr = np.asarray(coeffs)
-    network = Node(tuple(children), coeffs_arr * (B / b))
-    mus_arr = np.asarray(mus)
-    potential_value = float(np.mean(np.exp(-y * M)))
-    potential_bound = float(np.exp(-0.5 * np.sum(mus_arr**2)))
+    coeffs = np.array([r.coefficient for r in rounds])
+    mus = np.array([r.mu for r in rounds])
     return BoostResult(
-        network=network,
-        coefficients=coeffs_arr,
-        b_T=b,
-        rounds=tuple(rounds),
-        any_clamped=any_clamped,
-        potential_value=potential_value,
-        potential_bound=potential_bound,
-        T=T,
+        network=Node(tuple(children), coeffs * (B / b)), coefficients=coeffs, b_T=b,
+        rounds=tuple(rounds), any_clamped=any(r.clamped for r in rounds),
+        potential_value=float(np.mean(np.exp(-y * M))),
+        potential_bound=float(np.exp(-0.5 * np.sum(mus**2))), T=T,
     )
 
 

@@ -67,7 +67,8 @@ COMMANDS = {
         "weak_kind": Opt("algorithm3", str, WEAK_KINDS),
         "epsilon": Opt(None, float, help="weak learner epsilon "
                                          "(default 0.4 for algorithm1, else 0.5)"),
-        "weak_k": Opt(8, int), "weak_rounds": Opt(4, int), "weak_refine": Opt(60, int),
+        "weak_k": Opt(8, int, help="weak batch size (algorithm1 draws no batch)"),
+        "weak_rounds": Opt(4, int), "weak_refine": Opt(60, int),
         "n": Opt(100, int), "d": Opt(5, int), "margin": Opt(0.3, float),
         "activation": _ACTIVATION, "data": _DATA,
     }),

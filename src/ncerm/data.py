@@ -87,20 +87,9 @@ class WeightedDataset:
         return WeightedDataset(features, labels, w, feature_norm_q)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """Points drawn with replacement from a dataset by importance weight."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.features.shape[0]
-
-
-def draw_batch(rng: np.random.Generator, data: WeightedDataset, k: int) -> SampleBatch:
-    """k i.i.d. draws from the dataset, point i with probability weight_i.
+def draw_batch(rng: np.random.Generator, data: WeightedDataset, k: int) -> np.ndarray:
+    """Feature rows (k, d) of k i.i.d. draws from the dataset, point i with
+    probability weight_i.
 
     Indices come from the weights' CDF at k uniforms, the arithmetic of
     rng.choice(n, size=k, replace=True, p=weights), so they follow its
@@ -112,7 +101,7 @@ def draw_batch(rng: np.random.Generator, data: WeightedDataset, k: int) -> Sampl
     cdf = np.cumsum(data.weights)
     cdf /= cdf[-1]
     idx = cdf.searchsorted(rng.random(k), side="right")
-    return SampleBatch(data.features[idx], data.labels[idx])
+    return data.features[idx]
 
 
 def _sample_q_ball(rng: np.random.Generator, count: int, d: int, q: float) -> np.ndarray:
@@ -196,26 +185,20 @@ def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: in
 def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed: int):
     """Sample separated with margin by a random network from the class.
 
-    The teacher has `width` leaves at the leaf-norm budget and combination
-    weights at the l1 budget; points are rejection-sampled from the unit
-    l_q ball until |f*(x)| >= margin.  Returns (dataset, teacher network).
+    The teacher is random_network's depth-2 draw (`width` leaves), or its
+    first leaf at class depth 1; points are then rejection-sampled from the
+    unit l_q ball until |f*(x)| >= margin.  Returns (dataset, teacher).
     """
-    from .networks import Leaf, Node, evaluate
+    from .networks import _draw_network, evaluate
 
     if d < 1:
         raise ValueError("d must be >= 1")
     if width < 1:
         raise ValueError("width must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    B = class_spec.budget
-    leaves = []
-    for _ in range(width):
-        v = rng.standard_normal(d)
-        v *= B / lq_norm(v, class_spec.leaf_p)
-        leaves.append(Leaf(v))
-    c = rng.standard_normal(width)
-    c *= B / np.sum(np.abs(c))
-    teacher = Node(tuple(leaves), c) if class_spec.depth >= 2 else leaves[0]
+    teacher = _draw_network(rng, class_spec, d, width, 2)
+    if class_spec.depth == 1:
+        teacher = teacher.children[0]
     data = _plant(rng, n, d, class_spec.input_q, margin,
                   lambda X: evaluate(teacher, class_spec, X))
     return data, teacher

@@ -20,11 +20,11 @@ from .losses import empirical_risk, piecewise_linear, zero_one_risk
 from .networks import (
     algorithm3,
     config_alg3,
-    evaluate,
     network_spec,
     predictor,
     random_network,
     save_network,
+    to_levels,
     zero_network,
 )
 from .util import child_seed, dual_exponent
@@ -119,21 +119,17 @@ def run_parity_experiment(
     train = WeightedDataset.uniform(X_tr, y_tr, feature_norm_q=2.0)
     spec = network_spec(2, budget, 2.0, "tanh")
 
-    # boosted nets: per-round validation/test errors for every seed
-    val_err = np.ones((len(seeds), hidden_budget))
-    test_err = np.ones((len(seeds), hidden_budget))
-    for si, seed in enumerate(seeds):
+    # boosted nets: per-round validation/test errors for every seed; column t
+    # of the running sums M is the net of the first t + 1 weak units
+    wrong = []
+    for seed in seeds:
         cfg = BoostConfig(spec, gamma=0.1, T=hidden_budget, weak=PARITY_WEAK, seed=seed)
         result = boostnet_train(train, cfg)
-        act = spec.act
-        M_va = np.zeros(len(y_va))
-        M_te = np.zeros(len(y_te))
-        for t, net in enumerate(result.network.children):
-            c = result.coefficients[t]
-            M_va += c * act.value(evaluate(net, cfg.weak_spec, X_va))
-            M_te += c * act.value(evaluate(net, cfg.weak_spec, X_te))
-            val_err[si, t] = _zero_one(y_va * M_va)
-            test_err[si, t] = _zero_one(y_te * M_te)
+        W = to_levels(result.network)[0]
+        M = np.cumsum(result.coefficients * spec.act.value(X[n_train:] @ W.T), axis=1)
+        wrong.append(y[n_train:, None] * M <= 0.0)
+    val_err = np.array([np.mean(e[:n_val], axis=0) for e in wrong])
+    test_err = np.array([np.mean(e[n_val:], axis=0) for e in wrong])
     rows = []
     for t in range(hidden_budget):
         best = int(np.argmin(val_err[:, t]))

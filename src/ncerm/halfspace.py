@@ -57,8 +57,6 @@ class HalfspaceRunConfig:
     """
 
     algorithm: int
-    epsilon: float
-    delta: float
     p_exponent: float
     s: int
     r: float
@@ -90,10 +88,8 @@ def config_alg1(
     T_theory = ceil_big_product(
         2.0 * n + 4.0, math.pi / epsilon, s - 1, math.log(1.0 / delta)
     )
-    return HalfspaceRunConfig(
-        algorithm=1, epsilon=float(epsilon), delta=float(delta), p_exponent=2.0,
-        s=s, r=r, k=0, T_theory=T_theory, T_budget=min(T_budget, T_theory), seed=seed,
-    )
+    return HalfspaceRunConfig(algorithm=1, p_exponent=2.0, s=s, r=r, k=0, T_theory=T_theory,
+                              T_budget=min(T_budget, T_theory), seed=seed)
 
 
 def config_alg2(
@@ -114,10 +110,8 @@ def config_alg2(
         q = dual_exponent(p)
         k = max(1, math.ceil((q - 1.0) / epsilon**2))
     T_theory = ceil_big_product(5.0, 4.0 / epsilon, k, math.log(1.0 / delta))
-    return HalfspaceRunConfig(
-        algorithm=2, epsilon=float(epsilon), delta=float(delta), p_exponent=float(p),
-        s=0, r=1.0, k=k, T_theory=T_theory, T_budget=min(T_budget, T_theory), seed=seed,
-    )
+    return HalfspaceRunConfig(algorithm=2, p_exponent=float(p), s=0, r=1.0, k=k, T_theory=T_theory,
+                              T_budget=min(T_budget, T_theory), seed=seed)
 
 
 def best_round(T: int, candidates, kernels, refine_budget: int) -> np.ndarray:
@@ -159,28 +153,33 @@ def algorithm1(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -
     return LinearModel(w, 2.0, config.r)
 
 
-def algorithm2(
-    data, loss, config: HalfspaceRunConfig, refine_budget: int = 0, u_override=None
-) -> LinearModel:
+def draw_rounds(data, seed: int, ts, k: int, targets: int, bound: float):
+    """Batches X (c, k, d) and targets U (c, targets, k) of rounds ts.
+
+    Round t draws k points by importance weight and then its targets
+    uniform in [-bound, bound], both from round_rng(seed, t).
+    """
+    X, U = np.empty((len(ts), k, data.dim)), np.empty((len(ts), targets, k))
+    for i, t in enumerate(ts):
+        rng = round_rng(seed, t)
+        X[i] = draw_batch(rng, data, k)
+        U[i] = rng.uniform(-bound, bound, size=(targets, k))
+    return X, U
+
+
+def algorithm2(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -> LinearModel:
     """Least-squares restarts: round t importance-samples k points, draws
-    targets u uniform in [-1, 1]^k (u_override(batch) replaces the draw,
-    for testing), and fits the batch exactly under ||w||_p <= 1.  A
-    chunk's rounds are drawn one by one, each from its own stream, and
-    fitted in one stacked solve.
+    targets u uniform in [-1, 1]^k, and fits the batch exactly under
+    ||w||_p <= 1.  A chunk's rounds are drawn one by one, each from its
+    own stream, and fitted in one stacked solve.
     """
     if config.algorithm != 2:
         raise ValueError("config was not built for the least-squares scheme")
     check_unit_ball(data.features, dual_exponent(config.p_exponent))
-    k = config.k
 
     def candidates(ts):
-        X, U = np.empty((len(ts), k, data.dim)), np.empty((len(ts), k))
-        for i, t in enumerate(ts):
-            rng = round_rng(config.seed, t)
-            batch = draw_batch(rng, data, k)
-            X[i] = batch.features
-            U[i] = rng.uniform(-1.0, 1.0, size=k) if u_override is None else u_override(batch)
-        return constrained_least_squares(X, U, config.p_exponent, 1.0)
+        X, U = draw_rounds(data, config.seed, ts, config.k, 1, 1.0)
+        return constrained_least_squares(X, U[:, 0], config.p_exponent, 1.0)
 
     w = best_round(config.T_budget, candidates,
                    linear_kernels(data, loss, config.p_exponent, 1.0), refine_budget)

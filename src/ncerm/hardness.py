@@ -113,41 +113,12 @@ def verify_identity(inst: Max2SatInstance, alpha) -> tuple[float, float, bool]:
     return lhs, rhs, bool(abs(lhs - rhs) <= 1e-9)
 
 
-def reduction_loss(w: np.ndarray, vectors: np.ndarray) -> float:
-    """(1/(2n+2)) sum_i [min(0, <w, x_i>) + min(0, <w, -x_i>)] over the
-    n+1 instance vectors; equals -(sum of |<w, x_i>|)/(2n+2).
-    """
-    w = np.asarray(w, dtype=float)
-    dots = vectors @ w
-    n_plus_1 = vectors.shape[0]
-    return float(
-        (np.minimum(0.0, dots).sum() + np.minimum(0.0, -dots).sum())
-        / (2.0 * n_plus_1)
-    )
-
-
 def enumerate_assignments(n: int) -> np.ndarray:
     """All 2^n boolean assignments as a (2^n, n) array."""
     if n > 25:
         raise ValueError("too many variables to enumerate")
     bits = np.arange(2**n, dtype=np.int64)
     return ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
-
-
-def max_satisfied(inst: Max2SatInstance) -> int:
-    """Brute-force optimum of satisfied_count over all assignments."""
-    return max(
-        satisfied_count(inst, z) for z in enumerate_assignments(inst.n_literals)
-    )
-
-
-def min_reduction_loss(inst: Max2SatInstance) -> float:
-    """Exact minimum of the paired loss over the unit l2 ball:
-    -sqrt(1 + 8*S_max/d) / (2n+2), by the counting identity.
-    """
-    return -math.sqrt(1.0 + 8.0 * max_satisfied(inst) / inst.d) / (
-        2.0 * inst.n_literals + 2.0
-    )
 
 
 @dataclass(frozen=True)
@@ -203,11 +174,6 @@ class LiftedInstance:
         alpha = np.asarray(alpha, dtype=float)
         s = math.sqrt(2.0)
         return np.concatenate([alpha / s, [tau / s]])
-
-    def negative_part_loss(self, w) -> float:
-        """g(w) = (1/n) sum_i min(0, <w, x_i>) on the base vectors."""
-        dots = self.base_vectors @ np.asarray(w, dtype=float)
-        return float(np.minimum(0.0, dots).sum() / self.n)
 
 
 def lifted_instance(vectors: np.ndarray) -> LiftedInstance:

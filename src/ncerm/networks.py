@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .data import draw_batch
-from .halfspace import best_round
+from .halfspace import best_round, draw_rounds
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
-from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm, round_rng
+from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
 
 _ERF_SCALE = math.sqrt(math.pi) / 2.0
 # name -> (value, derivative); erf is rescaled from slope 2/sqrt(pi) to 1 at 0.
@@ -59,16 +58,15 @@ class Activation:
 
 @dataclass(frozen=True)
 class NetworkClassSpec:
-    """Class parameters: depth, norm budget, leaf/input exponents, activation.
+    """Class parameters: depth, norm budget, leaf exponent, activation.
 
-    leaf_p in (1, 2] bounds leaf weights; input_q is its dual and bounds
-    the data (||x||_q <= 1); budget >= 1 caps every weight-vector norm.
+    leaf_p in (1, 2] bounds leaf weights; its dual input_q bounds the data
+    (||x||_q <= 1); budget >= 1 caps every weight-vector norm.
     """
 
     depth: int
     budget: float
     leaf_p: float
-    input_q: float
     activation: str
 
     def __post_init__(self):
@@ -78,9 +76,11 @@ class NetworkClassSpec:
             raise ValueError("budget must be >= 1")
         if not (1.0 < self.leaf_p <= 2.0):
             raise ValueError("leaf_p must be in (1, 2]")
-        if abs(1.0 / self.leaf_p + 1.0 / self.input_q - 1.0) > 1e-9:
-            raise ValueError("input_q must be the dual exponent of leaf_p")
         Activation(self.activation)  # raises ValueError for an unknown name
+
+    @property
+    def input_q(self) -> float:
+        return dual_exponent(self.leaf_p)
 
     @property
     def act(self) -> Activation:
@@ -89,8 +89,7 @@ class NetworkClassSpec:
 
 def network_spec(depth: int, budget: float, leaf_p: float = 2.0,
                  activation: str = "tanh") -> NetworkClassSpec:
-    return NetworkClassSpec(depth, float(budget), float(leaf_p),
-                            dual_exponent(leaf_p), activation)
+    return NetworkClassSpec(depth, float(budget), float(leaf_p), activation)
 
 
 @dataclass(frozen=True)
@@ -325,11 +324,7 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
 
     def candidates(ts):
         c = len(ts)
-        X, U = np.empty((c, k, data.dim)), np.empty((c, len(rows), k))
-        for i, t in enumerate(ts):
-            rng = round_rng(seed, t)
-            X[i] = draw_batch(rng, data, k).features
-            U[i] = rng.uniform(-B, B, size=U.shape[1:])
+        X, U = draw_rounds(data, seed, ts, k, len(rows), B)
         U = U[:, rows]
         # Leaves fit the round's batch and each level above the activated
         # outputs of its children; each level of the chunk is one stacked fit.
@@ -365,22 +360,25 @@ def _target_rows(counts, s: int) -> np.ndarray:
     return np.argsort(orders[0])
 
 
+def _draw_network(rng: np.random.Generator, spec: NetworkClassSpec, dim: int,
+                  width: int, depth: int):
+    """Depth-first random tree of the given depth, every norm at the budget:
+    a node draws its `width` children, then its combination weights."""
+    B = spec.budget
+    if depth == 1:
+        v = rng.standard_normal(dim)
+        return Leaf(v * (B / lq_norm(v, spec.leaf_p)))
+    children = tuple(_draw_network(rng, spec, dim, width, depth - 1) for _ in range(width))
+    c = rng.standard_normal(width)
+    return Node(children, c * (B / np.sum(np.abs(c))))
+
+
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):
     """Random class member with every norm at the budget (test fixture)."""
     if spec.depth > 1 and width < 1:
         raise ValueError("width must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    B = spec.budget
-
-    def build(level):
-        if level == 1:
-            v = rng.standard_normal(dim)
-            return Leaf(v * (B / lq_norm(v, spec.leaf_p)))
-        children = tuple(build(level - 1) for _ in range(width))
-        c = rng.standard_normal(width)
-        return Node(children, c * (B / np.sum(np.abs(c))))
-
-    return build(spec.depth)
+    return _draw_network(np.random.default_rng(np.random.SeedSequence(seed)),
+                         spec, dim, width, spec.depth)
 
 
 def zero_network(dim: int):

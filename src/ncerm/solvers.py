@@ -12,7 +12,6 @@ LS_MAX_ITER = 500
 _STEP_FLOOR = 1e-13
 _STALL_REJECTS = 25
 _GAIN_RTOL = 1e-8
-_FEAS_TOL = 1e-9
 _NEWTON_MAX_ITER = 100
 _NEWTON_RTOL = 4.0 * np.finfo(float).eps
 _KKT_TOL = 1e-8

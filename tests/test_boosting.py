@@ -68,6 +68,8 @@ def test_config_validation():
         BoostConfig(network_spec(1, 2.0), gamma=0.3)
     with pytest.raises(ValueError):
         WeakLearnerConfig(kind="gradient_descent")
+    with pytest.raises(ValueError, match="k and s must be >= 1"):
+        WeakLearnerConfig(kind="algorithm2", k=-1)
 
 
 def _planted(seed=0, n=100, d=4, margin=0.3, budget=2.0):
@@ -117,6 +119,20 @@ def test_boostnet_weak_algorithm2_dispatch():
     res = boostnet_train(data, BoostConfig(spec, gamma=0.3, T=3, weak=weak, seed=7))
     assert all(isinstance(c, Leaf) for c in res.network.children)
     validate(res.network, spec)
+
+
+def test_boostnet_weak_algorithm2_honours_k():
+    """The weak batch size k reaches Algorithm 2: two sizes give different
+    weak leaves, and k = None keeps config_alg2's size (4 at eps 0.5, p 2)."""
+    spec, data = _planted(seed=6)
+
+    def leaves(k):
+        weak = WeakLearnerConfig(kind="algorithm2", epsilon=0.5, k=k, T_budget=2)
+        res = boostnet_train(data, BoostConfig(spec, gamma=0.3, T=2, weak=weak, seed=7))
+        return np.array([c.w for c in res.network.children])
+
+    assert not np.array_equal(leaves(3), leaves(50))
+    assert np.array_equal(leaves(None), leaves(4))
 
 
 def test_boostnet_weak_algorithm1_dispatch():

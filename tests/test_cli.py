@@ -242,13 +242,14 @@ BAD_INPUTS = {
     "negative_refine_steps": (["halfspace", "--refine-steps", "-1"], None),
     "negative_refine_steps_nn": (["nn", "--refine-steps", "-3"], None),
     "negative_weak_refine_boostnet": (["boostnet", "--weak-refine", "-2"], None),
+    "negative_weak_k_algorithm2": (["boostnet", "--weak-kind", "algorithm2", "--weak-k", "-1"], None),
     "zero_repetitions": (["halfspace", "--repetitions", "0"], None),
     "zero_repetitions_nn": (["nn", "--repetitions", "0"], None),
     "zero_instances_hardness": (["hardness", "--instances", "0"], None),
 }
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
     """Each input ends in one 'error:' line and exit code 1: no traceback,

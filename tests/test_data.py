@@ -16,7 +16,7 @@ from ncerm.data import (
     planted_network,
     save_dataset_csv,
 )
-from ncerm.networks import evaluate, network_spec, validate
+from ncerm.networks import evaluate, network_spec, random_network, to_levels, validate
 from ncerm.util import lq_norm
 
 
@@ -78,10 +78,10 @@ def test_draw_batch_respects_weights():
     data = WeightedDataset(X, y, w)
     rng = np.random.default_rng(0)
     batch = draw_batch(rng, data, 100_000)
-    assert batch.k == 100_000
+    assert batch.shape == (100_000, 2)
     # zero-weight rows must never appear
-    assert np.all(batch.features[:, 0] <= 3.0)
-    frac0 = np.mean(batch.features[:, 0] == 0.0)
+    assert np.all(batch[:, 0] <= 3.0)
+    frac0 = np.mean(batch[:, 0] == 0.0)
     assert abs(frac0 - 0.5) < 0.01
     with pytest.raises(ValueError):
         draw_batch(rng, data, 0)
@@ -101,7 +101,7 @@ def test_draw_batch_follows_generator_choice(raw, k, seed):
     n = raw.size
     data = WeightedDataset(np.arange(n, dtype=float)[:, None], np.ones(n), raw / raw.sum())
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    idx = draw_batch(ours, data, k).features[:, 0].astype(int)
+    idx = draw_batch(ours, data, k)[:, 0].astype(int)
     assert np.array_equal(idx, ref.choice(n, size=k, replace=True, p=data.weights))
     assert ours.random() == ref.random()
 
@@ -151,6 +151,19 @@ def test_planted_network_margin_and_feasibility():
     margins = data.labels * evaluate(teacher, spec, data.features)
     assert np.min(margins) >= 0.2
     assert np.max(lq_norm(data.features, 2.0)) <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_planted_network_teacher_is_random_network(width):
+    """The teacher is random_network's draw from the same seed: the whole
+    depth-2 net, or at class depth 1 its first child."""
+    net = random_network(network_spec(2, 1.5, 1.5), 4, width, seed=5)
+    _, teacher = planted_network(40, 4, 0.1, network_spec(2, 1.5, 1.5), width, seed=5)
+    got, want = to_levels(teacher), to_levels(net)
+    assert len(got) == len(want) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    _, leaf = planted_network(40, 4, 0.1, network_spec(1, 1.5, 1.5), width, seed=5)
+    assert np.array_equal(leaf.w, net.children[0].w)
 
 
 def test_flip_labels_rate_zero_and_one():

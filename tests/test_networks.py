@@ -13,7 +13,6 @@ from ncerm.networks import (
     ACTIVATIONS,
     Activation,
     Leaf,
-    NetworkClassSpec,
     Node,
     algorithm3,
     config_alg3,
@@ -74,8 +73,8 @@ def test_spec_validation():
         network_spec(2, 0.5)
     with pytest.raises(ValueError):
         network_spec(2, 1.0, leaf_p=1.0)
-    with pytest.raises(ValueError):
-        NetworkClassSpec(2, 1.0, 2.0, 3.0, "tanh")  # q not dual to p
+    assert network_spec(2, 1.0, leaf_p=1.5).input_q == pytest.approx(3.0)
+    assert network_spec(2, 1.0).input_q == 2.0
 
 
 def test_validate_budgets():
@@ -338,7 +337,7 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
     rows = []
     for t in range(T):
         rng = round_rng(seed, t)
-        levels = _recursive_candidate(draw_batch(rng, data, k).features, spec, depth, s, rng)[1]
+        levels = _recursive_candidate(draw_batch(rng, data, k), spec, depth, s, rng)[1]
         rows.append(np.concatenate([L.ravel() for L in levels]))
     shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
     risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows), np.arange(T))

@@ -13,7 +13,6 @@ from ncerm.halfspace import LinearModel
 from ncerm.losses import empirical_risk, logistic_sigmoid, piecewise_linear
 from ncerm.networks import network_spec
 from ncerm.solvers import (
-    _FEAS_TOL,
     LS_MAX_ITER,
     constrained_least_squares,
     linear_kernels,
@@ -24,7 +23,7 @@ from ncerm.solvers import (
     projector,
     refine,
 )
-from ncerm.util import lq_norm
+from ncerm.util import NORM_TOL, lq_norm
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +220,7 @@ def _l2_least_squares_problems(draw):
     return X, u, radius
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=300, deadline=None)
 @given(_l2_least_squares_problems())
 def test_least_squares_l2_kkt(problem):
@@ -231,7 +230,7 @@ def test_least_squares_l2_kkt(problem):
     X, u, radius = problem
     w = constrained_least_squares(X, u, 2.0, radius)
     norm = float(np.linalg.norm(w))
-    assert norm <= radius + _FEAS_TOL
+    assert norm <= radius + NORM_TOL
     grad = X.T @ (X @ w - u)
     sigma = float(np.linalg.norm(X, 2))
     scale = sigma * (sigma * radius + float(np.linalg.norm(u))) + 1e-300
@@ -262,7 +261,7 @@ def _l2_least_squares_stacks(draw):
     return X, u, draw(st.floats(0.01, 10.0))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=300, deadline=None)
 @given(_l2_least_squares_stacks())
 def test_stacked_least_squares_l2_equals_single_fits(problem):
@@ -287,7 +286,7 @@ def _below_p2_least_squares_stacks(draw):
     return X, u, draw(st.sampled_from((1.0, 1.3, 1.5, 1.9))), radius
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=100, deadline=None)
 @given(_below_p2_least_squares_stacks())
 @example((np.ones((1, 1, 1)), np.array([[2.2250738585072014e-309]]), 1.0, 1.0))
@@ -354,7 +353,7 @@ def _below_p2_least_squares_problems(draw):
     return t * X, t * rng.uniform(-1.0, 1.0, size=k), p, draw(st.floats(0.01, 10.0))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=100, deadline=None)
 @given(_below_p2_least_squares_problems())
 def test_least_squares_below_p2_matches_projected_gradient_reference(problem):
@@ -512,7 +511,7 @@ def test_lockstep_descent_rows_run_alone_and_never_raise_risk(problem, radius, b
     every = np.arange(len(W0))
     assert np.all(risks <= kernels[0](W0, every)[0])
     assert np.array_equal(risks, kernels[0](X, every)[0])
-    assert np.all(lq_norm(X, p) <= radius * (1.0 + _FEAS_TOL))
+    assert np.all(lq_norm(X, p) <= radius * (1.0 + NORM_TOL))
     for w0, x, r in zip(W0, X, risks):
         x_alone, r_alone = lockstep_descent(w0, *kernels, budget)
         assert np.array_equal(x_alone[0], x)
@@ -567,7 +566,7 @@ def test_lockstep_descent_activation_loss_rows_follow_monotone_descent(
     target(float(kinds.count("some")), label="steps only some rows accept")
     event(f"steps accepted by only some rows: {'some' in kinds}")
     W = _assert_rows_follow_monotone_descent(W0, kernels, budget)
-    assert np.all(lq_norm(W, 2.0) <= radius * (1.0 + _FEAS_TOL))
+    assert np.all(lq_norm(W, 2.0) <= radius * (1.0 + NORM_TOL))
 
 
 def test_lockstep_descent_boostnet_regime_takes_both_step_kinds():
@@ -613,7 +612,7 @@ def test_least_squares_tiny_x_finite_and_feasible(p, scale, target):
     X, u = np.array([[scale, 0.0]]), np.array([target])
     w = constrained_least_squares(X, u, p, 1.0)
     assert np.all(np.isfinite(w))
-    assert lq_norm(w, p) <= 1.0 + _FEAS_TOL
+    assert lq_norm(w, p) <= 1.0 + NORM_TOL
     assert np.sum((X @ w - u) ** 2) <= np.sum(u * u)
 
 
@@ -744,7 +743,7 @@ def test_project_lp_matches_nested_reference(problem):
     assert np.max(np.abs(out - ref)) <= 1e-13 * max(radius, np.max(np.abs(v)))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @settings(max_examples=200, deadline=None)
 @given(_lp_projection_problems(), st.sampled_from((1e150, 1e-150)))
 def test_project_lp_scale_equivariant(problem, t):
@@ -756,7 +755,7 @@ def test_project_lp_scale_equivariant(problem, t):
         radius, np.max(np.abs(v)))
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 def test_project_lp_extreme_magnitudes():
     """A radius 1e-400 times max|v| (r / max|v| underflows) and a point whose
     sum |v_i|^p underflows are still projected onto the sphere."""
