@@ -38,7 +38,6 @@ class ActivationLoss:
     """
 
     act: object
-    lipschitz: float = 1.0
 
     def __post_init__(self):
         value, grad = self.act.functions
@@ -50,7 +49,7 @@ class ActivationLoss:
 class WeakLearnerConfig:
     """Which subroutine trains the weak networks, and its budgets.
 
-    epsilon = None uses the theory value gamma / ((4m+10) L B^m); k
+    epsilon = None uses the theory value gamma / ((4m+10) B^m) at L = 1; k
     overrides the derived per-round sample size of Algorithms 2 and 3 (the
     sphere scheme draws no batch) and s the width of Algorithm 3.
     """
@@ -141,9 +140,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     m = spec.depth
     act_loss = ActivationLoss(spec.act)
     wc = config.weak
-    eps = wc.epsilon if wc.epsilon is not None else weak_epsilon(
-        config.gamma, m, spec.budget, act_loss.lipschitz
-    )
+    eps = wc.epsilon if wc.epsilon is not None else weak_epsilon(config.gamma, m, spec.budget)
     if wc.kind == "algorithm3":
         return algorithm3(
             data, act_loss, config.weak_spec, eps, WEAK_DELTA,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 PIECEWISE_LINEAR = "piecewise_linear"
 LOGISTIC_SIGMOID = "logistic_sigmoid"
@@ -20,6 +19,32 @@ NEG_MIN = "neg_min"
 
 class NonFiniteError(ValueError):
     """A prediction or loss value stopped being finite."""
+
+
+def _piecewise_linear(t, L):
+    # Branch on t so the three anchor points 0, 1/2, 1 are exact.
+    out = np.asarray(L * t + 0.5)
+    np.putmask(out, t <= -0.5 / L, 0.0)
+    np.putmask(out, t >= 0.5 / L, 1.0)
+    return out
+
+
+def _sigmoid(t, L):
+    with np.errstate(over="ignore"):  # exp overflows to inf, giving exactly 0
+        return 1.0 / (1.0 + np.exp(-4.0 * L * t))
+
+
+def _sigmoid_grad(t, L):
+    s = _sigmoid(t, L)
+    return 4.0 * L * s * (1.0 - s)
+
+
+# kind -> (value, subgradient), each a function of (float array t, L).
+_KINDS = {
+    PIECEWISE_LINEAR: (_piecewise_linear, lambda t, L: ((t >= -0.5 / L) & (t < 0.5 / L)) * L),
+    LOGISTIC_SIGMOID: (_sigmoid, _sigmoid_grad),
+    NEG_MIN: (lambda t, L: np.minimum(0.0, t), lambda t, L: np.where(t < 0.0, 1.0, 0.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -39,51 +64,27 @@ class LossFunction:
     kind: str
     lipschitz: float
 
-    def value(self, t):
-        t = np.asarray(t, dtype=float)
-        L = self.lipschitz
-        if self.kind == PIECEWISE_LINEAR:
-            # Branch on t so the three anchor points 0, 1/2, 1 are exact.
-            out = np.asarray(L * t + 0.5)
-            np.putmask(out, t <= -0.5 / L, 0.0)
-            np.putmask(out, t >= 0.5 / L, 1.0)
-        elif self.kind == LOGISTIC_SIGMOID:
-            out = expit(4.0 * L * t)
-        elif self.kind == NEG_MIN:
-            out = np.minimum(0.0, t)
-        else:
+    def __post_init__(self):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if out.ndim == 0:
-            return float(out)
-        return out
+        if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
+            raise ValueError("lipschitz must be positive and finite")
+
+    def value(self, t):
+        out = _KINDS[self.kind][0](np.asarray(t, dtype=float), self.lipschitz)
+        return float(out) if out.ndim == 0 else out
 
     def grad(self, t):
         """Subgradient of h; at kinks the slope of the right piece is used."""
-        t = np.asarray(t, dtype=float)
-        L = self.lipschitz
-        if self.kind == PIECEWISE_LINEAR:
-            out = ((t >= -0.5 / L) & (t < 0.5 / L)) * L
-        elif self.kind == LOGISTIC_SIGMOID:
-            s = expit(4.0 * L * t)
-            out = 4.0 * L * s * (1.0 - s)
-        elif self.kind == NEG_MIN:
-            out = np.where(t < 0.0, 1.0, 0.0)
-        else:
-            raise ValueError(f"unknown loss kind {self.kind!r}")
-        if out.ndim == 0:
-            return float(out)
-        return out
+        out = _KINDS[self.kind][1](np.asarray(t, dtype=float), self.lipschitz)
+        return float(out) if out.ndim == 0 else out
 
 
 def piecewise_linear(lipschitz: float) -> LossFunction:
-    if not (np.isfinite(lipschitz) and lipschitz > 0):
-        raise ValueError("lipschitz must be positive and finite")
     return LossFunction(PIECEWISE_LINEAR, float(lipschitz))
 
 
 def logistic_sigmoid(lipschitz: float) -> LossFunction:
-    if not (np.isfinite(lipschitz) and lipschitz > 0):
-        raise ValueError("lipschitz must be positive and finite")
     return LossFunction(LOGISTIC_SIGMOID, float(lipschitz))
 
 

@@ -18,17 +18,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .halfspace import best_round, draw_rounds
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
 
 _ERF_SCALE = math.sqrt(math.pi) / 2.0
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
 # name -> (value, derivative); erf is rescaled from slope 2/sqrt(pi) to 1 at 0.
 _ACTIVATIONS = {
     "tanh": (np.tanh, lambda x: 1.0 - np.square(np.tanh(x))),
-    "erf": (lambda x: erf(_ERF_SCALE * x), lambda x: np.exp(-(_ERF_SCALE * x) ** 2)),
+    "erf": (lambda x: np.asarray(_erf(_ERF_SCALE * x), dtype=float),
+            lambda x: np.exp(-(_ERF_SCALE * x) ** 2)),
     "clamp": (lambda x: np.clip(x, -1.0, 1.0), lambda x: (np.abs(x) < 1.0).astype(float)),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)

@@ -38,6 +38,7 @@ def test_piecewise_linear_shape(L):
     assert v.min() >= 0.0 and v.max() <= 1.0
 
 
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 def test_logistic_sigmoid_values():
     h = logistic_sigmoid(1.0)
     assert h.value(0.0) == 0.5
@@ -47,6 +48,17 @@ def test_logistic_sigmoid_values():
     assert h3.value(-1.0) == pytest.approx(1.0 / (1.0 + np.exp(12.0)), rel=1e-12)
     big = h.value(np.array([-1e4, 1e4]))
     assert big[0] == 0.0 and big[1] == 1.0
+
+
+@pytest.mark.parametrize("L", [0.3, 1.0, 7.0])
+def test_logistic_sigmoid_is_numpy_form(L):
+    h = logistic_sigmoid(L)
+    t = np.concatenate([np.linspace(-3.0, 3.0, 601), [-1e4, -0.0, 0.0, 1e4]])
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-4.0 * L * t))
+    assert np.array_equal(h.value(t), s)
+    assert np.array_equal(h.grad(t), 4.0 * L * s * (1.0 - s))
+    assert isinstance(h.value(0.1), float) and isinstance(h.grad(0.1), float)
 
 
 def test_neg_min_values():

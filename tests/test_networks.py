@@ -47,6 +47,21 @@ def test_activation_odd_bounded_lipschitz(name):
     assert act.value(0.0) == 0.0
 
 
+def test_erf_activation_is_math_erf_bitwise():
+    """Elementwise math.erf(sqrt(pi)/2 * x), float64, in the input's shape."""
+    value, scale = Activation("erf").value, math.sqrt(math.pi) / 2.0
+    mags = np.logspace(-300.0, math.log10(30.0), 301)
+    stack = np.random.default_rng(5).normal(scale=3.0, size=(3, 5, 4))
+    for x in (np.array([0.0, -0.0]), np.concatenate([mags, -mags]), stack):
+        out = value(x)
+        ref = np.array([math.erf(scale * v) for v in x.ravel()]).reshape(x.shape)
+        assert out.dtype == np.float64 and out.shape == x.shape
+        assert out.tobytes() == ref.tobytes()
+    for x in (0.7, np.array(-1.3)):
+        out = value(x)
+        assert np.ndim(out) == 0 and float(out) == math.erf(scale * float(x))
+
+
 @pytest.mark.parametrize("name", ACTIVATIONS)
 def test_activation_deriv_finite_diff(name):
     act = Activation(name)
