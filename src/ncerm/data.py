@@ -87,21 +87,19 @@ class WeightedDataset:
         return WeightedDataset(features, labels, w, feature_norm_q)
 
 
-def draw_batch(rng: np.random.Generator, data: WeightedDataset, k: int) -> np.ndarray:
-    """Feature rows (k, d) of k i.i.d. draws from the dataset, point i with
-    probability weight_i.
+def draw_batch(data: WeightedDataset, u) -> np.ndarray:
+    """Feature rows (*u.shape, d) of the draws at uniforms u in [0, 1), of
+    any shape: point i with probability weight_i.
 
-    Indices come from the weights' CDF at k uniforms, the arithmetic of
-    rng.choice(n, size=k, replace=True, p=weights), so they follow its
-    stream without its per-call checks of p (the dataset already holds
-    finite nonnegative weights that sum to 1).
+    Indices come from the weights' CDF at u, the arithmetic of
+    rng.choice(n, size=u.shape, replace=True, p=weights) on the uniforms
+    it draws, without its per-call checks of p (the dataset already holds
+    finite nonnegative weights that sum to 1).  Zero-weight points are
+    never drawn.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     cdf = np.cumsum(data.weights)
     cdf /= cdf[-1]
-    idx = cdf.searchsorted(rng.random(k), side="right")
-    return data.features[idx]
+    return data.features[cdf.searchsorted(u, side="right")]
 
 
 def _sample_q_ball(rng: np.random.Generator, count: int, d: int, q: float) -> np.ndarray:

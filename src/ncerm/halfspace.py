@@ -2,10 +2,11 @@
 
 Two initialization schemes share the same outer loop, best_round, which
 Algorithm 3 also runs: draw a candidate per round from an independent
-seed stream, optionally refine it locally, and keep the earliest round
-with the lowest weighted surrogate risk.  Rounds are drawn, fitted,
-refined and scored CHUNK_ROUNDS at a time; every round still draws from
-its own stream, so the chunk size changes no result.
+block of a counter-based stream, optionally refine it locally, and keep
+the earliest round with the lowest weighted surrogate risk.  Rounds are
+drawn, fitted, refined and scored CHUNK_ROUNDS at a time; a chunk is one
+draw in which every round still gets its own block, so the chunk size
+changes no result.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 
 from .data import draw_batch
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent
-from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm, round_rng
+from .util import (NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm,
+                   round_uniforms)
 
 DEFAULT_T_BUDGET = 1000
 CHUNK_ROUNDS = 256
@@ -136,19 +138,29 @@ def best_round(T: int, candidates, kernels, refine_budget: int) -> np.ndarray:
     return best_w
 
 
+def sphere_starts(seed: int, ts, dim: int, r: float) -> np.ndarray:
+    """Starts (c, dim) of rounds ts, each r times a uniform unit vector.
+
+    Round t's Gaussian direction comes by Box-Muller from its block of
+    2 ceil(dim/2) uniforms u: radii sqrt(-2 log(1 - u)) from the first
+    half, angles 2 pi u from the second, cosines then sines.
+    """
+    h = -(-dim // 2)
+    u = round_uniforms(seed, ts, 2 * h)
+    radius, angle = np.sqrt(-2.0 * np.log(1.0 - u[:, :h])), 2.0 * np.pi * u[:, h:]
+    G = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :dim]
+    return G * (r / np.linalg.norm(G, axis=1, keepdims=True))
+
+
 def algorithm1(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -> LinearModel:
-    """Uniform-sphere restarts: round t draws u uniform on the unit sphere
-    and starts from r*u; output norm stays within r.
+    """Uniform-sphere restarts: round t starts from r*u, u uniform on the
+    unit sphere (sphere_starts); output norm stays within r.
     """
     if config.algorithm != 1:
         raise ValueError("config was not built for the sphere scheme")
     check_unit_ball(data.features, 2.0)
-
-    def candidates(ts):
-        G = [round_rng(config.seed, t).standard_normal(data.dim) for t in ts]
-        return np.array([config.r * (g / np.linalg.norm(g)) for g in G])
-
-    w = best_round(config.T_budget, candidates,
+    w = best_round(config.T_budget,
+                   lambda ts: sphere_starts(config.seed, ts, data.dim, config.r),
                    linear_kernels(data, loss, 2.0, config.r), refine_budget)
     return LinearModel(w, 2.0, config.r)
 
@@ -156,22 +168,20 @@ def algorithm1(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -
 def draw_rounds(data, seed: int, ts, k: int, targets: int, bound: float):
     """Batches X (c, k, d) and targets U (c, targets, k) of rounds ts.
 
-    Round t draws k points by importance weight and then its targets
-    uniform in [-bound, bound], both from round_rng(seed, t).
+    Rounds ts, a step-1 range, are one draw of round_uniforms with a block
+    of k + targets k uniforms per round: the first k pick the round's
+    batch by importance weight, the rest give its targets bound (2u - 1)
+    in [-bound, bound].
     """
-    X, U = np.empty((len(ts), k, data.dim)), np.empty((len(ts), targets, k))
-    for i, t in enumerate(ts):
-        rng = round_rng(seed, t)
-        X[i] = draw_batch(rng, data, k)
-        U[i] = rng.uniform(-bound, bound, size=(targets, k))
-    return X, U
+    u = round_uniforms(seed, ts, k * (1 + targets))
+    return draw_batch(data, u[:, :k]), bound * (2.0 * u[:, k:] - 1.0).reshape(-1, targets, k)
 
 
 def algorithm2(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -> LinearModel:
     """Least-squares restarts: round t importance-samples k points, draws
     targets u uniform in [-1, 1]^k, and fits the batch exactly under
-    ||w||_p <= 1.  A chunk's rounds are drawn one by one, each from its
-    own stream, and fitted in one stacked solve.
+    ||w||_p <= 1.  A chunk's rounds are drawn in one call, each from its
+    own block, and fitted in one stacked solve.
     """
     if config.algorithm != 2:
         raise ValueError("config was not built for the least-squares scheme")

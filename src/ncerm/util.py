@@ -1,4 +1,5 @@
-"""Shared plumbing: seed derivation and exact ceilings of huge products."""
+"""Shared plumbing: seed derivation, per-round uniforms and exact ceilings
+of huge products."""
 
 from __future__ import annotations
 
@@ -15,18 +16,24 @@ _EXACT_DIGIT_LIMIT = 400
 NORM_TOL = 1e-9
 
 
-def round_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-round generator derived from a master seed.
+def round_uniforms(seed: int, ts: range, m: int) -> np.ndarray:
+    """Uniforms (len(ts), m) in [0, 1) of rounds ts, one row per round.
 
-    Round ``index`` of a run always sees the same stream regardless of
-    whether other rounds ran before it, so rounds can be replayed or
-    executed in parallel without changing results.
+    Round t owns a fixed block of m4 = 4 ceil(m/4) doubles of the Philox
+    stream keyed by SeedSequence(seed), starting at counter t m4/4 (one
+    counter step gives 4 doubles), and takes its first m.  A chunk of
+    rounds is one draw, and every round sees the numbers it would see
+    alone, so rounds can be replayed or drawn in any chunking.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    if not isinstance(ts, range) or ts.step != 1 or ts.start < 0:
+        raise ValueError("rounds must be a step-1 range of indices >= 0")
+    steps = -(-m // 4)
+    bits = np.random.Philox(np.random.SeedSequence(seed)).advance(ts.start * steps)
+    return np.random.Generator(bits).random((len(ts), 4 * steps))[:, :m]
 
 
 def child_seed(seed: int, index: int) -> int:
-    """Integer sub-seed for a nested component (same derivation as round_rng)."""
+    """Integer sub-seed for a nested component: SeedSequence(seed) spawned at index."""
     ss = np.random.SeedSequence(seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 

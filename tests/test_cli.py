@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ncerm import halfspace
 from ncerm.cli import COMMANDS, command_options, main
 
 FAST_ARGS = {
@@ -33,6 +34,22 @@ def test_repeat_runs_byte_identical(tmp_path, name):
     header = a.split(b"\n", 1)[0]
     assert b"," in header  # header row present
     assert len(a.split(b"\n")) > 2  # at least one data row
+
+
+@pytest.mark.parametrize("argv", [
+    ["halfspace", *FAST_ARGS["halfspace"]],
+    ["halfspace", "--algorithm", "1", *FAST_ARGS["halfspace"]],
+    ["nn", *FAST_ARGS["nn"]],
+    ["boostnet", *FAST_ARGS["boostnet"]],
+    ["parity", *FAST_ARGS["parity"]],
+])
+def test_csv_same_for_any_chunk_size(tmp_path, monkeypatch, argv):
+    """Rounds drawn CHUNK_ROUNDS at a time or 3 at a time give the same
+    CSV, byte for byte."""
+    name, *rest = argv
+    whole = _run(tmp_path, name, rest, "whole")
+    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 3)
+    assert _run(tmp_path, name, rest, "chunked") == whole
 
 
 def test_seed_changes_output(tmp_path):

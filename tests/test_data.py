@@ -77,14 +77,15 @@ def test_draw_batch_respects_weights():
     w = np.array([0.5, 0.5, 0.0, 0.0])
     data = WeightedDataset(X, y, w)
     rng = np.random.default_rng(0)
-    batch = draw_batch(rng, data, 100_000)
+    batch = draw_batch(data, rng.random(100_000))
     assert batch.shape == (100_000, 2)
     # zero-weight rows must never appear
     assert np.all(batch[:, 0] <= 3.0)
     frac0 = np.mean(batch[:, 0] == 0.0)
     assert abs(frac0 - 0.5) < 0.01
-    with pytest.raises(ValueError):
-        draw_batch(rng, data, 0)
+    # uniforms of any shape map to rows of that shape
+    assert draw_batch(data, rng.random((3, 5))).shape == (3, 5, 2)
+    assert draw_batch(data, np.empty(0)).shape == (0, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,13 +96,14 @@ def test_draw_batch_respects_weights():
     st.integers(0, 2**32 - 1),
 )
 def test_draw_batch_follows_generator_choice(raw, k, seed):
-    """draw_batch picks the indices rng.choice(n, k, replace=True, p=w)
-    picks from an equal generator state, zero weights included, and
-    leaves the generator where choice leaves it."""
+    """draw_batch, fed k uniforms of a generator, picks the indices
+    rng.choice(n, k, replace=True, p=w) picks from an equal generator
+    state, zero weights included, and choice draws exactly those k
+    uniforms."""
     n = raw.size
     data = WeightedDataset(np.arange(n, dtype=float)[:, None], np.ones(n), raw / raw.sum())
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    idx = draw_batch(ours, data, k)[:, 0].astype(int)
+    idx = draw_batch(data, ours.random(k))[:, 0].astype(int)
     assert np.array_equal(idx, ref.choice(n, size=k, replace=True, p=data.weights))
     assert ours.random() == ref.random()
 

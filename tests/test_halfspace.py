@@ -4,11 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncerm import halfspace
-from ncerm.data import planted_halfspace
+from ncerm.data import WeightedDataset, planted_halfspace
 from ncerm.halfspace import (
     LinearModel,
     algorithm1,
@@ -16,10 +16,12 @@ from ncerm.halfspace import (
     best_round,
     config_alg1,
     config_alg2,
+    draw_rounds,
+    sphere_starts,
 )
 from ncerm.losses import empirical_risk, piecewise_linear, zero_one_risk
 from ncerm.solvers import linear_kernels, lockstep_descent
-from ncerm.util import lq_norm, round_rng
+from ncerm.util import lq_norm, round_uniforms
 
 
 def test_config_alg1_frozen_example():
@@ -88,8 +90,10 @@ def test_algorithm1_single_round_reproduces_stream():
     data, _ = planted_halfspace(40, 3, 0.2, 2.0, seed=2)
     cfg = config_alg1(40, 3, 0.4, 0.05, seed=21, T_budget=1)
     model = algorithm1(data, loss, cfg, refine_budget=0)
-    g = round_rng(21, 0).standard_normal(3)
-    expect = cfg.r * g / np.linalg.norm(g)
+    u = round_uniforms(21, range(1), 4)[0]
+    radius, angle = np.sqrt(-2.0 * np.log(1.0 - u[:2])), 2.0 * np.pi * u[2:]
+    g = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:3]
+    expect = g * (cfg.r / np.sqrt(np.sum(g * g)))
     assert np.array_equal(model.w, expect)
     model.check_feasible()
 
@@ -192,7 +196,8 @@ def test_best_round_same_row_for_any_chunk_size(T, chunk, period, refine_budget,
     kernels = _small_linear_problem()
 
     def candidates(ts):
-        return kernels[2](np.array([round_rng(seed, t % period).standard_normal(4) for t in ts]))
+        return kernels[2](np.array([np.random.default_rng([seed, t % period]).standard_normal(4)
+                                    for t in ts]))
 
     with mock.patch.object(halfspace, "CHUNK_ROUNDS", chunk):
         row = best_round(T, candidates, kernels, refine_budget)
@@ -209,3 +214,80 @@ def test_zero_round_budget_is_an_error():
         algorithm2(data, loss, config_alg2(20, 3, 2.0, 0.5, 0.05, T_budget=0))
     with pytest.raises(ValueError, match="T_budget"):
         algorithm1(data, loss, config_alg1(20, 3, 0.4, 0.05, T_budget=0))
+
+
+def _index_dataset(weights):
+    """Points 0..n-1 on a line, so a drawn row's feature is its index."""
+    w = np.asarray(weights, dtype=float)
+    return WeightedDataset(np.arange(w.size, dtype=float)[:, None] / w.size,
+                           np.ones(w.size), w / w.sum())
+
+
+def test_round_uniforms_replayable():
+    """A round's block is the same drawn alone, again, or inside a chunk;
+    other rounds get other blocks, and only step-1 ranges from round 0
+    on are accepted."""
+    a = round_uniforms(5, range(3, 4), 6)
+    assert a.shape == (1, 6)
+    assert np.array_equal(a, round_uniforms(5, range(3, 4), 6))
+    assert np.array_equal(a, round_uniforms(5, range(8), 6)[3:4])
+    assert not np.array_equal(a, round_uniforms(5, range(4, 5), 6))
+    assert not np.array_equal(a, round_uniforms(6, range(3, 4), 6))
+    for bad in ([3], range(0, 8, 2), range(-1, 2)):
+        with pytest.raises(ValueError, match="range"):
+            round_uniforms(5, bad, 6)
+    with pytest.raises(ValueError, match="range"):
+        draw_rounds(_index_dataset([1.0, 1.0]), 5, [0, 1], 2, 1, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(0, 2**40), st.integers(1, 300),
+       st.integers(1, 9), st.integers(1, 15), st.integers(1, 12), st.data())
+def test_round_draws_same_for_any_chunking(seed, a, length, k, nodes, dim, data):
+    """Any sub-range of a chunk of rounds, drawn alone, gives the chunk's
+    rows bit for bit: batches and targets of draw_rounds (blocks of
+    k + nodes k uniforms, not a multiple of 4) and Algorithm 1's starts."""
+    assume(k * (1 + nodes) % 4)
+    sample = _index_dataset([0.0, 3.0, 1.0, 0.0, 2.0, 5.0, 0.0])
+    i = data.draw(st.integers(0, length - 1))
+    j = data.draw(st.integers(i + 1, length))
+    chunk, part = range(a, a + length), range(a + i, a + j)
+    X, U = draw_rounds(sample, seed, chunk, k, nodes, 1.5)
+    Xp, Up = draw_rounds(sample, seed, part, k, nodes, 1.5)
+    assert X.shape == (length, k, 1) and U.shape == (length, nodes, k)
+    assert np.array_equal(Xp, X[i:j]) and np.array_equal(Up, U[i:j])
+    W = sphere_starts(seed, chunk, dim, 1.5)
+    assert W.shape == (length, dim)
+    assert np.array_equal(sphere_starts(seed, part, dim, 1.5), W[i:j])
+
+
+def test_round_draw_distributions():
+    """Over 100k draws of one seed: batch points follow the weights within
+    5 sigma each and zero weights are never drawn; targets lie in
+    [-B, B] with mean 0 and variance B^2/3; Algorithm 1's starts have norm
+    r, mean 0 and second moment (r^2/d) I, all within 5 standard errors."""
+    w = np.array([0.0, 3.0, 1.0, 0.0, 2.0, 5.0, 0.0, 0.5])
+    sample = _index_dataset(w)
+    k, nodes, B, N = 4, 2, 1.5, 100_000
+    X, U = draw_rounds(sample, 2026, range(N // k), k, nodes, B)
+    idx = np.rint(X.ravel() * w.size).astype(int)
+    p = sample.weights
+    counts = np.bincount(idx, minlength=w.size)
+    assert np.all(counts[p == 0] == 0)
+    assert np.all(np.abs(counts - N * p) <= 5.0 * np.sqrt(N * p * (1.0 - p)))
+
+    u = U.ravel()
+    assert u.size >= N and np.all(np.abs(u) <= B)
+    assert abs(u.mean()) <= 5.0 * B / np.sqrt(3.0 * u.size)
+    # Var(u^2) = E u^4 - (E u^2)^2 = B^4 (1/5 - 1/9) for u uniform on [-B, B].
+    assert abs(np.mean(u**2) - B**2 / 3.0) <= 5.0 * B**2 * np.sqrt(4.0 / 45.0 / u.size)
+
+    d, r = 5, 1.7
+    W = sphere_starts(2026, range(N), d, r)
+    assert np.allclose(np.linalg.norm(W, axis=1), r, rtol=1e-12, atol=0.0)
+    assert np.all(np.abs(W.mean(axis=0)) <= 5.0 * r / np.sqrt(d * N))
+    # On the sphere of radius r, Var(x_i^2) = r^4 (3/(d(d+2)) - 1/d^2) is the
+    # largest variance of any entry of x x^T.
+    second = W.T @ W / N
+    sigma = r**2 * np.sqrt((3.0 / (d * (d + 2)) - 1.0 / d**2) / N)
+    assert np.all(np.abs(second - r**2 / d * np.eye(d)) <= 5.0 * sigma)

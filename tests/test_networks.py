@@ -28,7 +28,7 @@ from ncerm.networks import (
     validate,
     zero_network,
 )
-from ncerm.util import lq_norm, round_rng
+from ncerm.util import lq_norm, round_uniforms
 from ncerm import halfspace
 from ncerm.losses import logistic_sigmoid
 from ncerm.networks import network_kernels, to_levels
@@ -246,14 +246,6 @@ def test_random_network_norms_at_budget():
         assert lq_norm(leaf.w, 2.0) == pytest.approx(1.5, rel=1e-12)
 
 
-def test_round_rng_replayable():
-    a = round_rng(5, 3).standard_normal(4)
-    b = round_rng(5, 3).standard_normal(4)
-    c = round_rng(5, 4).standard_normal(4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-
-
 def test_json_golden_format(tmp_path):
     """The saved file is exactly this text: type/w for leaves and
     type/weights/children for nodes, floats as shortest repr."""
@@ -325,16 +317,17 @@ def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
     validate(chunked, spec)
 
 
-def _recursive_candidate(X, spec, level, s, rng):
+def _recursive_candidate(X, spec, level, s, targets):
     """(values on X, level tensors) of one candidate, built the recursive
-    way: each node's children first, then its targets, then its fit."""
+    way: each node's children first, then its next target row, then its
+    fit."""
     if level == 1:
         design, p, levels = X, spec.leaf_p, []
     else:
-        parts = [_recursive_candidate(X, spec, level - 1, s, rng) for _ in range(s)]
+        parts = [_recursive_candidate(X, spec, level - 1, s, targets) for _ in range(s)]
         design, p = spec.act.value(np.stack([v for v, _ in parts], axis=1)), 1.0
         levels = [np.concatenate(same) for same in zip(*(ls for _, ls in parts))]
-    u = rng.uniform(-spec.budget, spec.budget, size=len(X))
+    u = next(targets)
     c = constrained_least_squares(design, u, p, spec.budget)
     return design @ c, levels + [c[None, :]]
 
@@ -349,10 +342,13 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
     loss = piecewise_linear(1.0)
     data, _ = planted_network(60, 3, 0.1, network_spec(2, 1.0), 2, seed=4)
     T, k, seed = 7, 6, 11
+    nodes = sum(s**j for j in range(depth))
     rows = []
     for t in range(T):
-        rng = round_rng(seed, t)
-        levels = _recursive_candidate(draw_batch(rng, data, k), spec, depth, s, rng)[1]
+        # Round t's block: k uniforms for its batch, then k per node, depth-first.
+        u = round_uniforms(seed, range(t, t + 1), k * (1 + nodes))[0]
+        targets = iter(spec.budget * (2.0 * u[k:] - 1.0).reshape(nodes, k))
+        levels = _recursive_candidate(draw_batch(data, u[:k]), spec, depth, s, targets)[1]
         rows.append(np.concatenate([L.ravel() for L in levels]))
     shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
     risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows), np.arange(T))
