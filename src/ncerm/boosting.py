@@ -17,7 +17,7 @@ import numpy as np
 
 from .halfspace import algorithm1, algorithm2, config_alg1, config_alg2
 from .losses import empirical_risk
-from .networks import Leaf, NetworkClassSpec, Node, algorithm3, evaluate
+from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
 _MU_HI = 1.0 - 1e-15
@@ -100,7 +100,7 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class BoostResult:
-    network: Node
+    network: Network
     coefficients: np.ndarray
     b_T: float
     rounds: tuple
@@ -134,7 +134,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     """Train one weak network of depth m-1 on the reweighted sample.
 
     Dispatches to the configured subroutine; halfspace schemes are only
-    valid when m - 1 = 1, and their output is wrapped as a leaf.
+    valid when m - 1 = 1, and their output is wrapped as a depth-1 network.
     """
     spec = config.class_spec
     m = spec.depth
@@ -156,7 +156,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
         if wc.k is not None:  # T_theory stays the one of the derived k
             cfg = replace(cfg, k=int(wc.k))
         model = algorithm2(data, act_loss, cfg, wc.refine_budget)
-        return Leaf(model.w)
+        return Network([model.w[None]])
     if spec.input_q != 2.0:
         raise ValueError("the sphere scheme needs l2-bounded data")
     cfg = config_alg1(
@@ -167,7 +167,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
             f"sphere radius {cfg.r} exceeds the leaf budget {spec.budget}"
         )
     model = algorithm1(data, act_loss, cfg, wc.refine_budget)
-    return Leaf(model.w)
+    return Network([model.w[None]])
 
 
 def boostnet_train(data, config: BoostConfig) -> BoostResult:
@@ -204,7 +204,7 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     coeffs = np.array([r.coefficient for r in rounds])
     mus = np.array([r.mu for r in rounds])
     return BoostResult(
-        network=Node(tuple(children), coeffs * (B / b)), coefficients=coeffs, b_T=b,
+        network=combine(children, coeffs * (B / b)), coefficients=coeffs, b_T=b,
         rounds=tuple(rounds), any_clamped=any(r.clamped for r in rounds),
         potential_value=float(np.mean(np.exp(-y * M))),
         potential_bound=float(np.exp(-0.5 * np.sum(mus**2))), T=T,

@@ -156,15 +156,11 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(_format_cell(v) for v in row) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    return text
 
 
 def main(argv=None) -> int:
@@ -176,12 +172,17 @@ def main(argv=None) -> int:
         # Looked up per call, so a wrapper installed on the runner takes effect.
         runner = getattr(experiments, COMMANDS[args.command][1])
         header, rows, lines = runner(**options)
+        text = _csv_text(header, rows)
+        if out is not None:  # written before any stdout, so a failure prints nothing
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in lines:
         print(line)
-    _write_csv(out, header, rows)
+    if out is None:
+        sys.stdout.write(text)
     return 0
 
 

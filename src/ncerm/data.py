@@ -187,7 +187,7 @@ def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed:
     first leaf at class depth 1; points are then rejection-sampled from the
     unit l_q ball until |f*(x)| >= margin.  Returns (dataset, teacher).
     """
-    from .networks import _draw_network, evaluate
+    from .networks import Network, _draw_network, evaluate
 
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -196,7 +196,7 @@ def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed:
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     teacher = _draw_network(rng, class_spec, d, width, 2)
     if class_spec.depth == 1:
-        teacher = teacher.children[0]
+        teacher = Network([teacher.levels[0][:1]])
     data = _plant(rng, n, d, class_spec.input_q, margin,
                   lambda X: evaluate(teacher, class_spec, X))
     return data, teacher

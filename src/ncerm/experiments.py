@@ -24,7 +24,6 @@ from .networks import (
     predictor,
     random_network,
     save_network,
-    to_levels,
     zero_network,
 )
 from .util import child_seed, dual_exponent
@@ -125,7 +124,7 @@ def run_parity_experiment(
     for seed in seeds:
         cfg = BoostConfig(spec, gamma=0.1, T=hidden_budget, weak=PARITY_WEAK, seed=seed)
         result = boostnet_train(train, cfg)
-        W = to_levels(result.network)[0]
+        W = result.network.levels[0]
         M = np.cumsum(result.coefficients * spec.act.value(X[n_train:] @ W.T), axis=1)
         wrong.append(y[n_train:, None] * M <= 0.0)
     val_err = np.array([np.mean(e[:n_val], axis=0) for e in wrong])

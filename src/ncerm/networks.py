@@ -3,11 +3,14 @@
 The class is defined recursively: depth 1 holds linear maps x -> <w, x>
 with ||w||_p <= B; at depth m, outputs of depth m-1 members pass through
 a bounded odd activation and are combined linearly under an l1 budget B.
-Leaf/Node trees are uniform (one width per level) and all arithmetic
-runs on their level tensors (to_levels).  Training draws a candidate per
-round (random targets fitted by constrained least squares, leaves first,
-each level for a whole chunk of rounds at once) and keeps the best after
-optional joint local refinement.
+Every network held here is uniform (one width per level), so a Network
+is just its level tensors and all arithmetic runs on them; combine builds
+the level above equally shaped children.  Its tree views (children,
+comb_weights, w) follow the recursive definition for the JSON format and
+callers that read a BoostNet output as its weak networks.  Training draws
+a candidate per round (random targets fitted by constrained least
+squares, leaves first, each level for a whole chunk of rounds at once)
+and keeps the best after optional joint local refinement.
 """
 
 from __future__ import annotations
@@ -93,54 +96,54 @@ def network_spec(depth: int, budget: float, leaf_p: float = 2.0,
     return NetworkClassSpec(depth, float(budget), float(leaf_p), activation)
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Linear map x -> <w, x>."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", np.ascontiguousarray(self.w, dtype=float))
-
-
-@dataclass(frozen=True)
-class Node:
-    """Linear combination of activated child outputs."""
-
-    children: tuple
-    comb_weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "comb_weights", np.ascontiguousarray(self.comb_weights, dtype=float))
-
-
-def to_levels(net) -> list:
-    """Level tensors [W, C_1, ..., C_{m-1}] of a depth-m uniform tree.
+@dataclass(frozen=True, eq=False)
+class Network:
+    """Uniform network held as its level tensors (W, C_1, ..., C_{m-1}).
 
     W (N, d) holds the leaf weights left to right; row i of C_j (N_j, s_j)
-    combines outputs i*s_j .. (i+1)*s_j - 1 of level j.
+    combines outputs i*s_j .. (i+1)*s_j - 1 of level j - 1, and the top
+    level has one row.  The tensors are read-only copies.
     """
-    nodes, levels = [net], []
-    while isinstance(nodes[0], Node):
-        s = len(nodes[0].children)
-        if s < 1 or not all(isinstance(n, Node) and n.comb_weights.shape == (s,) == (len(n.children),)
-                            for n in nodes):
-            raise ValueError("network not uniform: nodes need children, one weight each")
-        levels.insert(0, np.array([n.comb_weights for n in nodes]))
-        nodes = [c for n in nodes for c in n.children]
-    if not all(isinstance(n, Leaf) and n.w.shape == nodes[0].w.shape for n in nodes) or (
-            nodes[0].w.ndim != 1 or nodes[0].w.size < 1):
-        raise ValueError("network not uniform: leaves need one depth and one dimension")
-    return [np.array([n.w for n in nodes]), *levels]
+
+    levels: tuple
+
+    def __post_init__(self):
+        levels = tuple(np.array(L, dtype=float) for L in self.levels)
+        for L in levels:
+            L.flags.writeable = False
+        if not levels or any(L.ndim != 2 or L.size < 1 for L in levels) or len(levels[-1]) != 1 \
+                or any(len(C) * C.shape[1] != len(L) for L, C in zip(levels, levels[1:])):
+            raise ValueError("network not uniform: levels must be nonempty matrices, "
+                             "each row combining its share of the rows below, one on top")
+        object.__setattr__(self, "levels", levels)
+
+    # Tree views of the recursive definition, read by the JSON writer.
+    @property
+    def children(self) -> tuple:
+        """The networks one level shallower combined at the top."""
+        s = len(self.comb_weights)
+        return tuple(Network([L[i * len(L) // s:(i + 1) * len(L) // s] for L in self.levels[:-1]])
+                     for i in range(s))
+
+    @property
+    def comb_weights(self) -> np.ndarray:
+        if len(self.levels) == 1:
+            raise AttributeError("a depth-1 network has no combination weights")
+        return self.levels[-1][0]
+
+    @property
+    def w(self) -> np.ndarray:
+        if len(self.levels) > 1:
+            raise AttributeError("only a depth-1 network has leaf weights w")
+        return self.levels[0][0]
 
 
-def from_levels(levels):
-    """The tree whose level tensors are given (inverse of to_levels)."""
-    nodes = [Leaf(w.copy()) for w in levels[0]]
-    for C in levels[1:]:
-        nodes = [Node(nodes[i * len(c):(i + 1) * len(c)], c.copy()) for i, c in enumerate(C)]
-    return nodes[0]
+def combine(children, weights) -> Network:
+    """The network one level deeper that combines equally shaped children."""
+    if len({tuple(L.shape for L in c.levels) for c in children}) != 1:
+        raise ValueError("network not uniform: combine needs children of one shape")
+    return Network([*map(np.concatenate, zip(*(c.levels for c in children))),
+                    np.asarray(weights, dtype=float)[None]])
 
 
 def _flat(levels) -> np.ndarray:
@@ -168,7 +171,7 @@ def _forward(levels, act: Activation, X: np.ndarray) -> list:
 
 def validate(net, spec: NetworkClassSpec) -> None:
     """Raise ValueError unless net is a uniform member of the class."""
-    levels = to_levels(net)
+    levels = net.levels
     if len(levels) > spec.depth:
         raise ValueError(f"network depth {len(levels)} exceeds class depth {spec.depth}")
     norms = [lq_norm(levels[0], spec.leaf_p), *(np.sum(np.abs(C), axis=1) for C in levels[1:])]
@@ -181,7 +184,7 @@ def validate(net, spec: NetworkClassSpec) -> None:
 def evaluate(net, spec: NetworkClassSpec, x):
     """Network value at a point (1-D input) or per row of a matrix."""
     x = np.asarray(x, dtype=float)
-    out = _forward([L[None] for L in to_levels(net)], spec.act, np.atleast_2d(x))[-1][0, :, 0]
+    out = _forward([L[None] for L in net.levels], spec.act, np.atleast_2d(x))[-1][0, :, 0]
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -191,7 +194,7 @@ def predictor(net, spec: NetworkClassSpec):
 
 
 def net_to_dict(net) -> dict:
-    if isinstance(net, Leaf):
+    if len(net.levels) == 1:
         return {"type": "leaf", "w": [float(v) for v in net.w]}
     return {"type": "node", "weights": [float(v) for v in net.comb_weights],
             "children": [net_to_dict(c) for c in net.children]}
@@ -202,16 +205,12 @@ def net_from_dict(obj):
     have written, including a tree that is not uniform."""
     try:
         if obj["type"] == "leaf":
-            net = Leaf(np.asarray(obj["w"], dtype=float))
-        elif obj["type"] == "node":
-            net = Node(tuple(net_from_dict(c) for c in obj["children"]),
-                       np.asarray(obj["weights"], dtype=float))
-        else:
-            raise ValueError(f"unknown node type {obj['type']!r}")
+            return Network([np.asarray(obj["w"], dtype=float)[None]])
+        if obj["type"] == "node":
+            return combine([net_from_dict(c) for c in obj["children"]], obj["weights"])
+        raise ValueError(f"unknown node type {obj['type']!r}")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"network JSON: not a leaf or node object ({exc!r})") from None
-    to_levels(net)
-    return net
 
 
 def save_network(path, net) -> None:
@@ -292,11 +291,10 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
 
 def refine_network(net, spec: NetworkClassSpec, data, loss, step_budget: int):
     """Joint monotone projected descent over all weights of the network."""
-    levels = to_levels(net)
-    shapes = [L.shape for L in levels]
-    P, _ = lockstep_descent(_flat([L[None] for L in levels]),
+    shapes = [L.shape for L in net.levels]
+    P, _ = lockstep_descent(_flat([L[None] for L in net.levels]),
                             *network_kernels(data, loss, spec, shapes), step_budget)
-    return from_levels([L[0] for L in _split(P, shapes)])
+    return Network([L[0] for L in _split(P, shapes)])
 
 
 def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
@@ -344,7 +342,7 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
 
     row = best_round(min(T_budget, T_theory), candidates,
                      network_kernels(data, loss, spec, shapes), refine_budget)
-    return from_levels([L[0] for L in _split(row[None], shapes)])
+    return Network([L[0] for L in _split(row[None], shapes)])
 
 
 def _target_rows(counts, s: int) -> np.ndarray:
@@ -368,10 +366,10 @@ def _draw_network(rng: np.random.Generator, spec: NetworkClassSpec, dim: int,
     B = spec.budget
     if depth == 1:
         v = rng.standard_normal(dim)
-        return Leaf(v * (B / lq_norm(v, spec.leaf_p)))
-    children = tuple(_draw_network(rng, spec, dim, width, depth - 1) for _ in range(width))
+        return Network([(v * (B / lq_norm(v, spec.leaf_p)))[None]])
+    children = [_draw_network(rng, spec, dim, width, depth - 1) for _ in range(width)]
     c = rng.standard_normal(width)
-    return Node(children, c * (B / np.sum(np.abs(c))))
+    return combine(children, c * (B / np.sum(np.abs(c))))
 
 
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):
@@ -384,4 +382,4 @@ def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):
 
 def zero_network(dim: int):
     """The zero function as a depth-1 member."""
-    return Leaf(np.zeros(dim))
+    return Network([np.zeros((1, dim))])

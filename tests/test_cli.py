@@ -263,6 +263,7 @@ BAD_INPUTS = {
     "zero_repetitions": (["halfspace", "--repetitions", "0"], None),
     "zero_repetitions_nn": (["nn", "--repetitions", "0"], None),
     "zero_instances_hardness": (["hardness", "--instances", "0"], None),
+    "out_in_missing_directory": (["hardness", "--instances", "1", "--out", "{path}/x.csv"], None),
 }
 
 

@@ -16,7 +16,7 @@ from ncerm.data import (
     planted_network,
     save_dataset_csv,
 )
-from ncerm.networks import evaluate, network_spec, random_network, to_levels, validate
+from ncerm.networks import evaluate, network_spec, random_network, validate
 from ncerm.util import lq_norm
 
 
@@ -161,11 +161,12 @@ def test_planted_network_teacher_is_random_network(width):
     depth-2 net, or at class depth 1 its first child."""
     net = random_network(network_spec(2, 1.5, 1.5), 4, width, seed=5)
     _, teacher = planted_network(40, 4, 0.1, network_spec(2, 1.5, 1.5), width, seed=5)
-    got, want = to_levels(teacher), to_levels(net)
+    got, want = teacher.levels, net.levels
     assert len(got) == len(want) == 2
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     _, leaf = planted_network(40, 4, 0.1, network_spec(1, 1.5, 1.5), width, seed=5)
-    assert np.array_equal(leaf.w, net.children[0].w)
+    assert len(leaf.levels) == 1
+    assert np.array_equal(leaf.levels[0], net.levels[0][:1])
 
 
 def test_flip_labels_rate_zero_and_one():

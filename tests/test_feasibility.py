@@ -2,17 +2,34 @@
 sample shape and round count: Algorithms 1-3, BoostNet, and the linear
 and network refiners, checked by LinearModel.check_feasible or validate."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncerm.boosting import BoostConfig, WeakLearnerConfig, boostnet_train
+from ncerm.boosting import (
+    ActivationLoss,
+    BoostConfig,
+    NoProgressError,
+    WeakLearnerConfig,
+    boost_weights,
+    boostnet_train,
+    weak_learn,
+)
 from ncerm.data import WeightedDataset
 from ncerm.halfspace import LinearModel, algorithm1, algorithm2, config_alg1, config_alg2
-from ncerm.losses import piecewise_linear
-from ncerm.networks import algorithm3, network_spec, random_network, refine_network, validate
+from ncerm.losses import empirical_risk, piecewise_linear
+from ncerm.networks import (
+    algorithm3,
+    evaluate,
+    network_spec,
+    random_network,
+    refine_network,
+    validate,
+)
 from ncerm.solvers import refine
-from ncerm.util import dual_exponent, lq_norm
+from ncerm.util import child_seed, dual_exponent, lq_norm
 
 LOSS = piecewise_linear(1.0)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -79,9 +96,28 @@ def test_network_learners_in_class(seed, n, d, depth, leaf_p, budget, k, s, T, s
 
 @settings(max_examples=10, deadline=None)
 @given(SEEDS, SIZES, DIMS, st.integers(2, 3), LEAF_P, BUDGETS, st.integers(1, 2), STEPS)
+@example(seed=0, n=2, d=1, depth=2, leaf_p=2.0, budget=1.0, T=1, steps=0)
 def test_boostnet_in_class(seed, n, d, depth, leaf_p, budget, T, steps):
+    """BoostNet's output is in its class, or it raises NoProgressError
+    because every coefficient was zero.  Then every round saw the uniform
+    weights boost_weights(0, y), and each round's weak net has activated
+    risk G_t zero to within rounding, so that its coefficient
+    c_t = (1/2) ln((1 - G_t) / (1 + G_t)) is exactly 0.  (Labels that
+    cancel per point magnitude, as for x and -x at d = 1, make every odd
+    weak net's G_t vanish; summing the cancelling terms can leave an
+    ulp-sized residue.)"""
     spec = network_spec(depth, budget, leaf_p)
     weak = WeakLearnerConfig(epsilon=0.5, k=4, s=2, T_budget=1, refine_budget=steps)
-    result = boostnet_train(_sample(seed, n, d, spec.input_q),
-                            BoostConfig(spec, gamma=0.3, T=T, weak=weak, seed=seed))
-    validate(result.network, spec)
+    data = _sample(seed, n, d, spec.input_q)
+    config = BoostConfig(spec, gamma=0.3, T=T, weak=weak, seed=seed)
+    try:
+        result = boostnet_train(data, config)
+    except NoProgressError:
+        uniform = data.with_weights(boost_weights(np.zeros(n), data.labels))
+        for t in range(T):
+            F = evaluate(weak_learn(uniform, config, child_seed(seed, t)), config.weak_spec,
+                         data.features)
+            G = empirical_risk(lambda _: F, ActivationLoss(spec.act), uniform)
+            assert abs(G) < 1e-15 and math.log((1.0 - G) / (1.0 + G)) == 0.0
+    else:
+        validate(result.network, spec)

@@ -12,9 +12,9 @@ from ncerm.losses import empirical_risk, piecewise_linear
 from ncerm.networks import (
     ACTIVATIONS,
     Activation,
-    Leaf,
-    Node,
+    Network,
     algorithm3,
+    combine,
     config_alg3,
     evaluate,
     load_network,
@@ -31,7 +31,7 @@ from ncerm.networks import (
 from ncerm.util import lq_norm, round_uniforms
 from ncerm import halfspace
 from ncerm.losses import logistic_sigmoid
-from ncerm.networks import network_kernels, to_levels
+from ncerm.networks import network_kernels
 from ncerm.solvers import constrained_least_squares, lockstep_descent, project_lp
 
 
@@ -94,27 +94,23 @@ def test_spec_validation():
 
 def test_validate_budgets():
     spec = network_spec(2, 1.0)
-    good = Node((Leaf(np.array([0.6, 0.0])), Leaf(np.array([0.0, -0.9]))),
-                np.array([0.5, -0.5]))
+    good = Network([[[0.6, 0.0], [0.0, -0.9]], [[0.5, -0.5]]])
     validate(good, spec)
     with pytest.raises(ValueError):
-        validate(Leaf(np.array([1.2, 0.0])), spec)  # leaf norm over budget
-    bad_comb = Node((Leaf(np.array([0.5, 0.0])),), np.array([1.5]))
+        validate(Network([[[1.2, 0.0]]]), spec)  # leaf norm over budget
+    bad_comb = Network([[[0.5, 0.0]], [[1.5]]])
     with pytest.raises(ValueError):
         validate(bad_comb, spec)
-    deep = Node((good,), np.array([1.0]))
+    deep = combine([good], [1.0])
     with pytest.raises(ValueError):
         validate(deep, spec)  # depth 3 > 2
     with pytest.raises(ValueError):
-        validate(Leaf(np.array([np.nan, 0.0])), spec)
+        validate(Network([[[np.nan, 0.0]]]), spec)
 
 
 def test_evaluate_hand_computed():
     spec = network_spec(2, 2.0, 2.0, "tanh")
-    net = Node(
-        (Leaf(np.array([1.0, 0.0])), Leaf(np.array([0.0, -1.0]))),
-        np.array([0.5, -1.5]),
-    )
+    net = Network([[[1.0, 0.0], [0.0, -1.0]], [[0.5, -1.5]]])
     x = np.array([0.3, 0.2])
     expect = 0.5 * math.tanh(0.3) - 1.5 * math.tanh(-0.2)
     assert evaluate(net, spec, x) == pytest.approx(expect, rel=1e-15)
@@ -123,13 +119,13 @@ def test_evaluate_hand_computed():
     assert vals.shape == (2,)
     assert vals[0] == pytest.approx(expect, rel=1e-15)
     assert vals[1] == 0.0
-    assert len(to_levels(net)) == 2
-    assert len(to_levels(zero_network(4))) == 1
+    assert len(net.levels) == 2
+    assert len(zero_network(4).levels) == 1
 
 
 def test_predictor_wraps_evaluate():
     spec = network_spec(1, 1.0)
-    net = Leaf(np.array([0.5, -0.5]))
+    net = Network([[[0.5, -0.5]]])
     f = predictor(net, spec)
     X = np.array([[1.0, 1.0], [1.0, -1.0]])
     assert np.array_equal(f(X), evaluate(net, spec, X))
@@ -143,17 +139,20 @@ def test_json_roundtrip_exact(tmp_path):
     back = load_network(path)
     assert net_to_dict(back) == net_to_dict(net)
 
-    def same(a, b):
-        if isinstance(a, Leaf):
-            return isinstance(b, Leaf) and np.array_equal(a.w, b.w)
+    assert len(back.levels) == len(net.levels) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(back.levels, net.levels))
+
+    def same(a, obj):
+        """The tree views read the numbers net_to_dict wrote."""
+        if obj["type"] == "leaf":
+            return len(a.levels) == 1 and a.w.tolist() == obj["w"]
         return (
-            isinstance(b, Node)
-            and np.array_equal(a.comb_weights, b.comb_weights)
-            and len(a.children) == len(b.children)
-            and all(same(x, y) for x, y in zip(a.children, b.children))
+            a.comb_weights.tolist() == obj["weights"]
+            and len(a.children) == len(obj["children"])
+            and all(same(x, o) for x, o in zip(a.children, obj["children"]))
         )
 
-    assert same(net, back)
+    assert same(back, net_to_dict(net))
     with pytest.raises(ValueError):
         net_from_dict({"type": "mystery"})
 
@@ -225,7 +224,7 @@ def test_algorithm3_depth1_matches_halfspace_scheme(refine_budget, seed, k, T):
         config_alg2(data.n, data.dim, 2.0, eps, delta, seed=seed, T_budget=T), k=k)
     net = algorithm3(data, loss, spec, eps, delta, T, refine_budget, seed, k=k)
     model = algorithm2(data, loss, cfg, refine_budget)
-    assert isinstance(net, Leaf)
+    assert len(net.levels) == 1
     assert np.array_equal(net.w, model.w)
 
 
@@ -249,8 +248,7 @@ def test_random_network_norms_at_budget():
 def test_json_golden_format(tmp_path):
     """The saved file is exactly this text: type/w for leaves and
     type/weights/children for nodes, floats as shortest repr."""
-    net = Node((Leaf(np.array([0.5, -0.25])), Leaf(np.array([0.0, 1.0]))),
-               np.array([0.75, -0.25]))
+    net = Network([[[0.5, -0.25], [0.0, 1.0]], [[0.75, -0.25]]])
     path = tmp_path / "net.json"
     save_network(path, net)
     assert path.read_text() == (
@@ -287,13 +285,40 @@ def test_net_from_dict_rejects_malformed(obj):
         net_from_dict(obj)
 
 
+@pytest.mark.parametrize("levels", [
+    (),
+    (np.ones(3),),
+    (np.ones((2, 3)),),
+    (np.ones((4, 3)), np.ones((2, 3)), np.ones((1, 2))),
+    (np.ones((2, 0)), np.ones((1, 2))),
+    (np.ones((2, 3)), np.ones((0, 2)), np.ones((1, 0))),
+], ids=["empty", "leaf_level_1d", "two_rows_on_top", "rows_not_a_share", "zero_dim",
+        "zero_width"])
+def test_network_rejects_non_uniform_levels(levels):
+    """Direct construction checks what combine and net_from_dict rely on:
+    nonempty matrices, each row of C_j combining N_{j-1}/s_j outputs of
+    the level below, and one row on top."""
+    with pytest.raises(ValueError):
+        Network(levels)
+
+
+def test_combine_rejects_unequal_children():
+    """Children of different depths or leaf dimensions have no common
+    level tensors; combine refuses them, and an empty combination."""
+    leaf, pair = Network([[[1.0, 0.0]]]), Network([[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5]]])
+    assert np.array_equal(combine([leaf, leaf], [0.5, -0.5]).levels[0], [[1.0, 0.0], [1.0, 0.0]])
+    for children in ([leaf, pair], [leaf, Network([[[1.0, 0.0, 0.0]]])], []):
+        with pytest.raises(ValueError):
+            combine(children, np.ones(len(children)))
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_network_gradient_matches_finite_differences(m):
     """The per-level backward pass agrees with central differences of the
     risk at depth 2 and 3 (smooth loss and activation)."""
     spec = network_spec(m, 1.5, 2.0, "tanh")
     data, _ = planted_network(40, 3, 0.1, network_spec(2, 1.5), 2, seed=1)
-    levels = to_levels(random_network(spec, 3, 2, seed=3))
+    levels = random_network(spec, 3, 2, seed=3).levels
     risk, grad, _ = network_kernels(data, logistic_sigmoid(1.0), spec,
                                     [L.shape for L in levels])
     x, row = 0.5 * np.concatenate([L.ravel() for L in levels]), np.array([0])
@@ -313,7 +338,7 @@ def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
     chunked = algorithm3(*args, k=8, s=2)
     monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
     single = algorithm3(*args, k=8, s=2)
-    assert all(np.array_equal(a, b) for a, b in zip(to_levels(chunked), to_levels(single)))
+    assert all(np.array_equal(a, b) for a, b in zip(chunked.levels, single.levels))
     validate(chunked, spec)
 
 
@@ -353,7 +378,7 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
     shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
     risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows), np.arange(T))
     net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
-    got = np.concatenate([L.ravel() for L in to_levels(net)])
+    got = np.concatenate([L.ravel() for L in net.levels])
     assert np.allclose(got, rows[int(np.argmin(risks))], rtol=0.0, atol=1e-9)
 
 
