@@ -10,13 +10,14 @@ the combination rescaled so its l1 weight equals the class budget B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .halfspace import algorithm1, algorithm2, config_alg1, config_alg2
-from .losses import empirical_risk
+from .losses import apply_into, empirical_risk
 from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
@@ -33,16 +34,16 @@ class NoProgressError(ValueError):
 class ActivationLoss:
     """A bounded odd activation used as the weak learner's surrogate.
 
-    value and grad are the activation's own functions of a float array,
-    bound once, since the refiner calls them at every step.
+    value(t, out=None) and grad(t, out=None) follow LossFunction's; they
+    are the activation's own functions bound once, since the refiner calls
+    them at every step.
     """
 
     act: object
 
     def __post_init__(self):
-        value, grad = self.act.functions
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "grad", grad)
+        for name, fn in zip(("value", "grad"), self.act.functions):
+            object.__setattr__(self, name, functools.partial(apply_into, fn))
 
 
 @dataclass(frozen=True)

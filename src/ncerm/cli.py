@@ -8,6 +8,7 @@ Options resolve as: built-in defaults < --config JSON file < explicit flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NamedTuple
@@ -98,6 +99,7 @@ def command_options(command: str) -> dict:
     return {**COMMANDS[command][2], **_COMMON}
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncerm",

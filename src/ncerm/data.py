@@ -194,9 +194,8 @@ def planted_network(n: int, d: int, margin: float, class_spec, width: int, seed:
     if width < 1:
         raise ValueError("width must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    teacher = _draw_network(rng, class_spec, d, width, 2)
-    if class_spec.depth == 1:
-        teacher = Network([teacher.levels[0][:1]])
+    levels = _draw_network(rng, class_spec, d, width, 2)
+    teacher = Network(levels if class_spec.depth > 1 else [levels[0][:1]])
     data = _plant(rng, n, d, class_spec.input_q, margin,
                   lambda X: evaluate(teacher, class_spec, X))
     return data, teacher

@@ -21,30 +21,49 @@ class NonFiniteError(ValueError):
     """A prediction or loss value stopped being finite."""
 
 
-def _piecewise_linear(t, L):
-    # Branch on t so the three anchor points 0, 1/2, 1 are exact.
-    out = np.asarray(L * t + 0.5)
-    np.putmask(out, t <= -0.5 / L, 0.0)
-    np.putmask(out, t >= 0.5 / L, 1.0)
+def _piecewise_linear(t, L, out):
+    # Clamped, L*t + 1/2 maps the anchors -1/(2L), 0, 1/(2L) to 0, 1/2, 1
+    # exactly where its ends round to 0 and 1 (as at L = 1); else set after.
+    lo, hi = -0.5 / L, 0.5 / L
+    np.add(np.multiply(np.clip(t, lo, hi, out=out), L, out=out), 0.5, out=out)
+    if L * lo + 0.5 != 0.0:
+        np.putmask(out, t <= lo, 0.0)
+    if L * hi + 0.5 != 1.0:
+        np.putmask(out, t >= hi, 1.0)
     return out
 
 
-def _sigmoid(t, L):
+def _piecewise_linear_grad(t, L, out):
+    mask = t >= -0.5 / L
+    mask &= t < 0.5 / L
+    return np.multiply(mask, L, out=out)
+
+
+def _sigmoid(t, L, out):
     with np.errstate(over="ignore"):  # exp overflows to inf, giving exactly 0
-        return 1.0 / (1.0 + np.exp(-4.0 * L * t))
+        np.exp(np.multiply(t, -4.0 * L, out=out), out=out)
+    return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
-def _sigmoid_grad(t, L):
-    s = _sigmoid(t, L)
-    return 4.0 * L * s * (1.0 - s)
+def _sigmoid_grad(t, L, out):
+    rest = 1.0 - _sigmoid(t, L, out)
+    return np.multiply(np.multiply(out, 4.0 * L, out=out), rest, out=out)
 
 
-# kind -> (value, subgradient), each a function of (float array t, L).
+# kind -> (value, subgradient), each f(t, L, out) writing into out (t's shape, apart from t).
 _KINDS = {
-    PIECEWISE_LINEAR: (_piecewise_linear, lambda t, L: ((t >= -0.5 / L) & (t < 0.5 / L)) * L),
+    PIECEWISE_LINEAR: (_piecewise_linear, _piecewise_linear_grad),
     LOGISTIC_SIGMOID: (_sigmoid, _sigmoid_grad),
-    NEG_MIN: (lambda t, L: np.minimum(0.0, t), lambda t, L: np.where(t < 0.0, 1.0, 0.0)),
+    NEG_MIN: (lambda t, L, out: np.minimum(0.0, t, out=out),
+              lambda t, L, out: np.less(t, 0.0, out=out)),
 }
+
+
+def apply_into(fn, t, out=None, *args):
+    """fn(t as a float array, *args, out), into out or a fresh array (a float for 0-d t)."""
+    t = np.asarray(t, dtype=float)
+    res = fn(t, *args, np.empty_like(t) if out is None else out)
+    return float(res) if out is None and res.ndim == 0 else res
 
 
 @dataclass(frozen=True)
@@ -70,14 +89,12 @@ class LossFunction:
         if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
             raise ValueError("lipschitz must be positive and finite")
 
-    def value(self, t):
-        out = _KINDS[self.kind][0](np.asarray(t, dtype=float), self.lipschitz)
-        return float(out) if out.ndim == 0 else out
+    def value(self, t, out=None):
+        return apply_into(_KINDS[self.kind][0], t, out, self.lipschitz)
 
-    def grad(self, t):
+    def grad(self, t, out=None):
         """Subgradient of h; at kinks the slope of the right piece is used."""
-        out = _KINDS[self.kind][1](np.asarray(t, dtype=float), self.lipschitz)
-        return float(out) if out.ndim == 0 else out
+        return apply_into(_KINDS[self.kind][1], t, out, self.lipschitz)
 
 
 def piecewise_linear(lipschitz: float) -> LossFunction:

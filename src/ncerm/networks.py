@@ -23,17 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import best_round, draw_rounds
+from .losses import apply_into
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
 
 _ERF_SCALE = math.sqrt(math.pi) / 2.0
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
-# name -> (value, derivative); erf is rescaled from slope 2/sqrt(pi) to 1 at 0.
+# name -> (value, derivative), each f(float array x, out) writing into out, of
+# x's shape and not overlapping x; erf is rescaled from slope 2/sqrt(pi) to 1.
 _ACTIVATIONS = {
-    "tanh": (np.tanh, lambda x: 1.0 - np.square(np.tanh(x))),
-    "erf": (lambda x: np.asarray(_erf(_ERF_SCALE * x), dtype=float),
-            lambda x: np.exp(-(_ERF_SCALE * x) ** 2)),
-    "clamp": (lambda x: np.clip(x, -1.0, 1.0), lambda x: (np.abs(x) < 1.0).astype(float)),
+    "tanh": (np.tanh,
+             lambda x, out: np.subtract(1.0, np.square(np.tanh(x, out=out), out=out), out=out)),
+    "erf": (lambda x, out: _erf(np.multiply(x, _ERF_SCALE, out=out), out=out, casting="unsafe"),
+            lambda x, out: np.exp(np.negative(np.square(np.multiply(x, _ERF_SCALE, out=out),
+                                                        out=out), out=out), out=out)),
+    "clamp": (lambda x, out: np.clip(x, -1.0, 1.0, out=out),
+              lambda x, out: np.less(np.abs(x, out=out), 1.0, out=out)),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
@@ -49,14 +54,14 @@ class Activation:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, not {self.name!r}")
 
     def value(self, x):
-        return _ACTIVATIONS[self.name][0](np.asarray(x, dtype=float))
+        return apply_into(_ACTIVATIONS[self.name][0], x)
 
     def deriv(self, x):
-        return _ACTIVATIONS[self.name][1](np.asarray(x, dtype=float))
+        return apply_into(_ACTIVATIONS[self.name][1], x)
 
     @property
     def functions(self):
-        """(value, derivative) for float arrays, with no conversion."""
+        """(value, derivative), each f(x, out) on float arrays, no conversion."""
         return _ACTIVATIONS[self.name]
 
 
@@ -360,24 +365,24 @@ def _target_rows(counts, s: int) -> np.ndarray:
 
 
 def _draw_network(rng: np.random.Generator, spec: NetworkClassSpec, dim: int,
-                  width: int, depth: int):
-    """Depth-first random tree of the given depth, every norm at the budget:
-    a node draws its `width` children, then its combination weights."""
+                  width: int, depth: int) -> list:
+    """Level tensors of a depth-first random network, every norm at the
+    budget: a node draws its `width` children, then its combination weights."""
     B = spec.budget
     if depth == 1:
         v = rng.standard_normal(dim)
-        return Network([(v * (B / lq_norm(v, spec.leaf_p)))[None]])
+        return [(v * (B / lq_norm(v, spec.leaf_p)))[None]]
     children = [_draw_network(rng, spec, dim, width, depth - 1) for _ in range(width)]
     c = rng.standard_normal(width)
-    return combine(children, c * (B / np.sum(np.abs(c))))
+    return [*map(np.concatenate, zip(*children)), (c * (B / np.sum(np.abs(c))))[None]]
 
 
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):
     """Random class member with every norm at the budget (test fixture)."""
     if spec.depth > 1 and width < 1:
         raise ValueError("width must be >= 1")
-    return _draw_network(np.random.default_rng(np.random.SeedSequence(seed)),
-                         spec, dim, width, spec.depth)
+    return Network(_draw_network(np.random.default_rng(np.random.SeedSequence(seed)),
+                                 spec, dim, width, spec.depth))
 
 
 def zero_network(dim: int):

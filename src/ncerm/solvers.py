@@ -403,19 +403,28 @@ def linear_kernels(data, loss, p: float, radius: float):
     Row i of W is a weight vector, and its state is its margins
     -y_j <w, x_j>, one per sample point.  Every contraction is one einsum
     on numpy's own loops, never BLAS, so a row's values do not depend on
-    which rows share the call.  The projection is bound, and p and radius
-    checked, when the kernels are built.
+    which rows share the call.  Loss values and derivatives go into one
+    scratch array per kernel set, grown on demand and read before the call
+    returns; the margins (the state) are never written there.  The
+    projection is bound, and p and radius checked, when the kernels are built.
     """
     project_rows = projector(p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
     a = data.weights
+    scratch = [np.empty((0, data.n))]
+
+    def loss_buffer(M):
+        if len(scratch[0]) < len(M):
+            scratch[0] = np.empty(M.shape)
+        return scratch[0][:len(M)]
 
     def risk_rows(W, rows):
         M = np.einsum("cd,dn->cn", W, ZnegT, optimize=False)
-        return np.einsum("cn,n->c", loss.value(M), a, optimize=False), M
+        return np.einsum("cn,n->c", loss.value(M, loss_buffer(M)), a, optimize=False), M
 
     def grad_rows(W, M, rows):
-        return np.einsum("cn,dn->cd", a * loss.grad(M), ZnegT, optimize=False)
+        G = loss.grad(M, loss_buffer(M))
+        return np.einsum("cn,dn->cd", np.multiply(G, a, out=G), ZnegT, optimize=False)
 
     return risk_rows, grad_rows, project_rows
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ncerm
 from ncerm import halfspace
-from ncerm.cli import COMMANDS, command_options, main
+from ncerm.cli import COMMANDS, build_parser, command_options, main
 
 FAST_ARGS = {
     "halfspace": ["--n", "40", "--d", "3", "--repetitions", "2",
@@ -67,6 +72,23 @@ def test_stdout_when_no_out(capsys):
     captured = capsys.readouterr().out
     assert "PASS identity instance 0" in captured
     assert "check,instance,n,d,value,reference,ok" in captured
+
+
+def test_parser_error_then_run_matches_fresh_process(capsys):
+    """The parser is built once per process; an argparse error (SystemExit)
+    leaves it unchanged, so the next run prints what a fresh process does."""
+    argv = ["halfspace", *FAST_ARGS["halfspace"], "--seed", "5"]
+    with pytest.raises(SystemExit):
+        main(["halfspace", "--n", "not-a-number"])
+    capsys.readouterr()
+    assert main(argv) == 0
+    in_process = capsys.readouterr().out
+    assert build_parser() is build_parser()
+    src = str(Path(ncerm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "ncerm.cli", *argv], env=env,
+                           capture_output=True, check=True).stdout
+    assert in_process.encode() == fresh
 
 
 def test_config_file_sets_defaults(tmp_path):

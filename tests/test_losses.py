@@ -4,8 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import math
+
+from ncerm.boosting import ActivationLoss
 from ncerm.data import WeightedDataset
 from ncerm.losses import (
+    LOGISTIC_SIGMOID,
+    NEG_MIN,
+    PIECEWISE_LINEAR,
     LossFunction,
     NonFiniteError,
     empirical_risk,
@@ -14,6 +20,7 @@ from ncerm.losses import (
     piecewise_linear,
     zero_one_risk,
 )
+from ncerm.networks import ACTIVATIONS, Activation
 
 
 @pytest.mark.parametrize("L", [0.5, 1.0, 2.0, 5.0, 37.0])
@@ -186,3 +193,78 @@ def test_symmetric_loss_label_noise_identity(problem, make):
     risk = empirical_risk(lambda X: preds, h, data)
     noisy = (1.0 - eta) * risk + eta * empirical_risk(lambda X: preds, h, flipped)
     assert noisy == pytest.approx(eta + (1.0 - 2.0 * eta) * risk, abs=1e-12)
+
+
+# Reference formulas: the loss and activation functions as first written,
+# one fresh array per operation and masked writes at the anchors.
+def _ref_piecewise_linear(t, L):
+    out = np.asarray(L * t + 0.5)
+    np.putmask(out, t <= -0.5 / L, 0.0)
+    np.putmask(out, t >= 0.5 / L, 1.0)
+    return out
+
+
+def _ref_sigmoid(t, L):
+    return 1.0 / (1.0 + np.exp(-4.0 * L * t))
+
+
+def _ref_sigmoid_grad(t, L):
+    s = _ref_sigmoid(t, L)
+    return 4.0 * L * s * (1.0 - s)
+
+
+_ERF_SCALE = math.sqrt(math.pi) / 2.0
+_ref_erf = np.frompyfunc(math.erf, 1, 1)
+_REFERENCE = {
+    PIECEWISE_LINEAR: (_ref_piecewise_linear,
+                       lambda t, L: ((t >= -0.5 / L) & (t < 0.5 / L)) * L),
+    LOGISTIC_SIGMOID: (_ref_sigmoid, _ref_sigmoid_grad),
+    NEG_MIN: (lambda t, L: np.minimum(0.0, t), lambda t, L: np.where(t < 0.0, 1.0, 0.0)),
+    "tanh": (lambda x, L: np.tanh(x), lambda x, L: 1.0 - np.square(np.tanh(x))),
+    "erf": (lambda x, L: np.asarray(_ref_erf(_ERF_SCALE * x), dtype=float),
+            lambda x, L: np.exp(-(_ERF_SCALE * x) ** 2)),
+    "clamp": (lambda x, L: np.clip(x, -1.0, 1.0),
+              lambda x, L: (np.abs(x) < 1.0).astype(float)),
+}
+# Criterion 1's Lipschitz constants.
+_CRITERION_1_L = [1.0, 0.5, 2.0, 3.0, 1.0 / 3.0, 10.0, 1e-3, 1e3,
+                  *np.random.default_rng(1).uniform(0.05, 20.0, 42)]
+
+
+@st.composite
+def _loss_cases(draw):
+    """A loss or activation loss, its L and inputs: scaled normals, +-0,
+    +-inf, extreme floats and ulp neighbourhoods of +-1/(2L) and +-1."""
+    name = draw(st.sampled_from([PIECEWISE_LINEAR, LOGISTIC_SIGMOID, NEG_MIN, *ACTIVATIONS]))
+    L = 1.0 if name in ACTIVATIONS or name == NEG_MIN else draw(st.sampled_from(_CRITERION_1_L))
+    kink = 0.5 / L if name not in ACTIVATIONS else 1.0
+    near = st.builds(lambda c, sign, k: sign * (c + k * np.spacing(c)),
+                     st.sampled_from([0.5 / L, kink]), st.sampled_from([-1.0, 1.0]),
+                     st.integers(-100, 100))
+    elements = st.one_of(near, st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]),
+                         st.floats(allow_nan=False), st.floats(-4.0 / L, 4.0 / L))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    t = draw(hnp.arrays(float, shape, elements=elements))
+    normals = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(t.shape)
+    t = np.where(np.asarray(draw(hnp.arrays(bool, shape))), normals * (0.5 / L), t)
+    loss = ActivationLoss(Activation(name)) if name in ACTIVATIONS else LossFunction(name, L)
+    return name, L, loss, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_loss_cases())
+def test_loss_values_and_derivatives_match_reference_bitwise(case):
+    """value and grad equal the reference formulas bit for bit, with and
+    without out=; out is filled and returned, and a 0-d input without out
+    gives a float."""
+    name, L, loss, t = case
+    with np.errstate(all="ignore"):
+        for method, ref in zip((loss.value, loss.grad), _REFERENCE[name]):
+            expected = np.asarray(ref(t, L), dtype=float)
+            fresh = method(t)
+            if t.ndim == 0:
+                assert isinstance(fresh, float)
+            assert np.asarray(fresh).tobytes() == expected.tobytes()
+            out = np.full_like(t, np.nan)
+            assert method(t, out=out) is out
+            assert out.shape == t.shape and out.tobytes() == expected.tobytes()

@@ -245,6 +245,32 @@ def test_random_network_norms_at_budget():
         assert lq_norm(leaf.w, 2.0) == pytest.approx(1.5, rel=1e-12)
 
 
+def _combine_built_network(rng, spec, dim, width, depth):
+    """random_network's draw built node by node with combine, as a reference."""
+    B = spec.budget
+    if depth == 1:
+        v = rng.standard_normal(dim)
+        return Network([(v * (B / lq_norm(v, spec.leaf_p)))[None]])
+    children = [_combine_built_network(rng, spec, dim, width, depth - 1) for _ in range(width)]
+    c = rng.standard_normal(width)
+    return combine(children, c * (B / np.sum(np.abs(c))))
+
+
+@pytest.mark.parametrize("depth,leaf_p,width", [(1, 2.0, 3), (2, 1.5, 1), (2, 1.5, 4),
+                                                (3, 2.0, 2), (3, 1.2, 3), (4, 1.7, 2)])
+def test_random_network_equals_combine_built_reference(depth, leaf_p, width):
+    """The level tensors drawn at once equal a combine-built tree's, bit
+    for bit: same draw order, each leaf normalized on its own."""
+    spec = network_spec(depth, 1.5, leaf_p)
+    for seed in range(5):
+        net = random_network(spec, 6, width, seed)
+        ref = _combine_built_network(np.random.default_rng(np.random.SeedSequence(seed)),
+                                     spec, 6, width, depth)
+        assert len(net.levels) == len(ref.levels) == depth
+        for L, R in zip(net.levels, ref.levels):
+            assert L.shape == R.shape and L.tobytes() == R.tobytes()
+
+
 def test_json_golden_format(tmp_path):
     """The saved file is exactly this text: type/w for leaves and
     type/weights/children for nodes, floats as shortest repr."""

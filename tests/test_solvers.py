@@ -468,6 +468,33 @@ def test_linear_kernel_rows_are_independent(problem, data_strategy):
     assert np.array_equal(project_rows(W[rows]), project_rows(W)[rows])
 
 
+@settings(max_examples=100, deadline=None)
+@given(_linear_kernel_problems(), st.integers(1, 20), st.integers(0, 30))
+def test_linear_kernel_scratch_never_aliases_state(problem, extra, budget):
+    """The loss values and derivatives share one scratch array per kernel
+    set, grown on demand; the margins handed out as state never live in
+    it.  Growing it leaves earlier margins and gradients unchanged, and a
+    kernel set reused across refinements gives what fresh ones give."""
+    data, W1, p, loss = problem
+    shared, fresh = linear_kernels(data, loss, p, 1.0), linear_kernels(data, loss, p, 1.0)
+    W2 = np.concatenate([W1[::-1]] * (1 + extra))
+    (_, M1), (_, M2) = (shared[0](W, np.arange(len(W))) for W in (W1, W2))
+    kept = M1.copy(), M2.copy()
+    rows = np.arange(len(W1))
+    shared[1](W1, M1, rows)
+    for W in (W1[::-1], W2[::-1]):  # the scratch array is reused, not grown
+        shared[0](W, np.arange(len(W)))
+    assert (M1.tobytes(), M2.tobytes()) == tuple(M.tobytes() for M in kept)
+    _, M_fresh = fresh[0](W1, rows)
+    assert M1.tobytes() == M_fresh.tobytes()
+    assert shared[1](W1, M1, rows).tobytes() == fresh[1](W1, M_fresh, rows).tobytes()
+    W0 = shared[2](W2)
+    for start in (W0, W0[:1], W0):
+        X, risks = lockstep_descent(start, *shared, budget)
+        X_fresh, risks_fresh = lockstep_descent(start, *linear_kernels(data, loss, p, 1.0), budget)
+        assert X.tobytes() == X_fresh.tobytes() and risks.tobytes() == risks_fresh.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(_linear_kernel_problems())
 def test_linear_kernel_matches_coordinate_sums(problem):
