@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .halfspace import algorithm1, algorithm2, config_alg1, config_alg2
+from .halfspace import algorithm1, algorithm2, config_alg1
 from .losses import apply_into, empirical_risk
 from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
@@ -150,24 +150,16 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     if m - 1 != 1:
         raise ValueError("halfspace weak learners require class depth 2")
     if wc.kind == "algorithm2":
-        cfg = config_alg2(
-            data.n, data.dim, spec.leaf_p, eps, WEAK_DELTA,
-            seed=round_seed, T_budget=wc.T_budget,
-        )
-        if wc.k is not None:  # T_theory stays the one of the derived k
-            cfg = replace(cfg, k=int(wc.k))
-        model = algorithm2(data, act_loss, cfg, wc.refine_budget)
+        model = algorithm2(data, act_loss, spec.leaf_p, eps, WEAK_DELTA, wc.T_budget,
+                           wc.refine_budget, round_seed, k=wc.k)
         return Network([model.w[None]])
     if spec.input_q != 2.0:
         raise ValueError("the sphere scheme needs l2-bounded data")
-    cfg = config_alg1(
-        data.n, data.dim, eps, WEAK_DELTA, seed=round_seed, T_budget=wc.T_budget
-    )
-    if cfg.r > spec.budget + NORM_TOL:
-        raise ValueError(
-            f"sphere radius {cfg.r} exceeds the leaf budget {spec.budget}"
-        )
-    model = algorithm1(data, act_loss, cfg, wc.refine_budget)
+    _, r, _ = config_alg1(data.n, data.dim, eps, WEAK_DELTA)
+    if r > spec.budget + NORM_TOL:
+        raise ValueError(f"sphere radius {r} exceeds the leaf budget {spec.budget}")
+    model = algorithm1(data, act_loss, eps, WEAK_DELTA, wc.T_budget, wc.refine_budget,
+                       round_seed)
     return Network([model.w[None]])
 
 

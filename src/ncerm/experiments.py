@@ -209,16 +209,16 @@ def run_halfspace(
                 loaded.append(load_dataset_csv(data, feature_norm_q=dual_exponent(p)))
             sample, planted_risk = loaded[0], math.nan
         if algorithm == 1:
-            cfg = config_alg1(sample.n, sample.dim, epsilon, delta,
-                              seed=run_seed, T_budget=budget_rounds)
-            model = algorithm1(sample, loss, cfg, refine_steps)
+            (s, r, T_theory), k = config_alg1(sample.n, sample.dim, epsilon, delta), 0
+            model = algorithm1(sample, loss, epsilon, delta, budget_rounds,
+                               refine_steps, run_seed)
         else:
-            cfg = config_alg2(sample.n, sample.dim, p, epsilon, delta,
-                              seed=run_seed, T_budget=budget_rounds)
-            model = algorithm2(sample, loss, cfg, refine_steps)
+            (k, T_theory), s, r = config_alg2(sample.n, sample.dim, p, epsilon, delta), 0, 1.0
+            model = algorithm2(sample, loss, p, epsilon, delta, budget_rounds,
+                               refine_steps, run_seed)
         return (
             rep, run_seed, algorithm, sample.n, sample.dim, p, epsilon, delta,
-            cfg.s, cfg.k, cfg.r, str(cfg.T_theory), cfg.T_budget,
+            s, k, r, str(T_theory), min(budget_rounds, T_theory),
             *_risk_columns(model.predict, loss, sample, planted_risk),
         )
 

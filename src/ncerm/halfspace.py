@@ -21,7 +21,6 @@ from .solvers import constrained_least_squares, linear_kernels, lockstep_descent
 from .util import (NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm,
                    round_uniforms)
 
-DEFAULT_T_BUDGET = 1000
 CHUNK_ROUNDS = 256
 
 
@@ -49,59 +48,33 @@ class LinearModel:
             )
 
 
-@dataclass(frozen=True)
-class HalfspaceRunConfig:
-    """Round budget and geometry for one training run.
-
-    Scheme 1 (sphere): s is the effective dimension, r = sqrt(d/s) the
-    sphere radius.  Scheme 2 (least squares): k is the per-round batch
-    size and candidates live in the unit l_p ball (r = 1).
-    """
-
-    algorithm: int
-    p_exponent: float
-    s: int
-    r: float
-    k: int
-    T_theory: int
-    T_budget: int
-    seed: int
-
-
-def _check_eps_delta(epsilon: float, delta: float, eps_hi: float) -> None:
+def check_eps_delta(epsilon: float, delta: float, eps_hi: float = math.inf) -> None:
+    """The one check of every learner's epsilon in (0, eps_hi) and delta in (0, 1)."""
     if not (0.0 < epsilon < eps_hi):
         raise ValueError(f"epsilon must be in (0, {eps_hi})")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must be in (0, 1)")
 
 
-def config_alg1(
-    n: int, d: int, epsilon: float, delta: float,
-    seed: int = 0, T_budget: int = DEFAULT_T_BUDGET,
-) -> HalfspaceRunConfig:
-    """Sphere scheme: s = min(d, ceil(12 ln(n+2)/eps^2)), r = sqrt(d/s),
-    T = ceil((2n+4) (pi/eps)^(s-1) ln(1/delta)).  Natural logs throughout.
+def config_alg1(n: int, d: int, epsilon: float, delta: float):
+    """Sphere scheme as (s, r, T_theory): s = min(d, ceil(12 ln(n+2)/eps^2)),
+    r = sqrt(d/s), T_theory = ceil((2n+4) (pi/eps)^(s-1) ln(1/delta)), natural logs.
     """
-    _check_eps_delta(epsilon, delta, 0.5)
+    check_eps_delta(epsilon, delta, 0.5)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     s = min(d, math.ceil(12.0 * math.log(n + 2) / epsilon**2))
-    r = math.sqrt(d / s)
     T_theory = ceil_big_product(
         2.0 * n + 4.0, math.pi / epsilon, s - 1, math.log(1.0 / delta)
     )
-    return HalfspaceRunConfig(algorithm=1, p_exponent=2.0, s=s, r=r, k=0, T_theory=T_theory,
-                              T_budget=min(T_budget, T_theory), seed=seed)
+    return s, math.sqrt(d / s), T_theory
 
 
-def config_alg2(
-    n: int, d: int, p: float, epsilon: float, delta: float,
-    seed: int = 0, T_budget: int = DEFAULT_T_BUDGET,
-) -> HalfspaceRunConfig:
-    """Least-squares scheme: k = ceil(2 ln d / eps^2) for p = 1, else
-    k = ceil((q-1)/eps^2) with q dual to p; T = ceil(5 (4/eps)^k ln(1/delta)).
+def config_alg2(n: int, d: int, p: float, epsilon: float, delta: float):
+    """Least-squares scheme as (k, T_theory): k = ceil(2 ln d / eps^2) for p = 1,
+    else k = ceil((q-1)/eps^2) with q dual to p; T_theory = ceil(5 (4/eps)^k ln(1/delta)).
     """
-    _check_eps_delta(epsilon, delta, math.inf)
+    check_eps_delta(epsilon, delta)
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
     if not (1.0 <= p <= 2.0):
@@ -111,9 +84,7 @@ def config_alg2(
     else:
         q = dual_exponent(p)
         k = max(1, math.ceil((q - 1.0) / epsilon**2))
-    T_theory = ceil_big_product(5.0, 4.0 / epsilon, k, math.log(1.0 / delta))
-    return HalfspaceRunConfig(algorithm=2, p_exponent=float(p), s=0, r=1.0, k=k, T_theory=T_theory,
-                              T_budget=min(T_budget, T_theory), seed=seed)
+    return k, ceil_big_product(5.0, 4.0 / epsilon, k, math.log(1.0 / delta))
 
 
 def best_round(T: int, candidates, kernels, refine_budget: int) -> np.ndarray:
@@ -152,17 +123,17 @@ def sphere_starts(seed: int, ts, dim: int, r: float) -> np.ndarray:
     return G * (r / np.linalg.norm(G, axis=1, keepdims=True))
 
 
-def algorithm1(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -> LinearModel:
+def algorithm1(data, loss, epsilon: float, delta: float, T_budget: int,
+               refine_budget: int, seed: int) -> LinearModel:
     """Uniform-sphere restarts: round t starts from r*u, u uniform on the
-    unit sphere (sphere_starts); output norm stays within r.
+    unit sphere (sphere_starts), for min(T_budget, T_theory) rounds with
+    r and T_theory from config_alg1; output norm stays within r.
     """
-    if config.algorithm != 1:
-        raise ValueError("config was not built for the sphere scheme")
     check_unit_ball(data.features, 2.0)
-    w = best_round(config.T_budget,
-                   lambda ts: sphere_starts(config.seed, ts, data.dim, config.r),
-                   linear_kernels(data, loss, 2.0, config.r), refine_budget)
-    return LinearModel(w, 2.0, config.r)
+    _, r, T_theory = config_alg1(data.n, data.dim, epsilon, delta)
+    w = best_round(min(T_budget, T_theory), lambda ts: sphere_starts(seed, ts, data.dim, r),
+                   linear_kernels(data, loss, 2.0, r), refine_budget)
+    return LinearModel(w, 2.0, r)
 
 
 def draw_rounds(data, seed: int, ts, k: int, targets: int, bound: float):
@@ -177,20 +148,24 @@ def draw_rounds(data, seed: int, ts, k: int, targets: int, bound: float):
     return draw_batch(data, u[:, :k]), bound * (2.0 * u[:, k:] - 1.0).reshape(-1, targets, k)
 
 
-def algorithm2(data, loss, config: HalfspaceRunConfig, refine_budget: int = 0) -> LinearModel:
+def algorithm2(data, loss, p: float, epsilon: float, delta: float, T_budget: int,
+               refine_budget: int, seed: int, k: int | None = None) -> LinearModel:
     """Least-squares restarts: round t importance-samples k points, draws
     targets u uniform in [-1, 1]^k, and fits the batch exactly under
     ||w||_p <= 1.  A chunk's rounds are drawn in one call, each from its
-    own block, and fitted in one stacked solve.
+    own block, and fitted in one stacked solve.  k and T_theory come from
+    config_alg2; a given k replaces the derived one but not its T_theory.
     """
-    if config.algorithm != 2:
-        raise ValueError("config was not built for the least-squares scheme")
-    check_unit_ball(data.features, dual_exponent(config.p_exponent))
+    check_unit_ball(data.features, dual_exponent(p))
+    k_cfg, T_theory = config_alg2(data.n, data.dim, p, epsilon, delta)
+    k = k_cfg if k is None else int(k)
+    if k < 1:
+        raise ValueError("k must be >= 1")
 
     def candidates(ts):
-        X, U = draw_rounds(data, config.seed, ts, config.k, 1, 1.0)
-        return constrained_least_squares(X, U[:, 0], config.p_exponent, 1.0)
+        X, U = draw_rounds(data, seed, ts, k, 1, 1.0)
+        return constrained_least_squares(X, U[:, 0], p, 1.0)
 
-    w = best_round(config.T_budget, candidates,
-                   linear_kernels(data, loss, config.p_exponent, 1.0), refine_budget)
-    return LinearModel(w, config.p_exponent, 1.0)
+    w = best_round(min(T_budget, T_theory), candidates,
+                   linear_kernels(data, loss, p, 1.0), refine_budget)
+    return LinearModel(w, p, 1.0)

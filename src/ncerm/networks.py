@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .halfspace import best_round, draw_rounds
+from .halfspace import best_round, check_eps_delta, draw_rounds
 from .losses import apply_into
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
@@ -239,10 +239,7 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
     Each distinct argument tuple is computed once (BoostNet asks for the
     same one every round).
     """
-    if not (epsilon > 0):
-        raise ValueError("epsilon must be positive")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must be in (0, 1)")
+    check_eps_delta(epsilon, delta)
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (2.0 <= q < math.inf):

@@ -22,7 +22,7 @@ from ncerm.boosting import (
 from ncerm.cli import main
 from ncerm.data import flip_labels, planted_halfspace, planted_network
 from ncerm.experiments import run_parity_experiment
-from ncerm.halfspace import algorithm2, config_alg2
+from ncerm.halfspace import algorithm2
 from ncerm.hardness import (
     lifted_instance,
     random_instance,
@@ -148,8 +148,7 @@ def test_criterion_05_budgeted_algorithm2_excess_risk():
     worst_excess = -math.inf
     for seed in range(20):
         data, teacher = planted_halfspace(200, 5, 0.3, 2.0, seed=5100 + seed)
-        cfg = config_alg2(200, 5, 2.0, 0.5, 0.05, seed=5200 + seed, T_budget=2000)
-        model = algorithm2(data, loss, cfg, refine_budget=200)
+        model = algorithm2(data, loss, 2.0, 0.5, 0.05, 2000, 200, 5200 + seed)
         excess = empirical_risk(model.predict, loss, data) - empirical_risk(
             teacher.predict, loss, data
         )

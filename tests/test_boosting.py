@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ncerm.boosting import (
     default_rounds,
     margin_certificate,
     weak_epsilon,
+    weak_learn,
 )
 from ncerm.data import WeightedDataset, flip_labels, planted_network
 from ncerm.networks import evaluate, network_spec, validate
@@ -198,3 +200,22 @@ def test_margin_certificate_consistency():
         assert cert.fraction_at_threshold == 1.0
     # final round's recorded margin matches the rescaled network's
     assert res.rounds[-1].min_margin == pytest.approx(cert.min_margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, depth, leaf_p, budget, d, match", [
+    ("algorithm1", 3, 2.0, 2.0, 4, "class depth 2"),
+    ("algorithm2", 3, 2.0, 2.0, 4, "class depth 2"),
+    ("algorithm1", 2, 1.5, 2.0, 4, "l2-bounded"),
+    # n = 2, d = 300, eps = 0.4: s = ceil(12 ln 4 / 0.16) = 104, r = sqrt(300/104) > 1
+    ("algorithm1", 2, 2.0, 1.0, 300, f"sphere radius {math.sqrt(300 / 104)} exceeds"),
+])
+def test_weak_learn_refusals(kind, depth, leaf_p, budget, d, match):
+    """weak_learn refuses a halfspace weak learner below a class of depth
+    other than 2, the sphere scheme on data not bounded in l2, and a sphere
+    radius above the leaf budget."""
+    spec = network_spec(depth, budget, leaf_p)
+    data = WeightedDataset.uniform(0.5 * np.eye(2, d), np.array([1.0, -1.0]),
+                                   feature_norm_q=spec.input_q)
+    weak = WeakLearnerConfig(kind=kind, epsilon=0.4, T_budget=1)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        weak_learn(data, BoostConfig(spec, gamma=0.3, weak=weak), 0)

@@ -327,3 +327,48 @@ def test_config_of_table_defaults_changes_nothing(tmp_path, name):
     cfg.write_text(json.dumps({k: o.default for k, o in command_options(name).items()}))
     plain = _run(tmp_path, name, FAST_ARGS[name], "plain")
     assert _run(tmp_path, name, [*FAST_ARGS[name], "--config", str(cfg)], "cfg") == plain
+
+
+@pytest.mark.parametrize("value", ["inf", "0"])
+@pytest.mark.parametrize("argv", [
+    ["halfspace", "--algorithm", "1", *FAST_ARGS["halfspace"]],
+    ["halfspace", "--algorithm", "2", *FAST_ARGS["halfspace"]],
+    ["nn", *FAST_ARGS["nn"]],
+    *(["boostnet", "--weak-kind", kind, *FAST_ARGS["boostnet"]]
+      for kind in ("algorithm1", "algorithm2", "algorithm3")),
+])
+def test_epsilon_out_of_range_names_epsilon(capsys, argv, value):
+    """Every learner checks epsilon and delta the same way, so an epsilon
+    of 0 or inf is an error that names the option."""
+    assert main([*argv, "--epsilon", value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon" in err
+
+
+@pytest.mark.parametrize("argv, t_run", [
+    (["halfspace", "--algorithm", "1", *FAST_ARGS["halfspace"]], ["10", "10"]),
+    (["halfspace", "--algorithm", "1", "--n", "8", "--d", "2", "--epsilon", "0.45",
+      "--budget-rounds", "5000", "--refine-steps", "0", "--repetitions", "1"], ["419"]),
+    (["halfspace", "--algorithm", "2", *FAST_ARGS["halfspace"]], ["10", "10"]),
+    (["halfspace", "--algorithm", "2", "--n", "10", "--d", "4", "--epsilon", "1.0",
+      "--refine-steps", "0", "--repetitions", "1"], ["60"]),
+    (["nn", *FAST_ARGS["nn"]], ["4"]),
+    # k = s = 1 at eps = 2: T_theory = ceil(5 * 2^2 * ln 20) = 60
+    (["nn", *FAST_ARGS["nn"], "--epsilon", "2", "--budget-rounds", "5000"], ["60"]),
+])
+def test_t_run_is_the_round_count_run(tmp_path, monkeypatch, argv, t_run):
+    """The t_run column, min(budget_rounds, T_theory), is the T that each
+    repetition's learner hands to best_round, capped by T_theory or not."""
+    from ncerm import networks
+
+    seen, best_round = [], halfspace.best_round
+
+    def recording(T, *args):
+        seen.append(str(T))
+        return best_round(T, *args)
+
+    monkeypatch.setattr(halfspace, "best_round", recording)
+    monkeypatch.setattr(networks, "best_round", recording)
+    out = tmp_path / "t.csv"
+    assert main([*argv, "--seed", "5", "--out", str(out)]) == 0
+    assert [row["t_run"] for row in _csv_rows(out)] == seen == t_run

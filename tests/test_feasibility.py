@@ -18,7 +18,7 @@ from ncerm.boosting import (
     weak_learn,
 )
 from ncerm.data import WeightedDataset
-from ncerm.halfspace import LinearModel, algorithm1, algorithm2, config_alg1, config_alg2
+from ncerm.halfspace import LinearModel, algorithm1, algorithm2, config_alg1
 from ncerm.losses import empirical_risk, piecewise_linear
 from ncerm.networks import (
     algorithm3,
@@ -58,17 +58,16 @@ def _sample(seed: int, n: int, d: int, q: float) -> WeightedDataset:
 @settings(max_examples=25, deadline=None)
 @given(SEEDS, SIZES, DIMS, st.floats(0.1, 0.49), ROUNDS, STEPS)
 def test_algorithm1_in_sphere_ball(seed, n, d, epsilon, T, steps):
-    cfg = config_alg1(n, d, epsilon, 0.1, seed=seed, T_budget=T)
-    model = algorithm1(_sample(seed, n, d, 2.0), LOSS, cfg, steps)
-    assert model.radius == cfg.r
+    model = algorithm1(_sample(seed, n, d, 2.0), LOSS, epsilon, 0.1, T, steps, seed)
+    assert model.radius == config_alg1(n, d, epsilon, 0.1)[1]
     model.check_feasible()
 
 
 @settings(max_examples=15, deadline=None)
 @given(SEEDS, SIZES, DIMS, P, st.floats(0.5, 2.0), ROUNDS, STEPS)
 def test_algorithm2_in_unit_lp_ball(seed, n, d, p, epsilon, T, steps):
-    cfg = config_alg2(n, d, p, epsilon, 0.1, seed=seed, T_budget=T)
-    model = algorithm2(_sample(seed, n, d, dual_exponent(p)), LOSS, cfg, steps)
+    model = algorithm2(_sample(seed, n, d, dual_exponent(p)), LOSS, p, epsilon, 0.1, T,
+                       steps, seed)
     assert model.radius == 1.0
     model.check_feasible()
 

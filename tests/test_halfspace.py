@@ -27,22 +27,18 @@ from ncerm.util import lq_norm, round_uniforms
 def test_config_alg1_frozen_example():
     # n=8, d=2: s = min(2, ceil(12 ln 10 / 0.16)) = 2, r = 1,
     # T = ceil(20 * (pi/0.4)^1 * 1) = ceil(157.08) = 158
-    cfg = config_alg1(8, 2, 0.4, math.exp(-1.0))
-    assert cfg.s == 2
-    assert cfg.r == 1.0
-    assert cfg.T_theory == 158
-    assert cfg.T_budget == 158  # capped by T_theory below the default
+    assert config_alg1(8, 2, 0.4, math.exp(-1.0)) == (2, 1.0, 158)
 
 
 def test_config_alg1_s_capped_by_dimension():
-    cfg = config_alg1(98, 300, 0.4, 0.05)
+    s, r, _ = config_alg1(98, 300, 0.4, 0.05)
     # ceil(12 ln 100 / 0.16) = ceil(345.4) = 346 > d, so s = d and r = 1
-    assert cfg.s == 300
-    assert cfg.r == 1.0
-    cfg2 = config_alg1(8, 500, 0.4, 0.05)
+    assert s == 300
+    assert r == 1.0
+    s2, r2, _ = config_alg1(8, 500, 0.4, 0.05)
     s_expect = math.ceil(12.0 * math.log(10.0) / 0.16)
-    assert cfg2.s == s_expect
-    assert cfg2.r == pytest.approx(math.sqrt(500.0 / s_expect), rel=1e-12)
+    assert s2 == s_expect
+    assert r2 == pytest.approx(math.sqrt(500.0 / s_expect), rel=1e-12)
 
 
 def test_config_alg1_validation():
@@ -56,18 +52,17 @@ def test_config_alg1_validation():
 
 def test_config_alg2_frozen_batch_sizes():
     # p=1: k = ceil(2 ln d / eps^2) = ceil(2 ln 100 / 0.0625) = 148
-    assert config_alg2(50, 100, 1.0, 0.25, 0.05).k == 148
+    assert config_alg2(50, 100, 1.0, 0.25, 0.05)[0] == 148
     # p=2 -> q=2: k = ceil(1/eps^2)
-    assert config_alg2(50, 100, 2.0, 0.2, 0.05).k == 25
-    assert config_alg2(50, 100, 2.0, 1.0, 0.05).k == 1
+    assert config_alg2(50, 100, 2.0, 0.2, 0.05)[0] == 25
+    assert config_alg2(50, 100, 2.0, 1.0, 0.05)[0] == 1
     # p=1.5 -> q=3: k = ceil(2/eps^2) = 8 at eps=1/2
-    assert config_alg2(50, 100, 1.5, 0.5, 0.05).k == 8
+    assert config_alg2(50, 100, 1.5, 0.5, 0.05)[0] == 8
 
 
 def test_config_alg2_t_theory():
-    cfg = config_alg2(10, 4, 2.0, 1.0, math.exp(-1.0))
     # k=1: T = ceil(5 * 4 * 1) = 20
-    assert cfg.T_theory == 20
+    assert config_alg2(10, 4, 2.0, 1.0, math.exp(-1.0)) == (1, 20)
     with pytest.raises(ValueError):
         config_alg2(10, 4, 2.5, 0.5, 0.05)
     with pytest.raises(ValueError):
@@ -88,33 +83,20 @@ def test_linear_model_feasibility():
 def test_algorithm1_single_round_reproduces_stream():
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(40, 3, 0.2, 2.0, seed=2)
-    cfg = config_alg1(40, 3, 0.4, 0.05, seed=21, T_budget=1)
-    model = algorithm1(data, loss, cfg, refine_budget=0)
+    model = algorithm1(data, loss, 0.4, 0.05, 1, 0, 21)
     u = round_uniforms(21, range(1), 4)[0]
     radius, angle = np.sqrt(-2.0 * np.log(1.0 - u[:2])), 2.0 * np.pi * u[2:]
     g = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:3]
-    expect = g * (cfg.r / np.sqrt(np.sum(g * g)))
+    expect = g * (config_alg1(40, 3, 0.4, 0.05)[1] / np.sqrt(np.sum(g * g)))
     assert np.array_equal(model.w, expect)
     model.check_feasible()
-
-
-def test_algorithm1_wrong_config_rejected():
-    loss = piecewise_linear(1.0)
-    data, _ = planted_halfspace(20, 3, 0.2, 2.0, seed=2)
-    cfg2 = config_alg2(20, 3, 2.0, 0.5, 0.05, T_budget=5)
-    with pytest.raises(ValueError):
-        algorithm1(data, loss, cfg2)
-    cfg1 = config_alg1(20, 3, 0.4, 0.05, T_budget=5)
-    with pytest.raises(ValueError):
-        algorithm2(data, loss, cfg1)
 
 
 def test_algorithm2_deterministic_and_feasible():
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(60, 4, 0.2, 1.5, seed=7)
-    cfg = config_alg2(60, 4, 1.5, 0.5, 0.05, seed=11, T_budget=8)
-    m1 = algorithm2(data, loss, cfg, refine_budget=10)
-    m2 = algorithm2(data, loss, cfg, refine_budget=10)
+    m1 = algorithm2(data, loss, 1.5, 0.5, 0.05, 8, 10, 11)
+    m2 = algorithm2(data, loss, 1.5, 0.5, 0.05, 8, 10, 11)
     assert np.array_equal(m1.w, m2.w)
     assert lq_norm(m1.w, 1.5) <= 1.0 + 1e-9
 
@@ -124,9 +106,8 @@ def test_algorithm2_rejects_oversized_data():
 
     loss = piecewise_linear(1.0)
     data = WeightedDataset.uniform(np.eye(3) * 1.5, np.ones(3))
-    cfg = config_alg2(3, 3, 2.0, 0.5, 0.05, T_budget=2)
     with pytest.raises(ValueError):
-        algorithm2(data, loss, cfg)
+        algorithm2(data, loss, 2.0, 0.5, 0.05, 2, 0, 0)
 
 
 def test_sphere_scheme_hits_frozen_success_floor():
@@ -136,8 +117,7 @@ def test_sphere_scheme_hits_frozen_success_floor():
     the best-round risk concentrates well below the zero predictor."""
     loss = piecewise_linear(1.0)
     data, teacher = planted_halfspace(50, 3, 0.4, 2.0, seed=13)
-    cfg = config_alg1(50, 3, 0.4, 0.05, seed=17, T_budget=200)
-    model = algorithm1(data, loss, cfg, refine_budget=0)
+    model = algorithm1(data, loss, 0.4, 0.05, 200, 0, 17)
     # h(0) = 1/2 is the zero predictor's risk; random restarts must beat it
     assert empirical_risk(model.predict, loss, data) < 0.5
 
@@ -146,8 +126,7 @@ def test_refined_runs_reach_planted_risk():
     loss = piecewise_linear(1.0)
     data, teacher = planted_halfspace(80, 4, 0.3, 2.0, seed=19)
     r_star = empirical_risk(teacher.predict, loss, data)
-    cfg = config_alg2(80, 4, 2.0, 0.5, 0.05, seed=23, T_budget=30)
-    model = algorithm2(data, loss, cfg, refine_budget=60)
+    model = algorithm2(data, loss, 2.0, 0.5, 0.05, 30, 60, 23)
     assert empirical_risk(model.predict, loss, data) <= r_star + 0.1
     assert zero_one_risk(model.predict, data) <= 0.05
 
@@ -158,10 +137,9 @@ def test_algorithm2_chunk_size_changes_nothing(p, monkeypatch):
     give the same weights, bit for bit, on criterion-5-shaped data."""
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(200, 5, 0.3, p, seed=41)
-    cfg = config_alg2(200, 5, p, 0.5, 0.05, seed=43, T_budget=300)
-    chunked = algorithm2(data, loss, cfg, refine_budget=200)
+    chunked = algorithm2(data, loss, p, 0.5, 0.05, 300, 200, 43)
     monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
-    single = algorithm2(data, loss, cfg, refine_budget=200)
+    single = algorithm2(data, loss, p, 0.5, 0.05, 300, 200, 43)
     assert np.array_equal(chunked.w, single.w)
     chunked.check_feasible()
 
@@ -172,10 +150,9 @@ def test_algorithm2_chunk_size_changes_nothing_lp(monkeypatch):
     because least squares there runs projected gradient."""
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(200, 5, 0.3, 1.5, seed=41)
-    cfg = config_alg2(200, 5, 1.5, 0.5, 0.05, seed=43, T_budget=30)
-    chunked = algorithm2(data, loss, cfg, refine_budget=200)
+    chunked = algorithm2(data, loss, 1.5, 0.5, 0.05, 30, 200, 43)
     monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
-    single = algorithm2(data, loss, cfg, refine_budget=200)
+    single = algorithm2(data, loss, 1.5, 0.5, 0.05, 30, 200, 43)
     assert np.array_equal(chunked.w, single.w)
     chunked.check_feasible()
 
@@ -211,9 +188,9 @@ def test_zero_round_budget_is_an_error():
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(20, 3, 0.2, 2.0, seed=2)
     with pytest.raises(ValueError, match="T_budget"):
-        algorithm2(data, loss, config_alg2(20, 3, 2.0, 0.5, 0.05, T_budget=0))
+        algorithm2(data, loss, 2.0, 0.5, 0.05, 0, 0, 0)
     with pytest.raises(ValueError, match="T_budget"):
-        algorithm1(data, loss, config_alg1(20, 3, 0.4, 0.05, T_budget=0))
+        algorithm1(data, loss, 0.4, 0.05, 0, 0, 0)
 
 
 def _index_dataset(weights):

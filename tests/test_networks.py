@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncerm.data import WeightedDataset, draw_batch, planted_network
-from ncerm.halfspace import algorithm2, config_alg2
+from ncerm.halfspace import algorithm2
 from ncerm.losses import empirical_risk, piecewise_linear
 from ncerm.networks import (
     ACTIVATIONS,
@@ -220,10 +219,8 @@ def test_algorithm3_depth1_matches_halfspace_scheme(refine_budget, seed, k, T):
     spec = network_spec(1, 1.0, 2.0)
     data, _ = planted_network(70, 4, 0.1, spec, 2, seed=8)
     eps, delta = 0.5, 0.05
-    cfg = dataclasses.replace(
-        config_alg2(data.n, data.dim, 2.0, eps, delta, seed=seed, T_budget=T), k=k)
     net = algorithm3(data, loss, spec, eps, delta, T, refine_budget, seed, k=k)
-    model = algorithm2(data, loss, cfg, refine_budget)
+    model = algorithm2(data, loss, 2.0, eps, delta, T, refine_budget, seed, k=k)
     assert len(net.levels) == 1
     assert np.array_equal(net.w, model.w)
 
