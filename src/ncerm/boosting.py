@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .halfspace import algorithm1, algorithm2, config_alg1
-from .losses import apply_into, empirical_risk
+from .losses import apply_into, derivative, empirical_risk
 from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
@@ -34,7 +34,7 @@ class NoProgressError(ValueError):
 class ActivationLoss:
     """A bounded odd activation used as the weak learner's surrogate.
 
-    value(t, out=None) and grad(t, out=None) follow LossFunction's; they
+    value, grad, slope and slope_from_value follow LossFunction's; they
     are the activation's own functions bound once, since the refiner calls
     them at every step.
     """
@@ -42,8 +42,11 @@ class ActivationLoss:
     act: object
 
     def __post_init__(self):
-        for name, fn in zip(("value", "grad"), self.act.functions):
+        value, slope, slope_from_value = self.act.functions
+        for name, fn in (("value", value), ("slope", slope),
+                         ("grad", derivative(value, slope, slope_from_value))):
             object.__setattr__(self, name, functools.partial(apply_into, fn))
+        object.__setattr__(self, "slope_from_value", slope_from_value)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ def _piecewise_linear(t, L, out):
     return out
 
 
-def _piecewise_linear_grad(t, L, out):
+def _piecewise_linear_slope(t, L, out):
     mask = t >= -0.5 / L
     mask &= t < 0.5 / L
     return np.multiply(mask, L, out=out)
@@ -45,18 +45,32 @@ def _sigmoid(t, L, out):
     return np.divide(1.0, np.add(out, 1.0, out=out), out=out)
 
 
-def _sigmoid_grad(t, L, out):
-    rest = 1.0 - _sigmoid(t, L, out)
-    return np.multiply(np.multiply(out, 4.0 * L, out=out), rest, out=out)
+def _sigmoid_slope(v, L, out):
+    rest = 1.0 - v
+    return np.multiply(np.multiply(v, 4.0 * L, out=out), rest, out=out)
 
 
-# kind -> (value, subgradient), each f(t, L, out) writing into out (t's shape, apart from t).
+# kind -> (value, slope, slope_from_value), each f(x, L, out) writing into out
+# (x's shape).  value reads t and never writes over it; slope reads h(t) when
+# slope_from_value, else t, and may write over what it reads.
 _KINDS = {
-    PIECEWISE_LINEAR: (_piecewise_linear, _piecewise_linear_grad),
-    LOGISTIC_SIGMOID: (_sigmoid, _sigmoid_grad),
+    PIECEWISE_LINEAR: (_piecewise_linear, _piecewise_linear_slope, False),
+    LOGISTIC_SIGMOID: (_sigmoid, _sigmoid_slope, True),
     NEG_MIN: (lambda t, L, out: np.minimum(0.0, t, out=out),
-              lambda t, L, out: np.less(t, 0.0, out=out)),
+              lambda v, L, out: np.less(v, 0.0, out=out), True),
 }
+
+
+def derivative(value, slope, slope_from_value):
+    """The derivative as a function f(t, *args, out) of t, from a table's
+    (value, slope, slope_from_value) entry: the slope of the value computed
+    into out, or of t itself."""
+    if not slope_from_value:
+        return slope
+    return lambda t, *args: slope(value(t, *args), *args)
+
+
+_GRADS = {kind: derivative(*fns) for kind, fns in _KINDS.items()}
 
 
 def apply_into(fn, t, out=None, *args):
@@ -94,7 +108,16 @@ class LossFunction:
 
     def grad(self, t, out=None):
         """Subgradient of h; at kinks the slope of the right piece is used."""
-        return apply_into(_KINDS[self.kind][1], t, out, self.lipschitz)
+        return apply_into(_GRADS[self.kind], t, out, self.lipschitz)
+
+    @property
+    def slope_from_value(self) -> bool:
+        """Whether slope reads h(t) rather than t (true for the sigmoid and neg_min)."""
+        return _KINDS[self.kind][2]
+
+    def slope(self, k, out=None):
+        """grad(t) from k = h(t) if slope_from_value, else from k = t; out may be k."""
+        return apply_into(_KINDS[self.kind][1], k, out, self.lipschitz)
 
 
 def piecewise_linear(lipschitz: float) -> LossFunction:

@@ -23,23 +23,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import best_round, check_eps_delta, draw_rounds
-from .losses import apply_into
+from .losses import apply_into, derivative
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
 
 _ERF_SCALE = math.sqrt(math.pi) / 2.0
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
-# name -> (value, derivative), each f(float array x, out) writing into out, of
-# x's shape and not overlapping x; erf is rescaled from slope 2/sqrt(pi) to 1.
+# name -> (value, slope, slope_from_value), as losses._KINDS without L, each
+# f(x, out) on float arrays: value reads x and never writes over it; slope
+# reads the value when slope_from_value, else x, and may write over it.  erf
+# is rescaled from slope 2/sqrt(pi) to 1.
 _ACTIVATIONS = {
-    "tanh": (np.tanh,
-             lambda x, out: np.subtract(1.0, np.square(np.tanh(x, out=out), out=out), out=out)),
+    "tanh": (np.tanh, lambda v, out: np.subtract(1.0, np.square(v, out=out), out=out), True),
     "erf": (lambda x, out: _erf(np.multiply(x, _ERF_SCALE, out=out), out=out, casting="unsafe"),
             lambda x, out: np.exp(np.negative(np.square(np.multiply(x, _ERF_SCALE, out=out),
-                                                        out=out), out=out), out=out)),
+                                                        out=out), out=out), out=out),
+            False),
     "clamp": (lambda x, out: np.clip(x, -1.0, 1.0, out=out),
-              lambda x, out: np.less(np.abs(x, out=out), 1.0, out=out)),
+              lambda v, out: np.less(np.abs(v, out=out), 1.0, out=out), True),
 }
+_DERIVS = {name: derivative(*fns) for name, fns in _ACTIVATIONS.items()}
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
 
@@ -57,11 +60,11 @@ class Activation:
         return apply_into(_ACTIVATIONS[self.name][0], x)
 
     def deriv(self, x):
-        return apply_into(_ACTIVATIONS[self.name][1], x)
+        return apply_into(_DERIVS[self.name], x)
 
     @property
     def functions(self):
-        """(value, derivative), each f(x, out) on float arrays, no conversion."""
+        """(value, slope, slope_from_value) of _ACTIVATIONS, no conversion."""
         return _ACTIVATIONS[self.name]
 
 
@@ -255,7 +258,9 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     """Row functions (risk, gradient, projection) for networks whose flat
     rows concatenate level tensors of the given shapes, each acting on a
     whole stack of rows.  A row's state is its flattened forward
-    pre-activations, so the gradient runs only the backward pass.  Risks
+    pre-activations, so the gradient runs only the backward pass, which
+    evaluates each level's activation once and takes its slope from those
+    values where the activation allows (tanh, clamp).  Risks
     are one BLAS dot per row (np.vecdot), so like the leaf products and
     einsums they do not depend on which rows share the call.  Depth 1
     uses linear_kernels, as Algorithm 2 does: their einsum margins differ
@@ -265,6 +270,7 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     if len(shapes) == 1:
         return linear_kernels(data, loss, spec.leaf_p, spec.budget)
     X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
+    _, slope, slope_from_value = act.functions
     z_shapes = [(len(X), n) for n, _ in shapes]
 
     def risk_rows(P, rows):
@@ -272,14 +278,17 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
         return np.vecdot(loss.value(-y * Z[-1][..., 0]), a), _flat(Z)
 
     def grad_rows(P, state, rows):
-        # Backward pass: G holds d risk / d Z_j, from the output down.
+        # Backward pass: G holds d risk / d Z_j, from the output down.  Each
+        # level's activations A are computed once; its slope then overwrites A.
         levels, Z = _split(P, shapes), _split(state, z_shapes)
         G = (a * loss.grad(-y * Z[-1][..., 0]) * -y)[..., None]
         grads = []
         for C, Z_in in zip(levels[:0:-1], Z[-2::-1]):
             Z_in = Z_in.reshape(len(P), len(X), *C.shape[1:])
-            grads.append(np.einsum("cni,cnis->cis", G, act.value(Z_in)))
-            G = (G[..., None] * C[:, None] * act.deriv(Z_in)).reshape(len(P), len(X), -1)
+            A = act.value(Z_in)
+            grads.append(np.einsum("cni,cnis->cis", G, A))
+            A = slope(A if slope_from_value else Z_in, A)
+            G = (G[..., None] * C[:, None] * A).reshape(len(P), len(X), -1)
         return _flat([G.transpose(0, 2, 1) @ X, *grads[::-1]])
 
     project_leaves, project_comb = projector(spec.leaf_p, B), projector(1.0, B)

@@ -340,15 +340,16 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     rule, exactly as monotone_descent would for that row alone.
     risk_rows(W, rows) maps a (c, d) matrix, whose rows are the rows
     `rows` of X0, to (risks, state): c risks and a state with one row per
-    row of W, holding what the gradient at that row needs.
-    grad_rows(W, state, rows) gives the c gradients and project_rows(W)
-    the c projected rows.  Each row is computed on its own.  The live rows
-    are compact working copies, written back to X as they stop.  A row's
-    gradient is taken as soon as a step is accepted, from the state of the
-    risk call that evaluated the new point, so an accepted point is
-    evaluated once; when every live row accepts, the trial arrays are
-    adopted whole.  A negative step_budget is a ValueError.  Returns
-    (X, risks) with risks[i] <= risk(X0[i]).
+    row of W, holding what the gradient at that row needs.  The state need
+    only last until the next risk_rows call, so kernels may hand out their
+    own reused buffers.  grad_rows(W, state, rows) gives the c gradients
+    and project_rows(W) the c projected rows.  Each row is computed on its
+    own.  The live rows are compact working copies, written back to X as
+    they stop.  The rows a trial accepts take their gradient at once, from
+    that trial's own state, so an accepted point is evaluated once and no
+    state is carried from step to step; when every live row accepts, the
+    trial arrays are adopted whole.  A negative step_budget is a
+    ValueError.  Returns (X, risks) with risks[i] <= risk(X0[i]).
     """
     if step_budget < 0:
         raise ValueError(f"refinement step budget must be >= 0, not {step_budget}")
@@ -367,21 +368,22 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
         if done.any():
             X[rows[done]], risk[rows[done]] = x[done], r[done]
             keep = ~done
-            rows, x, r, state, eta, rejects, g, gnorm = (
-                a[keep] for a in (rows, x, r, state, eta, rejects, g, gnorm))
+            rows, x, r, eta, rejects, g, gnorm = (
+                a[keep] for a in (rows, x, r, eta, rejects, g, gnorm))
             if rows.size == 0:
                 return X, risk
         x_new = project_rows(x - (eta / np.maximum(gnorm, 1.0))[:, None] * g)
-        r_new, s_new = risk_rows(x_new, rows)
+        r_new, state = risk_rows(x_new, rows)
         accept = r_new < r
         done = r - r_new <= _GAIN_RTOL * np.maximum(np.abs(r_new), 1e-3)
         if accept.all():
-            x, r, state = x_new, r_new, s_new
+            x, r = x_new, r_new
             rejects[:] = 0
             eta = np.minimum(eta * 1.25, 1e3)
             moved = slice(None)
         else:
-            x[accept], r[accept], state[accept] = x_new[accept], r_new[accept], s_new[accept]
+            np.copyto(x, x_new, where=accept[:, None])
+            np.copyto(r, r_new, where=accept)
             rejects = np.where(accept, 0, rejects + 1)
             eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
             done = np.where(accept, done, (eta < _STEP_FLOOR) | (rejects >= _STALL_REJECTS))
@@ -390,7 +392,7 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
                 continue
         # Rows that moved take their gradient now, unless the budget is spent.
         if step + 1 < step_budget:
-            g[moved] = grad_rows(x[moved], state[moved], rows[moved])
+            g[moved] = grad_rows(x_new[moved], state[moved], rows[moved])
             gnorm = np.sqrt((g * g).sum(axis=1))
             done |= gnorm == 0.0
     X[rows], risk[rows] = x, r
@@ -400,30 +402,35 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
 def linear_kernels(data, loss, p: float, radius: float):
     """Row functions (risk, gradient, projection) for linear predictors.
 
-    Row i of W is a weight vector, and its state is its margins
-    -y_j <w, x_j>, one per sample point.  Every contraction is one einsum
-    on numpy's own loops, never BLAS, so a row's values do not depend on
-    which rows share the call.  Loss values and derivatives go into one
-    scratch array per kernel set, grown on demand and read before the call
-    returns; the margins (the state) are never written there.  The
+    Row i of W is a weight vector with margins -y_j <w, x_j>, one per
+    sample point.  A row's state is its loss values if loss.slope_from_value
+    (the sigmoid, neg_min and the tanh and clamp activations), else its
+    margins.  Every contraction is one einsum on numpy's own loops, never
+    BLAS, so a row's values do not depend on which rows share the call.
+    The margins, loss values and derivatives go into two scratch arrays
+    per kernel set, grown on demand, so a state lasts until the next
+    risk_rows call; grad_rows writes over the array it does not read.  The
     projection is bound, and p and radius checked, when the kernels are built.
     """
     project_rows = projector(p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
-    a = data.weights
-    scratch = [np.empty((0, data.n))]
+    a, keep_value = data.weights, loss.slope_from_value
+    scratch = [np.empty((2, 0, data.n))]
 
-    def loss_buffer(M):
-        if len(scratch[0]) < len(M):
-            scratch[0] = np.empty(M.shape)
-        return scratch[0][:len(M)]
+    def buffers(c):
+        if scratch[0].shape[1] < c:
+            scratch[0] = np.empty((2, c, data.n))
+        return scratch[0][0, :c], scratch[0][1, :c]
 
     def risk_rows(W, rows):
-        M = np.einsum("cd,dn->cn", W, ZnegT, optimize=False)
-        return np.einsum("cn,n->c", loss.value(M, loss_buffer(M)), a, optimize=False), M
+        M, V = buffers(len(W))
+        np.einsum("cd,dn->cn", W, ZnegT, out=M, optimize=False)
+        risks = np.einsum("cn,n->c", loss.value(M, V), a, optimize=False)
+        return risks, V if keep_value else M
 
-    def grad_rows(W, M, rows):
-        G = loss.grad(M, loss_buffer(M))
+    def grad_rows(W, K, rows):
+        M, V = buffers(len(W))
+        G = loss.slope(K, M if keep_value else V)
         return np.einsum("cn,dn->cd", np.multiply(G, a, out=G), ZnegT, optimize=False)
 
     return risk_rows, grad_rows, project_rows

@@ -268,3 +268,61 @@ def test_loss_values_and_derivatives_match_reference_bitwise(case):
             out = np.full_like(t, np.nan)
             assert method(t, out=out) is out
             assert out.shape == t.shape and out.tobytes() == expected.tobytes()
+
+
+_SLOPE_FROM_VALUE = [LOGISTIC_SIGMOID, NEG_MIN, "tanh", "clamp"]
+
+
+@st.composite
+def _slope_from_value_cases(draw):
+    """A loss or activation loss that takes its slope from its value, its
+    L, and inputs: +-0, +-inf, subnormals, |t| > 20, ulp neighbourhoods of
+    the anchors +-1/(2L) and of +-1, scaled normals and any finite float."""
+    name = draw(st.sampled_from(_SLOPE_FROM_VALUE))
+    L = draw(st.sampled_from(_CRITERION_1_L)) if name == LOGISTIC_SIGMOID else 1.0
+    near = st.builds(lambda c, sign, k: sign * (c + k * np.spacing(c)),
+                     st.sampled_from([0.5 / L, 1.0]), st.sampled_from([-1.0, 1.0]),
+                     st.integers(-100, 100))
+    tiny = np.finfo(float).tiny
+    subnormal = st.floats(-tiny, tiny, allow_subnormal=True, exclude_min=True, exclude_max=True)
+    large = st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
+                      st.floats(20.0, 1e300, exclude_min=True))
+    elements = st.one_of(near, subnormal, large,
+                         st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]),
+                         st.floats(allow_nan=False), st.floats(-4.0 / L, 4.0 / L))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5))
+    t = draw(hnp.arrays(float, shape, elements=elements))
+    normals = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(t.shape)
+    t = np.where(np.asarray(draw(hnp.arrays(bool, shape))), normals * (0.5 / L), t)
+    loss = ActivationLoss(Activation(name)) if name in ACTIVATIONS else LossFunction(name, L)
+    return name, L, loss, t
+
+
+@settings(max_examples=400, deadline=None)
+@given(_slope_from_value_cases())
+def test_slope_from_kept_value_equals_derivative_bitwise(case):
+    """For tanh, clamp, the logistic sigmoid and neg_min the refiner keeps
+    the loss values and takes the slope from them.  That slope equals
+    Activation.deriv(t) or LossFunction.grad(t), and the previous formulas
+    of t, bit for bit, also when it is written over the kept values."""
+    name, L, loss, t = case
+    assert loss.slope_from_value
+    with np.errstate(all="ignore"):
+        kept = np.asarray(loss.value(t), dtype=float)
+        expected = np.asarray(_REFERENCE[name][1](t, L), dtype=float).tobytes()
+        derivative = Activation(name).deriv(t) if name in ACTIVATIONS else loss.grad(t)
+        assert np.asarray(derivative).tobytes() == expected
+        slope = loss.slope(kept)
+        if t.ndim == 0:
+            assert isinstance(slope, float)
+        assert np.asarray(slope).tobytes() == expected
+        assert loss.slope(kept, out=kept) is kept and kept.tobytes() == expected
+
+
+def test_piecewise_linear_and_erf_take_their_slope_from_the_margin():
+    """The kinds whose slope is no function of their value keep t."""
+    assert not piecewise_linear(2.0).slope_from_value
+    assert not ActivationLoss(Activation("erf")).slope_from_value
+    t = np.linspace(-2.0, 2.0, 41)
+    for loss in (piecewise_linear(2.0), ActivationLoss(Activation("erf"))):
+        assert loss.slope(t).tobytes() == loss.grad(t).tobytes()

@@ -429,14 +429,14 @@ def _network_rows(draw):
 def test_network_kernel_rows_run_alone(problem, budget):
     """Each row's risk, state, gradient and projection from the stacked
     network kernels, and its lockstep refinement, equal that row's call
-    alone, bit for bit; refinement never raises a row's risk.  project_lp
-    on the (c, N, d) leaf stack equals the same rows projected as a
-    matrix."""
+    alone, bit for bit; refinement never raises a row's risk.  A state is
+    read, or copied, before the next risk call.  project_lp on the
+    (c, N, d) leaf stack equals the same rows projected as a matrix."""
     data, loss, spec, shapes, P = problem
     kernels = risk_rows, grad_rows, project_rows = network_kernels(data, loss, spec, shapes)
     every = np.arange(len(P))
     risks, state = risk_rows(P, every)
-    grads, starts = grad_rows(P, state, every), project_rows(P)
+    grads, state, starts = grad_rows(P, state, every), state.copy(), project_rows(P)
     X, refined = lockstep_descent(starts, *kernels, budget)
     assert np.all(refined <= risk_rows(starts, every)[0])
     for i in range(len(P)):

@@ -368,9 +368,28 @@ def test_least_squares_below_p2_matches_projected_gradient_reference(problem):
     assert obj(w) <= obj(ref) + 1e-4 * float(u @ u)
 
 
-def _assert_rows_follow_monotone_descent(W0, kernels, step_budget):
+def _state_lasts_one_call(kernels):
+    """The kernels with each state handed out as a copy that the next risk
+    call overwrites with NaN, as a kernel that reuses its buffers may."""
     risk_rows, grad_rows, project_rows = kernels
-    W, risks = lockstep_descent(W0, risk_rows, grad_rows, project_rows, step_budget)
+    handed_out = []
+
+    def risk(W, rows):
+        for state in handed_out:
+            state.fill(np.nan)
+        risks, state = risk_rows(W, rows)
+        handed_out[:] = [np.array(state, dtype=float)]
+        return risks, handed_out[0]
+
+    return risk, grad_rows, project_rows
+
+
+def _assert_rows_follow_monotone_descent(W0, kernels, step_budget):
+    """Each row of lockstep_descent, run on kernels whose states last only
+    until the next risk call, equals monotone_descent run on single-row
+    closures of the same kernels."""
+    risk_rows, grad_rows, project_rows = kernels
+    W, risks = lockstep_descent(W0, *_state_lasts_one_call(kernels), step_budget)
     for i, (w0, w, r) in enumerate(zip(W0, W, risks)):
         row = np.array([i])
         x, r_seq = monotone_descent(
@@ -402,20 +421,28 @@ def test_lockstep_descent_matches_monotone_descent():
             assert np.all(lq_norm(W, p) <= 1.0 + 1e-9)
 
 
+def _steep_abs_kernels():
+    """Row functions of the risk 1000 |x|, whose state sign(x) is written
+    into one buffer that every risk call reuses, grown on demand."""
+    buffer = [np.empty((0, 1))]
+
+    def risk_rows(W, rows):
+        if len(buffer[0]) < len(W):
+            buffer[0] = np.empty(W.shape)
+        return 1e3 * np.sum(np.abs(W), axis=1), np.sign(W, out=buffer[0][:len(W)])
+
+    return risk_rows, lambda W, S, rows: 1e3 * S, lambda W: W
+
+
 def test_lockstep_descent_stop_rules():
     """On the steep risk 1000 |x| the starts below stop on a zero gradient,
     on 25 rejections in a row, on the step floor (the second start only
     after an acceptance at its 25th attempt), and on the budget after the
     step size reached its cap; a budget of 5 stops all but the first
     early.  Each row still matches monotone_descent."""
-    kernels = (
-        lambda W, rows: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
-        lambda W, S, rows: 1e3 * S,
-        lambda W: W,
-    )
     W0 = np.array([[0.0], [1e-9], [4e-8], [0.3], [2.0], [1e6]])
     for budget in (500, 5):
-        _assert_rows_follow_monotone_descent(W0, kernels, budget)
+        _assert_rows_follow_monotone_descent(W0, _steep_abs_kernels(), budget)
 
 
 def test_lockstep_descent_single_row_counts_rejects_from_its_last_acceptance():
@@ -424,13 +451,8 @@ def test_lockstep_descent_single_row_counts_rejects_from_its_last_acceptance():
     accepted, then rejected once and accepted again: its reject count
     starts again from 0 at each acceptance, as in monotone_descent, so
     the stall rule does not end it early."""
-    kernels = (
-        lambda W, rows: (1e3 * np.sum(np.abs(W), axis=1), np.sign(W)),
-        lambda W, S, rows: 1e3 * S,
-        lambda W: W,
-    )
     for x0 in (4e-8, 1e-9, 0.3, 2.0):
-        _assert_rows_follow_monotone_descent(np.array([[x0]]), kernels, 500)
+        _assert_rows_follow_monotone_descent(np.array([[x0]]), _steep_abs_kernels(), 500)
 
 
 @st.composite
@@ -453,41 +475,44 @@ def _linear_kernel_problems(draw):
 @given(_linear_kernel_problems(), st.data())
 def test_linear_kernel_rows_are_independent(problem, data_strategy):
     """The risks, states, gradients and projections of any subset of rows
-    equal those rows of the call on the whole stack, bit for bit."""
+    equal those rows of the call on the whole stack, bit for bit.  Each
+    state is read before the next risk call, which may reuse its buffer."""
     data, W, p, loss = problem
     risk_rows, grad_rows, project_rows = linear_kernels(data, loss, p, 1.0)
     rows = data_strategy.draw(st.lists(st.integers(0, len(W) - 1), min_size=1,
                                        max_size=len(W), unique=True))
     every = np.arange(len(W))
-    risks, M = risk_rows(W, every)
-    risks_sub, M_sub = risk_rows(W[rows], rows)
-    assert M.shape == (len(W), data.n)
+    risks, state = risk_rows(W, every)
+    grads, state = grad_rows(W, state, every), state.copy()
+    risks_sub, state_sub = risk_rows(W[rows], rows)
+    assert state.shape == (len(W), data.n)
     assert np.array_equal(risks_sub, risks[rows])
-    assert np.array_equal(M_sub, M[rows])
-    assert np.array_equal(grad_rows(W[rows], M_sub, rows), grad_rows(W, M, every)[rows])
+    assert np.array_equal(state_sub, state[rows])
+    assert np.array_equal(grad_rows(W[rows], state_sub, rows), grads[rows])
     assert np.array_equal(project_rows(W[rows]), project_rows(W)[rows])
 
 
 @settings(max_examples=100, deadline=None)
 @given(_linear_kernel_problems(), st.integers(1, 20), st.integers(0, 30))
 def test_linear_kernel_scratch_never_aliases_state(problem, extra, budget):
-    """The loss values and derivatives share one scratch array per kernel
-    set, grown on demand; the margins handed out as state never live in
-    it.  Growing it leaves earlier margins and gradients unchanged, and a
-    kernel set reused across refinements gives what fresh ones give."""
+    """The margins, loss values and derivatives share two scratch arrays
+    per kernel set, grown on demand, so a state lasts until the next risk
+    call.  Until then it is what a fresh kernel set hands out, and
+    grad_rows, which writes over the array the state is not in, leaves it
+    unchanged.  This holds as the scratch arrays grow and as fewer rows
+    reuse them, and a kernel set reused across refinements gives what
+    fresh ones give."""
     data, W1, p, loss = problem
-    shared, fresh = linear_kernels(data, loss, p, 1.0), linear_kernels(data, loss, p, 1.0)
+    shared = linear_kernels(data, loss, p, 1.0)
     W2 = np.concatenate([W1[::-1]] * (1 + extra))
-    (_, M1), (_, M2) = (shared[0](W, np.arange(len(W))) for W in (W1, W2))
-    kept = M1.copy(), M2.copy()
-    rows = np.arange(len(W1))
-    shared[1](W1, M1, rows)
-    for W in (W1[::-1], W2[::-1]):  # the scratch array is reused, not grown
-        shared[0](W, np.arange(len(W)))
-    assert (M1.tobytes(), M2.tobytes()) == tuple(M.tobytes() for M in kept)
-    _, M_fresh = fresh[0](W1, rows)
-    assert M1.tobytes() == M_fresh.tobytes()
-    assert shared[1](W1, M1, rows).tobytes() == fresh[1](W1, M_fresh, rows).tobytes()
+    for W in (W1, W2, W1[::-1], W2[::-1]):  # grows the scratch, then reuses it
+        rows, fresh = np.arange(len(W)), linear_kernels(data, loss, p, 1.0)
+        (risks, state), (risks_fresh, state_fresh) = shared[0](W, rows), fresh[0](W, rows)
+        kept = state.copy()
+        assert risks.tobytes() == risks_fresh.tobytes()
+        assert state.tobytes() == state_fresh.tobytes()
+        assert shared[1](W, state, rows).tobytes() == fresh[1](W, state_fresh, rows).tobytes()
+        assert state.tobytes() == kept.tobytes()
     W0 = shared[2](W2)
     for start in (W0, W0[:1], W0):
         X, risks = lockstep_descent(start, *shared, budget)
@@ -498,30 +523,34 @@ def test_linear_kernel_scratch_never_aliases_state(problem, extra, budget):
 @settings(max_examples=200, deadline=None)
 @given(_linear_kernel_problems())
 def test_linear_kernel_matches_coordinate_sums(problem):
-    """The state is the margin matrix -y_j <w, x_j> accumulated coordinate
-    by coordinate; risk and gradient equal numpy sums over the sample to
-    1e-12 of the sum of the terms' magnitudes.  With one sample point
-    numpy sums the d products of a margin in its own order, so that
-    case agrees to rounding only."""
+    """The margins -y_j <w, x_j> are accumulated coordinate by coordinate,
+    and the state is those margins, or their loss values when the loss
+    takes its slope from its value.  Risk and gradient equal numpy sums
+    over the sample to 1e-12 of the sum of the terms' magnitudes.  With
+    one sample point numpy sums the d products of a margin in its own
+    order, so that case agrees to rounding only."""
     data, W, p, loss = problem
     risk_rows, grad_rows, _ = linear_kernels(data, loss, p, 1.0)
     every = np.arange(len(W))
-    risks, M = risk_rows(W, every)
+    risks, state = risk_rows(W, every)
+    grads, state = grad_rows(W, state, every), state.copy()
     ZnegT = (-data.labels[:, None] * data.features).T
     loop, mag = W[:, :1] * ZnegT[0], np.abs(W[:, :1] * ZnegT[0])
     for j in range(1, W.shape[1]):
         loop += W[:, j:j + 1] * ZnegT[j]
         mag += np.abs(W[:, j:j + 1] * ZnegT[j])
     if data.n > 1:
-        assert np.array_equal(M, loop)
+        assert np.array_equal(state, loss.value(loop) if loss.slope_from_value else loop)
+    elif loss.slope_from_value:  # an L-Lipschitz value of margins within 1e-14 mag
+        assert np.all(np.abs(state - loss.value(loop)) <= loss.lipschitz * 1e-14 * mag + 1e-16)
     else:
-        assert np.all(np.abs(M - loop) <= 1e-14 * mag)
-    terms = data.weights * loss.value(M)
+        assert np.all(np.abs(state - loop) <= 1e-14 * mag)
+    terms = data.weights * (state if loss.slope_from_value else loss.value(state))
     assert np.all(np.abs(risks - np.sum(terms, axis=1)) <= 1e-12 * np.sum(np.abs(terms), axis=1))
-    S = data.weights * loss.grad(M)
+    S = data.weights * loss.slope(state)
     old = np.stack([np.sum(S * z, axis=1) for z in ZnegT], axis=1)
     scale = np.stack([np.sum(np.abs(S * z), axis=1) for z in ZnegT], axis=1)
-    assert np.all(np.abs(grad_rows(W, M, every) - old) <= 1e-12 * scale)
+    assert np.all(np.abs(grads - old) <= 1e-12 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -558,23 +587,54 @@ def _boostnet_round_problem(seed, activation, radius, rows):
     return kernels, kernels[2](W)
 
 
-def _step_kinds(kernels):
-    """Kernels that record, for each step of lockstep_descent after the
-    first, whether every row of the previous trial accepted it (the
-    gradient is then taken on all of them) or only some did."""
+def _recording_kernels(kernels):
+    """The kernels, with a log of copies of every call's arguments and
+    results: ("risk", W, rows, risks, state) and ("grad", W, rows, state)."""
     risk_rows, grad_rows, project_rows = kernels
-    kinds, trial = [], []
+    log = []
 
     def risk(W, rows):
-        trial.append(len(W))
-        return risk_rows(W, rows)
+        risks, state = risk_rows(W, rows)
+        log.append(("risk", W.copy(), rows.copy(), np.array(risks), np.array(state)))
+        return risks, state
 
     def grad(W, state, rows):
-        if len(trial) > 1:
-            kinds.append("all" if len(W) == trial[-1] else "some")
+        log.append(("grad", W.copy(), rows.copy(), np.array(state)))
         return grad_rows(W, state, rows)
 
-    return (risk, grad, project_rows), kinds
+    return (risk, grad, project_rows), log
+
+
+def _step_kinds(log, step_budget):
+    """Check the log of one lockstep_descent run and return, for each
+    gradient call after the first, whether every row of the trial before
+    it accepted ("all") or only some did ("some").
+
+    The first call evaluates the starts and each later risk call is a
+    trial, at most step_budget of them.  A trial accepts a row whose risk
+    falls below the row's last accepted risk.  Every gradient call comes
+    straight after a risk call, before the budget is spent, and asks only
+    for rows that call accepted (every start, after the first), at the
+    points and with the states that call had."""
+    current, accepted, trials, kinds = {}, set(), -1, []
+    for i, entry in enumerate(log):
+        if entry[0] == "risk":
+            _, _, rows, risks, _ = entry
+            trials += 1
+            assert trials <= step_budget
+            accepted = {j for j, r in zip(rows.tolist(), risks) if r < current.get(j, np.inf)}
+            current.update((j, r) for j, r in zip(rows.tolist(), risks) if j in accepted)
+            continue
+        _, W, rows, state = entry
+        assert i > 0 and log[i - 1][0] == "risk" and trials < step_budget
+        _, W_trial, rows_trial, _, state_trial = log[i - 1]
+        assert set(rows.tolist()) <= accepted
+        at = np.searchsorted(rows_trial, rows)
+        assert np.array_equal(rows_trial[at], rows)
+        assert W.tobytes() == W_trial[at].tobytes() and state.tobytes() == state_trial[at].tobytes()
+        if trials:
+            kinds.append("all" if len(rows) == len(rows_trial) else "some")
+    return kinds
 
 
 @settings(max_examples=300, deadline=None)
@@ -587,8 +647,9 @@ def test_lockstep_descent_activation_loss_rows_follow_monotone_descent(
     monotone_descent run bit for bit, whether a step was accepted by
     every live row or by some."""
     kernels, W0 = _boostnet_round_problem(seed, activation, radius, rows)
-    recording, kinds = _step_kinds(kernels)
+    recording, log = _recording_kernels(kernels)
     lockstep_descent(W0, *recording, budget)
+    kinds = _step_kinds(log, budget)
     # Steer the search towards starts whose steps some rows reject.
     target(float(kinds.count("some")), label="steps only some rows accept")
     event(f"steps accepted by only some rows: {'some' in kinds}")
@@ -600,10 +661,35 @@ def test_lockstep_descent_boostnet_regime_takes_both_step_kinds():
     """The problems of the oracle test above do reach both kinds of step:
     ones every live row accepts and ones only some rows accept."""
     kernels, W0 = _boostnet_round_problem(15, "tanh", 3.0, 6)
-    recording, kinds = _step_kinds(kernels)
+    recording, log = _recording_kernels(kernels)
     lockstep_descent(W0, *recording, 150)
-    assert {"all", "some"} <= set(kinds)
+    assert {"all", "some"} <= set(_step_kinds(log, 150))
     _assert_rows_follow_monotone_descent(W0, kernels, 150)
+
+
+def test_lockstep_descent_takes_gradients_only_at_accepted_points():
+    """With steps of both kinds, rejected trials and budgets that end in
+    the middle of a run, lockstep_descent asks for a gradient only at
+    points the risk call just before it accepted, from that call's state,
+    and never after a rejected trial or once the budget is spent.  The
+    same holds on many linear rows and on the steep 1000 |x|, whose
+    starts are rejected 24 times in a row."""
+    data, _ = planted_halfspace(200, 5, 0.3, 2.0, seed=31)
+    linear = linear_kernels(data, piecewise_linear(1.0), 2.0, 1.0)
+    problems = [
+        _boostnet_round_problem(15, "tanh", 3.0, 6),
+        (linear, linear[2](np.random.default_rng(33).standard_normal((40, 5)))),
+        (_steep_abs_kernels(), np.array([[4e-8], [1e-9], [0.3], [0.0]])),
+    ]
+    for kernels, W0 in problems:
+        seen = set()
+        for budget in (0, 1, 2, 7, 26, 150):
+            recording, log = _recording_kernels(kernels)
+            X, risks = lockstep_descent(W0, *recording, budget)
+            seen.update(_step_kinds(log, budget))
+            if budget == 0:
+                assert [entry[0] for entry in log] == ["risk"]
+        assert seen == {"all", "some"}
 
 
 @settings(max_examples=100, deadline=None)
