@@ -10,14 +10,13 @@ the combination rescaled so its l1 weight equals the class budget B.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .halfspace import algorithm1, algorithm2, config_alg1
-from .losses import apply_into, derivative, empirical_risk
+from .losses import empirical_risk
 from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
@@ -28,25 +27,6 @@ WEAK_KINDS = ("algorithm1", "algorithm2", "algorithm3")
 
 class NoProgressError(ValueError):
     """Every round had a zero coefficient, so the output scale is undefined."""
-
-
-@dataclass(frozen=True)
-class ActivationLoss:
-    """A bounded odd activation used as the weak learner's surrogate.
-
-    value, grad, slope and slope_from_value follow LossFunction's; they
-    are the activation's own functions bound once, since the refiner calls
-    them at every step.
-    """
-
-    act: object
-
-    def __post_init__(self):
-        value, slope, slope_from_value = self.act.functions
-        for name, fn in (("value", value), ("slope", slope),
-                         ("grad", derivative(value, slope, slope_from_value))):
-            object.__setattr__(self, name, functools.partial(apply_into, fn))
-        object.__setattr__(self, "slope_from_value", slope_from_value)
 
 
 @dataclass(frozen=True)
@@ -142,18 +122,17 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     """
     spec = config.class_spec
     m = spec.depth
-    act_loss = ActivationLoss(spec.act)
     wc = config.weak
     eps = wc.epsilon if wc.epsilon is not None else weak_epsilon(config.gamma, m, spec.budget)
     if wc.kind == "algorithm3":
         return algorithm3(
-            data, act_loss, config.weak_spec, eps, WEAK_DELTA,
+            data, spec.act, config.weak_spec, eps, WEAK_DELTA,
             wc.T_budget, wc.refine_budget, round_seed, k=wc.k, s=wc.s,
         )
     if m - 1 != 1:
         raise ValueError("halfspace weak learners require class depth 2")
     if wc.kind == "algorithm2":
-        model = algorithm2(data, act_loss, spec.leaf_p, eps, WEAK_DELTA, wc.T_budget,
+        model = algorithm2(data, spec.act, spec.leaf_p, eps, WEAK_DELTA, wc.T_budget,
                            wc.refine_budget, round_seed, k=wc.k)
         return Network([model.w[None]])
     if spec.input_q != 2.0:
@@ -161,7 +140,7 @@ def weak_learn(data, config: BoostConfig, round_seed: int):
     _, r, _ = config_alg1(data.n, data.dim, eps, WEAK_DELTA)
     if r > spec.budget + NORM_TOL:
         raise ValueError(f"sphere radius {r} exceeds the leaf budget {spec.budget}")
-    model = algorithm1(data, act_loss, eps, WEAK_DELTA, wc.T_budget, wc.refine_budget,
+    model = algorithm1(data, spec.act, eps, WEAK_DELTA, wc.T_budget, wc.refine_budget,
                        round_seed)
     return Network([model.w[None]])
 
@@ -178,13 +157,12 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     T = config.T if config.T is not None else default_rounds(data.n, B, config.gamma)
     if T < 1:
         raise ValueError("T must be >= 1")
-    act_loss = ActivationLoss(act)
     M, b, children, rounds = np.zeros(data.n), 0.0, [], []
     for t in range(T):
         data_t = data.with_weights(boost_weights(M, y))
         net_t = weak_learn(data_t, config, child_seed(config.seed, t))
         F = evaluate(net_t, weak_spec, X)
-        g_val = empirical_risk(lambda _: F, act_loss, data_t)
+        g_val = empirical_risk(lambda _: F, act, data_t)
         clamped = g_val < -0.5 or g_val >= _MU_HI
         mu = min(max(-0.5, g_val), _MU_HI)
         c = 0.5 * math.log((1.0 - mu) / (1.0 + mu))

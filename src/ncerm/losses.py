@@ -8,6 +8,7 @@ by the step indicator 1[-y f >= 0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,33 +51,39 @@ def _sigmoid_slope(v, L, out):
     return np.multiply(np.multiply(v, 4.0 * L, out=out), rest, out=out)
 
 
+_ERF_SCALE = math.sqrt(math.pi) / 2.0
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
+
 # kind -> (value, slope, slope_from_value), each f(x, L, out) writing into out
 # (x's shape).  value reads t and never writes over it; slope reads h(t) when
-# slope_from_value, else t, and may write over what it reads.
+# slope_from_value, else t, and may write over what it reads.  The last three
+# kinds are the network activations (L = 1); erf is rescaled from slope
+# 2/sqrt(pi) to 1.
 _KINDS = {
     PIECEWISE_LINEAR: (_piecewise_linear, _piecewise_linear_slope, False),
     LOGISTIC_SIGMOID: (_sigmoid, _sigmoid_slope, True),
     NEG_MIN: (lambda t, L, out: np.minimum(0.0, t, out=out),
               lambda v, L, out: np.less(v, 0.0, out=out), True),
+    "tanh": (lambda x, L, out: np.tanh(x, out=out),
+             lambda v, L, out: np.subtract(1.0, np.square(v, out=out), out=out), True),
+    "erf": (lambda x, L, out: _erf(np.multiply(x, _ERF_SCALE, out=out), out=out,
+                                   casting="unsafe"),
+            lambda x, L, out: np.exp(np.negative(np.square(np.multiply(x, _ERF_SCALE, out=out),
+                                                           out=out), out=out), out=out),
+            False),
+    "clamp": (lambda x, L, out: np.clip(x, -1.0, 1.0, out=out),
+              lambda v, L, out: np.less(np.abs(v, out=out), 1.0, out=out), True),
 }
+ACTIVATIONS = ("tanh", "erf", "clamp")  # odd, with range inside [-1, 1]
+_UNIT_L = (NEG_MIN, *ACTIVATIONS)  # kinds whose L is always 1
 
 
-def derivative(value, slope, slope_from_value):
-    """The derivative as a function f(t, *args, out) of t, from a table's
-    (value, slope, slope_from_value) entry: the slope of the value computed
-    into out, or of t itself."""
-    if not slope_from_value:
-        return slope
-    return lambda t, *args: slope(value(t, *args), *args)
-
-
-_GRADS = {kind: derivative(*fns) for kind, fns in _KINDS.items()}
-
-
-def apply_into(fn, t, out=None, *args):
-    """fn(t as a float array, *args, out), into out or a fresh array (a float for 0-d t)."""
+def _apply(fn, t, out, L, value=None):
+    """fn(t as a float array, L, out), into out or a fresh array (a float
+    for 0-d t); with value, fn reads value(t, L, out) in place of t."""
     t = np.asarray(t, dtype=float)
-    res = fn(t, *args, np.empty_like(t) if out is None else out)
+    res = np.empty_like(t) if out is None else out
+    res = fn(t if value is None else value(t, L, res), L, res)
     return float(res) if out is None and res.ndim == 0 else res
 
 
@@ -87,7 +94,10 @@ class LossFunction:
     kind:
       piecewise_linear  0 for t <= -1/(2L), 1 for t >= 1/(2L), L*t + 1/2 between
       logistic_sigmoid  1 / (1 + exp(-4 L t))
-      neg_min           min{0, t}  (L is always 1)
+      neg_min           min{0, t}
+      tanh, erf, clamp  the odd network activations (erf scaled to slope 1)
+
+    neg_min and the activations take L = 1 only.
 
     piecewise_linear and logistic_sigmoid are symmetric, h(t) + h(-t) = 1, so
     labels flipped at rate eta < 1/2 give expected risk eta + (1 - 2 eta) R(f)
@@ -100,24 +110,27 @@ class LossFunction:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not (np.isfinite(self.lipschitz) and self.lipschitz > 0):
+        if not (math.isfinite(self.lipschitz) and self.lipschitz > 0):
             raise ValueError("lipschitz must be positive and finite")
+        if self.kind in _UNIT_L and self.lipschitz != 1.0:
+            raise ValueError(f"{self.kind} has lipschitz 1, not {self.lipschitz}")
 
     def value(self, t, out=None):
-        return apply_into(_KINDS[self.kind][0], t, out, self.lipschitz)
+        return _apply(_KINDS[self.kind][0], t, out, self.lipschitz)
 
     def grad(self, t, out=None):
         """Subgradient of h; at kinks the slope of the right piece is used."""
-        return apply_into(_GRADS[self.kind], t, out, self.lipschitz)
+        value, slope, from_value = _KINDS[self.kind]
+        return _apply(slope, t, out, self.lipschitz, value if from_value else None)
 
     @property
     def slope_from_value(self) -> bool:
-        """Whether slope reads h(t) rather than t (true for the sigmoid and neg_min)."""
+        """Whether slope reads h(t) rather than t (all kinds but piecewise_linear and erf)."""
         return _KINDS[self.kind][2]
 
     def slope(self, k, out=None):
         """grad(t) from k = h(t) if slope_from_value, else from k = t; out may be k."""
-        return apply_into(_KINDS[self.kind][1], k, out, self.lipschitz)
+        return _apply(_KINDS[self.kind][1], k, out, self.lipschitz)
 
 
 def piecewise_linear(lipschitz: float) -> LossFunction:

@@ -23,49 +23,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .halfspace import best_round, check_eps_delta, draw_rounds
-from .losses import apply_into, derivative
+from .losses import ACTIVATIONS, LossFunction
 from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
 
-_ERF_SCALE = math.sqrt(math.pi) / 2.0
-_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
-# name -> (value, slope, slope_from_value), as losses._KINDS without L, each
-# f(x, out) on float arrays: value reads x and never writes over it; slope
-# reads the value when slope_from_value, else x, and may write over it.  erf
-# is rescaled from slope 2/sqrt(pi) to 1.
-_ACTIVATIONS = {
-    "tanh": (np.tanh, lambda v, out: np.subtract(1.0, np.square(v, out=out), out=out), True),
-    "erf": (lambda x, out: _erf(np.multiply(x, _ERF_SCALE, out=out), out=out, casting="unsafe"),
-            lambda x, out: np.exp(np.negative(np.square(np.multiply(x, _ERF_SCALE, out=out),
-                                                        out=out), out=out), out=out),
-            False),
-    "clamp": (lambda x, out: np.clip(x, -1.0, 1.0, out=out),
-              lambda v, out: np.less(np.abs(v, out=out), 1.0, out=out), True),
-}
-_DERIVS = {name: derivative(*fns) for name, fns in _ACTIVATIONS.items()}
-ACTIVATIONS = tuple(_ACTIVATIONS)
 
+class Activation(LossFunction):
+    """Odd, 1-Lipschitz squashing function with range inside [-1, 1]: the
+    loss of its kind at L = 1, so it is also the surrogate of BoostNet's
+    weak learners."""
 
-@dataclass(frozen=True)
-class Activation:
-    """Odd, 1-Lipschitz squashing function with range inside [-1, 1]."""
+    def __init__(self, name: str):
+        if name not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, not {name!r}")
+        super().__init__(name, 1.0)
 
-    name: str
-
-    def __post_init__(self):
-        if self.name not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, not {self.name!r}")
-
-    def value(self, x):
-        return apply_into(_ACTIVATIONS[self.name][0], x)
-
-    def deriv(self, x):
-        return apply_into(_DERIVS[self.name], x)
-
-    @property
-    def functions(self):
-        """(value, slope, slope_from_value) of _ACTIVATIONS, no conversion."""
-        return _ACTIVATIONS[self.name]
+    value = LossFunction.value
+    deriv = LossFunction.grad
 
 
 @dataclass(frozen=True)
@@ -94,7 +68,7 @@ class NetworkClassSpec:
     def input_q(self) -> float:
         return dual_exponent(self.leaf_p)
 
-    @property
+    @functools.cached_property
     def act(self) -> Activation:
         return Activation(self.activation)
 
@@ -270,7 +244,6 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     if len(shapes) == 1:
         return linear_kernels(data, loss, spec.leaf_p, spec.budget)
     X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
-    _, slope, slope_from_value = act.functions
     z_shapes = [(len(X), n) for n, _ in shapes]
 
     def risk_rows(P, rows):
@@ -287,7 +260,7 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
             Z_in = Z_in.reshape(len(P), len(X), *C.shape[1:])
             A = act.value(Z_in)
             grads.append(np.einsum("cni,cnis->cis", G, A))
-            A = slope(A if slope_from_value else Z_in, A)
+            A = act.slope(A if act.slope_from_value else Z_in, out=A)
             G = (G[..., None] * C[:, None] * A).reshape(len(P), len(X), -1)
         return _flat([G.transpose(0, 2, 1) @ X, *grads[::-1]])
 

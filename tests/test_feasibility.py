@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncerm.boosting import (
-    ActivationLoss,
     BoostConfig,
     NoProgressError,
     WeakLearnerConfig,
@@ -116,7 +115,7 @@ def test_boostnet_in_class(seed, n, d, depth, leaf_p, budget, T, steps):
         for t in range(T):
             F = evaluate(weak_learn(uniform, config, child_seed(seed, t)), config.weak_spec,
                          data.features)
-            G = empirical_risk(lambda _: F, ActivationLoss(spec.act), uniform)
+            G = empirical_risk(lambda _: F, spec.act, uniform)
             assert abs(G) < 1e-15 and math.log((1.0 - G) / (1.0 + G)) == 0.0
     else:
         validate(result.network, spec)

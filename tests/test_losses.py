@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 
 import math
 
-from ncerm.boosting import ActivationLoss
 from ncerm.data import WeightedDataset
 from ncerm.losses import (
     LOGISTIC_SIGMOID,
@@ -132,6 +131,16 @@ def test_factory_validation():
         LossFunction("nope", 1.0).value(0.0)
 
 
+@pytest.mark.parametrize("kind", [NEG_MIN, *ACTIVATIONS])
+@pytest.mark.parametrize("L", [0.5, 1.0 + 1e-15, 5.0])
+def test_fixed_lipschitz_kinds_reject_other_L(kind, L):
+    """neg_min and the activations are 1-Lipschitz; any other L would make
+    bounds scaled by loss.lipschitz (the generalization gap check) loose."""
+    with pytest.raises(ValueError, match="lipschitz"):
+        LossFunction(kind, L)
+    assert LossFunction(kind, 1.0).lipschitz == 1.0
+
+
 def _toy_data():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     y = np.array([1.0, 1.0, -1.0, 1.0])
@@ -247,7 +256,7 @@ def _loss_cases(draw):
     t = draw(hnp.arrays(float, shape, elements=elements))
     normals = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(t.shape)
     t = np.where(np.asarray(draw(hnp.arrays(bool, shape))), normals * (0.5 / L), t)
-    loss = ActivationLoss(Activation(name)) if name in ACTIVATIONS else LossFunction(name, L)
+    loss = Activation(name) if name in ACTIVATIONS else LossFunction(name, L)
     return name, L, loss, t
 
 
@@ -294,7 +303,7 @@ def _slope_from_value_cases(draw):
     t = draw(hnp.arrays(float, shape, elements=elements))
     normals = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(t.shape)
     t = np.where(np.asarray(draw(hnp.arrays(bool, shape))), normals * (0.5 / L), t)
-    loss = ActivationLoss(Activation(name)) if name in ACTIVATIONS else LossFunction(name, L)
+    loss = Activation(name) if name in ACTIVATIONS else LossFunction(name, L)
     return name, L, loss, t
 
 
@@ -322,7 +331,7 @@ def test_slope_from_kept_value_equals_derivative_bitwise(case):
 def test_piecewise_linear_and_erf_take_their_slope_from_the_margin():
     """The kinds whose slope is no function of their value keep t."""
     assert not piecewise_linear(2.0).slope_from_value
-    assert not ActivationLoss(Activation("erf")).slope_from_value
+    assert not Activation("erf").slope_from_value
     t = np.linspace(-2.0, 2.0, 41)
-    for loss in (piecewise_linear(2.0), ActivationLoss(Activation("erf"))):
+    for loss in (piecewise_linear(2.0), Activation("erf")):
         assert loss.slope(t).tobytes() == loss.grad(t).tobytes()

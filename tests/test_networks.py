@@ -73,10 +73,13 @@ def test_activation_deriv_finite_diff(name):
 
 
 def test_unknown_activation_raises():
-    with pytest.raises(ValueError):
-        Activation("relu").value(0.0)
-    with pytest.raises(ValueError):
-        network_spec(2, 1.0, 2.0, "relu")
+    """The loss kinds share the activations' table but are not odd, so they
+    are no activations."""
+    for name in ("relu", "neg_min", "logistic_sigmoid", "piecewise_linear"):
+        with pytest.raises(ValueError):
+            Activation(name).value(0.0)
+        with pytest.raises(ValueError):
+            network_spec(2, 1.0, 2.0, name)
 
 
 def test_spec_validation():

@@ -7,7 +7,7 @@ from hypothesis import event, example, given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncerm.boosting import ActivationLoss, boost_weights
+from ncerm.boosting import boost_weights
 from ncerm.data import WeightedDataset, planted_halfspace, planted_network
 from ncerm.halfspace import LinearModel
 from ncerm.losses import empirical_risk, logistic_sigmoid, piecewise_linear
@@ -582,7 +582,7 @@ def _boostnet_round_problem(seed, activation, radius, rows):
     spec = network_spec(2, 2.0, 2.0, activation)
     data, _ = planted_network(20, 5, 0.3, spec, 2, seed=seed % 1000)
     data = data.with_weights(boost_weights(6.0 * rng.standard_normal(data.n), data.labels))
-    kernels = linear_kernels(data, ActivationLoss(spec.act), 2.0, radius)
+    kernels = linear_kernels(data, spec.act, 2.0, radius)
     W = rng.standard_normal((rows, data.dim)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(rows, 1))
     return kernels, kernels[2](W)
 
