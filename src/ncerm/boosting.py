@@ -169,7 +169,8 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
         b += abs(c)
         M += c * act.value(F)
         margins = y * M
-        zero_one = float(np.dot(data.weights, (margins <= 0.0).astype(float)))
+        zero_one = float(np.einsum("n,n->", data.weights, (margins <= 0.0).astype(float),
+                                   optimize=False))
         min_margin = float((B / b) * np.min(margins)) if b > 0 else 0.0
         children.append(net_t)
         rounds.append(RoundRecord(t + 1, mu, c, zero_one, min_margin, clamped))
@@ -194,6 +195,7 @@ class MarginCertificate:
 def margin_certificate(net, spec: NetworkClassSpec, data, threshold: float) -> MarginCertificate:
     """Minimum margin of y*f(x) and the weighted fraction at the threshold."""
     margins = data.labels * evaluate(net, spec, data.features)
-    frac = float(np.dot(data.weights, (margins >= threshold).astype(float)))
+    frac = float(np.einsum("n,n->", data.weights, (margins >= threshold).astype(float),
+                           optimize=False))
     frac = min(max(frac, 0.0), 1.0)  # weight roundoff can overshoot by an ulp
     return MarginCertificate(float(np.min(margins)), frac)

@@ -160,10 +160,11 @@ def empirical_risk(predict, loss, data) -> float:
     predict maps the (n, d) feature matrix to an (n,) value vector.
     """
     preds = _predictions(predict, data)
-    return float(np.dot(data.weights, loss.value(-data.labels * preds)))
+    return float(np.einsum("n,n->", data.weights, loss.value(-data.labels * preds), optimize=False))
 
 
 def zero_one_risk(predict, data) -> float:
     """Weighted misclassification sum_i a_i 1[-y_i predict(x_i) >= 0]."""
     preds = _predictions(predict, data)
-    return float(np.dot(data.weights, (-data.labels * preds >= 0.0).astype(float)))
+    return float(np.einsum("n,n->", data.weights, (-data.labels * preds >= 0.0).astype(float),
+                           optimize=False))

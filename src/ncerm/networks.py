@@ -234,11 +234,13 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
     whole stack of rows.  A row's state is its flattened forward
     pre-activations, so the gradient runs only the backward pass, which
     evaluates each level's activation once and takes its slope from those
-    values where the activation allows (tanh, clamp).  Risks
-    are one BLAS dot per row (np.vecdot), so like the leaf products and
-    einsums they do not depend on which rows share the call.  Depth 1
-    uses linear_kernels, as Algorithm 2 does: their einsum margins differ
-    in the last bits from the BLAS leaf product, and sharing them keeps
+    values where the activation allows (tanh, clamp).  Risks are one
+    einsum over the sample on numpy's own loops, not a BLAS dot, which
+    OpenBLAS splits across its threads when it is long; like the leaf
+    products and the einsums above them, they do not depend on which rows
+    share the call.  Depth 1 uses linear_kernels, as Algorithm 2 does:
+    their margins and weighted gradient operand differ in the last bits
+    from the leaf product and this backward pass, and sharing them keeps
     Algorithm 3 at depth 1 equal to Algorithm 2 bit for bit.
     """
     if len(shapes) == 1:
@@ -248,7 +250,7 @@ def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
 
     def risk_rows(P, rows):
         Z = _forward(_split(P, shapes), act, X)
-        return np.vecdot(loss.value(-y * Z[-1][..., 0]), a), _flat(Z)
+        return np.einsum("cn,n->c", loss.value(-y * Z[-1][..., 0]), a, optimize=False), _flat(Z)
 
     def grad_rows(P, state, rows):
         # Backward pass: G holds d risk / d Z_j, from the output down.  Each

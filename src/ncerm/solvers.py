@@ -405,8 +405,11 @@ def linear_kernels(data, loss, p: float, radius: float):
     Row i of W is a weight vector with margins -y_j <w, x_j>, one per
     sample point.  A row's state is its loss values if loss.slope_from_value
     (the sigmoid, neg_min and the tanh and clamp activations), else its
-    margins.  Every contraction is one einsum on numpy's own loops, never
-    BLAS, so a row's values do not depend on which rows share the call.
+    margins.  The margins are one BLAS matvec per row, a sum over d only.
+    Every sum over the sample (the risks, and the gradients against the
+    weighted operand a * ZnegT) is an einsum on numpy's own loops, since
+    OpenBLAS splits long dots across its threads.  So a row's values depend
+    neither on which rows share the call nor on the BLAS thread count.
     The margins, loss values and derivatives go into two scratch arrays
     per kernel set, grown on demand, so a state lasts until the next
     risk_rows call; grad_rows writes over the array it does not read.  The
@@ -415,6 +418,7 @@ def linear_kernels(data, loss, p: float, radius: float):
     project_rows = projector(p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
     a, keep_value = data.weights, loss.slope_from_value
+    aZnegT = a * ZnegT
     scratch = [np.empty((2, 0, data.n))]
 
     def buffers(c):
@@ -424,14 +428,14 @@ def linear_kernels(data, loss, p: float, radius: float):
 
     def risk_rows(W, rows):
         M, V = buffers(len(W))
-        np.einsum("cd,dn->cn", W, ZnegT, out=M, optimize=False)
+        np.matmul(W[:, None, :], ZnegT, out=M[:, None, :])
         risks = np.einsum("cn,n->c", loss.value(M, V), a, optimize=False)
         return risks, V if keep_value else M
 
     def grad_rows(W, K, rows):
         M, V = buffers(len(W))
         G = loss.slope(K, M if keep_value else V)
-        return np.einsum("cn,dn->cd", np.multiply(G, a, out=G), ZnegT, optimize=False)
+        return np.einsum("cn,dn->cd", G, aZnegT, optimize=False)
 
     return risk_rows, grad_rows, project_rows
 

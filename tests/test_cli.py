@@ -372,3 +372,26 @@ def test_t_run_is_the_round_count_run(tmp_path, monkeypatch, argv, t_run):
     out = tmp_path / "t.csv"
     assert main([*argv, "--seed", "5", "--out", str(out)]) == 0
     assert [row["t_run"] for row in _csv_rows(out)] == seen == t_run
+
+
+@pytest.mark.parametrize("argv", [
+    ["halfspace", "--d", "3", "--budget-rounds", "10", "--refine-steps", "10",
+     "--repetitions", "1", "--n", "20000"],
+    ["nn", "--d", "3", "--budget-rounds", "4", "--refine-steps", "10",
+     "--repetitions", "1", "--n", "20000"],
+])
+def test_csv_same_for_any_blas_thread_count(tmp_path, argv):
+    """At n = 20,000 a sum over the sample is long enough for OpenBLAS to
+    split a dot across its threads; no such sum goes through BLAS, so one
+    and two BLAS threads write the same CSV bytes."""
+    src = str(Path(ncerm.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "ncerm.cli", *argv, "--seed", "5", "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

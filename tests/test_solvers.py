@@ -10,7 +10,10 @@ from hypothesis.extra import numpy as hnp
 from ncerm.boosting import boost_weights
 from ncerm.data import WeightedDataset, planted_halfspace, planted_network
 from ncerm.halfspace import LinearModel
-from ncerm.losses import empirical_risk, logistic_sigmoid, piecewise_linear
+from ncerm.losses import (
+    ACTIVATIONS, LOGISTIC_SIGMOID, NEG_MIN, PIECEWISE_LINEAR, LossFunction, empirical_risk,
+    logistic_sigmoid, piecewise_linear,
+)
 from ncerm.networks import network_spec
 from ncerm.solvers import (
     LS_MAX_ITER,
@@ -523,12 +526,12 @@ def test_linear_kernel_scratch_never_aliases_state(problem, extra, budget):
 @settings(max_examples=200, deadline=None)
 @given(_linear_kernel_problems())
 def test_linear_kernel_matches_coordinate_sums(problem):
-    """The margins -y_j <w, x_j> are accumulated coordinate by coordinate,
-    and the state is those margins, or their loss values when the loss
-    takes its slope from its value.  Risk and gradient equal numpy sums
-    over the sample to 1e-12 of the sum of the terms' magnitudes.  With
-    one sample point numpy sums the d products of a margin in its own
-    order, so that case agrees to rounding only."""
+    """The state is the margins -y_j <w, x_j>, or their loss values when
+    the loss takes its slope from its value.  Each margin equals the sum
+    of its d products, accumulated coordinate by coordinate, to 1e-14 of
+    the sum of their magnitudes; the order in which the kernel sums them
+    is its own.  Risk and gradient equal numpy sums over the sample to
+    1e-12 of the sum of the terms' magnitudes."""
     data, W, p, loss = problem
     risk_rows, grad_rows, _ = linear_kernels(data, loss, p, 1.0)
     every = np.arange(len(W))
@@ -539,9 +542,7 @@ def test_linear_kernel_matches_coordinate_sums(problem):
     for j in range(1, W.shape[1]):
         loop += W[:, j:j + 1] * ZnegT[j]
         mag += np.abs(W[:, j:j + 1] * ZnegT[j])
-    if data.n > 1:
-        assert np.array_equal(state, loss.value(loop) if loss.slope_from_value else loop)
-    elif loss.slope_from_value:  # an L-Lipschitz value of margins within 1e-14 mag
+    if loss.slope_from_value:  # an L-Lipschitz value of margins within 1e-14 mag
         assert np.all(np.abs(state - loss.value(loop)) <= loss.lipschitz * 1e-14 * mag + 1e-16)
     else:
         assert np.all(np.abs(state - loop) <= 1e-14 * mag)
@@ -551,6 +552,38 @@ def test_linear_kernel_matches_coordinate_sums(problem):
     old = np.stack([np.sum(S * z, axis=1) for z in ZnegT], axis=1)
     scale = np.stack([np.sum(np.abs(S * z), axis=1) for z in ZnegT], axis=1)
     assert np.all(np.abs(grads - old) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", (PIECEWISE_LINEAR, LOGISTIC_SIGMOID, NEG_MIN, *ACTIVATIONS))
+def test_linear_kernel_rows_are_computed_alone(kind):
+    """Each row's risk, state and gradient equal, byte for byte, what that
+    row gives alone as a fresh (1, d) array, for stacks of 1 to 257 rows
+    held contiguous, strided, gathered, or as a view at an odd element
+    offset inside a larger buffer."""
+    rng = np.random.default_rng(22)
+    n, d = 50, 5
+    weights = rng.random(n)
+    data = WeightedDataset(rng.standard_normal((n, d)), rng.choice((-1.0, 1.0), size=n),
+                           weights / weights.sum())
+    loss = LossFunction(kind, 2.5 if kind in (PIECEWISE_LINEAR, LOGISTIC_SIGMOID) else 1.0)
+    risk_rows, grad_rows, _ = linear_kernels(data, loss, 2.0, 1.0)
+    for c in (1, 2, 3, 7, 64, 257):
+        base = rng.standard_normal((2 * c, d)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(2 * c, 1))
+        buf = rng.standard_normal(c * d + 2)
+        buf[1:c * d + 1] = base[:c].ravel()
+        forms = (base[:c].copy(), base[::2], base[rng.permutation(2 * c)[:c]],
+                 buf[1:c * d + 1].reshape(c, d))
+        for W in forms:
+            rows = np.arange(c)
+            risks, state = risk_rows(W, rows)
+            risks, grads = risks.copy(), grad_rows(W, state, rows).copy()
+            state = state.copy()
+            for i in range(c):
+                risk_i, state_i = risk_rows(W[i].copy()[None], rows[i:i + 1])
+                assert risks[i].tobytes() == risk_i[0].tobytes()
+                assert state[i].tobytes() == state_i[0].tobytes()
+                grad_i = grad_rows(W[i].copy()[None], state_i, rows[i:i + 1])
+                assert grads[i].tobytes() == grad_i[0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
