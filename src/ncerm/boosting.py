@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .halfspace import algorithm1, algorithm2, config_alg1
-from .losses import empirical_risk
+from .losses import empirical_risk, zero_one_risk
 from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
 from .util import NORM_TOL, check_unit_ball, child_seed
 
@@ -168,10 +168,8 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
         c = 0.5 * math.log((1.0 - mu) / (1.0 + mu))
         b += abs(c)
         M += c * act.value(F)
-        margins = y * M
-        zero_one = float(np.einsum("n,n->", data.weights, (margins <= 0.0).astype(float),
-                                   optimize=False))
-        min_margin = float((B / b) * np.min(margins)) if b > 0 else 0.0
+        zero_one = zero_one_risk(lambda _: M, data)
+        min_margin = float((B / b) * np.min(y * M)) if b > 0 else 0.0
         children.append(net_t)
         rounds.append(RoundRecord(t + 1, mu, c, zero_one, min_margin, clamped))
     if b == 0.0:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import check_unit_ball, dual_exponent, lq_norm
+from .util import dual_exponent, lq_norm
 
 _WEIGHT_SUM_TOL = 1e-12
 _PLANT_MAX_CHUNKS = 10_000
@@ -37,13 +37,13 @@ class WeightedDataset:
     features: (n, d) finite floats
     labels:   (n,) values in {-1, +1}
     weights:  (n,) nonnegative, summing to 1
-    feature_norm_q: when set, every row must satisfy ||x_i||_q <= 1
+
+    Each learner checks on entry that the rows lie in its unit l_q ball.
     """
 
     features: np.ndarray
     labels: np.ndarray
     weights: np.ndarray
-    feature_norm_q: float | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.features, dtype=float)
@@ -56,8 +56,6 @@ class WeightedDataset:
             raise ValueError("features must be finite")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if self.feature_norm_q is not None:
-            check_unit_ball(X, self.feature_norm_q)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "weights", _checked_weights(self.weights, X.shape[0]))
@@ -78,13 +76,13 @@ class WeightedDataset:
         return out
 
     @staticmethod
-    def uniform(features, labels, feature_norm_q=None) -> "WeightedDataset":
+    def uniform(features, labels) -> "WeightedDataset":
         n = np.asarray(features).shape[0]
         if n < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
         w = np.full(n, 1.0 / n)
         w /= w.sum()
-        return WeightedDataset(features, labels, w, feature_norm_q)
+        return WeightedDataset(features, labels, w)
 
 
 def draw_batch(data: WeightedDataset, u) -> np.ndarray:
@@ -136,7 +134,7 @@ def parity_dataset(
     flips = rng.random(n) < noise_rate
     y = np.where(flips, -y, y)
     features = np.hstack([raw, np.ones((n, 1))]) / math.sqrt(d + 1)
-    return WeightedDataset.uniform(features, y, feature_norm_q=2.0), hidden
+    return WeightedDataset.uniform(features, y), hidden
 
 
 def _plant(rng: np.random.Generator, n: int, d: int, q: float, margin: float, f):
@@ -156,7 +154,7 @@ def _plant(rng: np.random.Generator, n: int, d: int, q: float, margin: float, f)
         raise PlantingError(f"could not plant {n} points at margin {margin}")
     X = np.vstack(keep_X)[:n]
     y = np.concatenate(keep_y)[:n]
-    return WeightedDataset.uniform(X, y, feature_norm_q=q)
+    return WeightedDataset.uniform(X, y)
 
 
 def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: int):
@@ -208,7 +206,7 @@ def flip_labels(data: WeightedDataset, rate: float, seed: int) -> WeightedDatase
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     flips = rng.random(data.n) < rate
     y = np.where(flips, -data.labels, data.labels)
-    return WeightedDataset(data.features, y, data.weights, data.feature_norm_q)
+    return WeightedDataset(data.features, y, data.weights)
 
 
 def save_dataset_csv(path, data: WeightedDataset) -> None:
@@ -223,7 +221,7 @@ def save_dataset_csv(path, data: WeightedDataset) -> None:
             writer.writerow(row)
 
 
-def load_dataset_csv(path, feature_norm_q: float | None = None) -> WeightedDataset:
+def load_dataset_csv(path) -> WeightedDataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -241,4 +239,4 @@ def load_dataset_csv(path, feature_norm_q: float | None = None) -> WeightedDatas
     if not rows:
         raise ValueError("dataset has no rows")
     arr = np.asarray(rows, dtype=float)
-    return WeightedDataset(arr[:, :-2], arr[:, -2], arr[:, -1], feature_norm_q)
+    return WeightedDataset(arr[:, :-2], arr[:, -2], arr[:, -1])

@@ -26,7 +26,7 @@ from .networks import (
     save_network,
     zero_network,
 )
-from .util import child_seed, dual_exponent
+from .util import child_seed
 
 BACKPROP_EPOCHS = 300
 BACKPROP_LR_GRID = (0.5, 0.1, 0.02)
@@ -115,7 +115,7 @@ def run_parity_experiment(
     X_tr, y_tr = X[:n_train], y[:n_train]
     X_va, y_va = X[n_train:n_train + n_val], y[n_train:n_train + n_val]
     X_te, y_te = X[n_train + n_val:], y[n_train + n_val:]
-    train = WeightedDataset.uniform(X_tr, y_tr, feature_norm_q=2.0)
+    train = WeightedDataset.uniform(X_tr, y_tr)
     spec = network_spec(2, budget, 2.0, "tanh")
 
     # boosted nets: per-round validation/test errors for every seed; column t
@@ -206,7 +206,7 @@ def run_halfspace(
             planted_risk = empirical_risk(teacher.predict, loss, sample)
         else:
             if not loaded:
-                loaded.append(load_dataset_csv(data, feature_norm_q=dual_exponent(p)))
+                loaded.append(load_dataset_csv(data))
             sample, planted_risk = loaded[0], math.nan
         if algorithm == 1:
             (s, r, T_theory), k = config_alg1(sample.n, sample.dim, epsilon, delta), 0
@@ -304,7 +304,7 @@ def run_boostnet(
     if data is None:
         sample, _ = planted_network(n, d, margin, spec, 2, child_seed(seed, 0))
     else:
-        sample = load_dataset_csv(data, feature_norm_q=spec.input_q)
+        sample = load_dataset_csv(data)
     weak = WeakLearnerConfig(
         kind=weak_kind, epsilon=epsilon, k=weak_k,
         T_budget=weak_rounds, refine_budget=weak_refine,

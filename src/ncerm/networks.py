@@ -128,6 +128,13 @@ def combine(children, weights) -> Network:
                     np.asarray(weights, dtype=float)[None]])
 
 
+def _level_shapes(depth: int, width: int, dim: int) -> list:
+    """Shapes of a uniform network's level tensors, leaves (level 0) first:
+    level j has width^(depth-1-j) rows of `width` weights, or `dim` at the
+    leaves."""
+    return [(width ** (depth - 1 - j), width if j else dim) for j in range(depth)]
+
+
 def _flat(levels) -> np.ndarray:
     """Rows (c, D) of level stacks (c, ...); _split is its inverse."""
     return np.concatenate([L.reshape(len(L), -1) for L in levels], axis=1)
@@ -223,8 +230,8 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
         raise ValueError("q must be finite and >= 2")
     k = max(1, math.ceil(q / epsilon**2))
     s = max(1, math.ceil(1.0 / epsilon**2))
-    levels = m if s == 1 else (s**m - 1) // (s - 1)
-    T_theory = ceil_big_product(5.0, 4.0 / epsilon, k * levels, math.log(1.0 / delta))
+    nodes = sum(s**j for j in range(m))
+    T_theory = ceil_big_product(5.0, 4.0 / epsilon, k * nodes, math.log(1.0 / delta))
     return k, s, T_theory
 
 
@@ -289,12 +296,12 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
     """Best-of-T random candidates, each optionally refined.
 
     Each round draws k points by importance weight and then uniform
-    targets for every node, depth-first.  Its candidate of the class depth
-    fits the leaves to their targets on the batch, then each level's
-    combination weights to theirs on the activated outputs below.  It is
-    refined and scored on the full sample; the earliest best of
-    min(T_theory, T_budget) rounds of halfspace.best_round wins, exactly
-    as in Algorithm 2 at depth 1.
+    targets for every node in level order, leaves first.  Its candidate of
+    the class depth fits the leaves to their targets on the batch, then
+    each level's combination weights to theirs on the activated outputs
+    below.  It is refined and scored on the full sample; the earliest best
+    of min(T_theory, T_budget) rounds of halfspace.best_round wins,
+    exactly as in Algorithm 2 at depth 1.
     """
     check_unit_ball(data.features, spec.input_q)
     k_cfg, s_cfg, T_theory = config_alg3(spec.input_q, epsilon, delta, spec.depth)
@@ -302,28 +309,24 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
     s = s_cfg if s is None else int(s)
     if k < 1 or s < 1:
         raise ValueError("k and s must be >= 1")
-    # Level j (leaves are level 0) has s^(m-1-j) members.
-    shapes = [(s ** (spec.depth - 1 - j), s if j else data.dim) for j in range(spec.depth)]
+    shapes = _level_shapes(spec.depth, s, data.dim)
     counts = [n for n, _ in shapes]
-    rows, B = _target_rows(counts, s), spec.budget
 
     def candidates(ts):
         c = len(ts)
-        X, U = draw_rounds(data, seed, ts, k, len(rows), B)
-        U = U[:, rows]
+        X, U = draw_rounds(data, seed, ts, k, sum(counts), spec.budget)
         # Leaves fit the round's batch and each level above the activated
         # outputs of its children; each level of the chunk is one stacked fit.
-        D, levels, first = np.repeat(X[:, None], counts[0], axis=1), [], 0
-        for j, n in enumerate(counts):
+        D, levels = np.repeat(X[:, None], counts[0], axis=1), []
+        for j, u in enumerate(np.split(U, np.cumsum(counts)[:-1], axis=1)):
+            n = u.shape[1]
             if j:
                 Z = np.einsum("cnkd,cnd->cnk", D, levels[-1])
                 D = np.ascontiguousarray(
                     spec.act.value(Z).reshape(c, n, s, k).transpose(0, 1, 3, 2))
-            u = U[:, first:first + n].reshape(c * n, k)
-            fits = constrained_least_squares(D.reshape(c * n, k, -1), u,
-                                             spec.leaf_p if j == 0 else 1.0, B)
+            fits = constrained_least_squares(D.reshape(c * n, k, -1), u.reshape(c * n, k),
+                                             spec.leaf_p if j == 0 else 1.0, spec.budget)
             levels.append(fits.reshape(c, n, -1))
-            first += n
         return _flat(levels)
 
     row = best_round(min(T_budget, T_theory), candidates,
@@ -331,31 +334,18 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
     return Network([L[0] for L in _split(row[None], shapes)])
 
 
-def _target_rows(counts, s: int) -> np.ndarray:
-    """Row of each node in a round's block of target draws.
-
-    Nodes are numbered leaves first, then level by level up, as in the
-    level tensors, whose level j has counts[j] members.  A round draws its
-    targets depth-first: a node's after those of all its s children.
-    """
-    orders, first = [[i] for i in range(counts[0])], counts[0]
-    for n in counts[1:]:
-        orders = [sum(orders[i * s:(i + 1) * s], []) + [first + i] for i in range(n)]
-        first += n
-    return np.argsort(orders[0])
-
-
 def _draw_network(rng: np.random.Generator, spec: NetworkClassSpec, dim: int,
                   width: int, depth: int) -> list:
-    """Level tensors of a depth-first random network, every norm at the
-    budget: a node draws its `width` children, then its combination weights."""
-    B = spec.budget
-    if depth == 1:
-        v = rng.standard_normal(dim)
-        return [(v * (B / lq_norm(v, spec.leaf_p)))[None]]
-    children = [_draw_network(rng, spec, dim, width, depth - 1) for _ in range(width)]
-    c = rng.standard_normal(width)
-    return [*map(np.concatenate, zip(*children)), (c * (B / np.sum(np.abs(c))))[None]]
+    """Level tensors of a random network, every norm at the budget: one
+    standard normal draw per level, leaves first.  Each row is scaled by
+    its own norm (l_p at the leaves, l_1 above) taken alone, as a network
+    built node by node with combine is: lq_norm of the same row within a
+    stack can differ in the last bit."""
+    levels = [rng.standard_normal(shape) for shape in _level_shapes(depth, width, dim)]
+    for j, L in enumerate(levels):
+        for v in L:
+            v *= spec.budget / lq_norm(v, 1.0 if j else spec.leaf_p)
+    return levels
 
 
 def random_network(spec: NetworkClassSpec, dim: int, width: int, seed: int):

@@ -158,7 +158,7 @@ def test_boostnet_no_progress_on_zero_features():
     spec = network_spec(2, 2.0)
     X = np.zeros((10, 3))
     y = np.ones(10)
-    data = WeightedDataset.uniform(X, y, feature_norm_q=2.0)
+    data = WeightedDataset.uniform(X, y)
     with pytest.raises(NoProgressError):
         boostnet_train(data, BoostConfig(spec, gamma=0.3, T=2, weak=FAST_WEAK, seed=0))
 
@@ -214,8 +214,7 @@ def test_weak_learn_refusals(kind, depth, leaf_p, budget, d, match):
     other than 2, the sphere scheme on data not bounded in l2, and a sphere
     radius above the leaf budget."""
     spec = network_spec(depth, budget, leaf_p)
-    data = WeightedDataset.uniform(0.5 * np.eye(2, d), np.array([1.0, -1.0]),
-                                   feature_norm_q=spec.input_q)
+    data = WeightedDataset.uniform(0.5 * np.eye(2, d), np.array([1.0, -1.0]))
     weak = WeakLearnerConfig(kind=kind, epsilon=0.4, T_budget=1)
     with pytest.raises(ValueError, match=re.escape(match)):
         weak_learn(data, BoostConfig(spec, gamma=0.3, weak=weak), 0)

@@ -243,7 +243,7 @@ def test_dataset_csv_parsed_once_per_run(tmp_path, monkeypatch):
     assert dpath.read_bytes() == before
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 4
-    fresh = load_dataset_csv(dpath, feature_norm_q=2.0)
+    fresh = load_dataset_csv(dpath)
     for field in ("features", "labels", "weights"):
         assert np.array_equal(getattr(loads[0], field), getattr(fresh, field))
 
@@ -255,6 +255,8 @@ def test_bad_repetitions_reported_before_bad_data(tmp_path, capsys):
     assert "repetitions" in capsys.readouterr().err
 
 
+# Row 1 has l_2 norm about 1 + 8e-7: only the learner's own check refuses it.
+OUTSIDE_UNIT_BALL = "x_1,x_2,y,weight\n0.6,0.800001,1,0.5\n0.5,0,-1,0.5\n"
 BAD_INPUTS = {
     "zero_points": (["halfspace", "--n", "0"], None),
     "string_count_in_config": (["hardness", "--config", "{path}"], '{"instances": "2"}'),
@@ -273,6 +275,8 @@ BAD_INPUTS = {
     "jl_projects_onto_every_dimension": (["analysis", "--check", "jl"], None),
     "generalization_single_point": (["analysis", "--check", "generalization", "--n", "1"], None),
     "margin_too_large_to_plant": (["nn", "--margin", "0.99"], None),
+    "row_outside_unit_ball_halfspace": (["halfspace", "--data", "{path}"], OUTSIDE_UNIT_BALL),
+    "row_outside_unit_ball_boostnet": (["boostnet", "--data", "{path}"], OUTSIDE_UNIT_BALL),
     "all_zero_features_boostnet": (
         ["boostnet", "--data", "{path}"], "x_1,x_2,y,weight\n0,0,1,0.5\n0,0,-1,0.5\n",
     ),

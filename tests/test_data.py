@@ -16,7 +16,10 @@ from ncerm.data import (
     planted_network,
     save_dataset_csv,
 )
-from ncerm.networks import evaluate, network_spec, random_network, validate
+from ncerm.boosting import BoostConfig, WeakLearnerConfig, boostnet_train
+from ncerm.halfspace import algorithm1, algorithm2
+from ncerm.losses import piecewise_linear
+from ncerm.networks import algorithm3, evaluate, network_spec, random_network, validate
 from ncerm.util import lq_norm
 
 
@@ -37,19 +40,16 @@ def test_dataset_validation():
         WeightedDataset(bad, y, w)
     with pytest.raises(ValueError):
         WeightedDataset(X, y[:2], w)
-    with pytest.raises(ValueError):
-        WeightedDataset(2.0 * X, y, w, feature_norm_q=2.0)
-    WeightedDataset(2.0 * X, y, w)  # no norm constraint requested
+    WeightedDataset(2.0 * X, y, w)  # the learners check the norm on entry
 
 
 def test_with_weights_checks_the_new_weights_and_shares_the_points():
     """with_weights rejects bad weights as the constructor does, and the
     dataset it returns holds the parent's own feature and label arrays."""
-    data = WeightedDataset.uniform(np.eye(3) * 0.5, np.array([1.0, -1.0, 1.0]), 2.0)
+    data = WeightedDataset.uniform(np.eye(3) * 0.5, np.array([1.0, -1.0, 1.0]))
     w = np.array([0.5, 0.25, 0.25])
     out = data.with_weights(w)
     assert out.features is data.features and out.labels is data.labels
-    assert out.feature_norm_q == 2.0
     assert np.array_equal(out.weights, w) and out.weights.dtype == float
     assert np.all(data.weights == 1.0 / 3.0)
     bad_weights = {
@@ -62,6 +62,33 @@ def test_with_weights_checks_the_new_weights_and_shares_the_points():
         for bad in cases:
             with pytest.raises(ValueError, match=message):
                 data.with_weights(np.array(bad))
+
+
+LEARNERS = {
+    "algorithm1": (2.0, lambda data: algorithm1(data, piecewise_linear(1.0), 0.4, 0.05, 2, 0, 0)),
+    "algorithm2": (3.0, lambda data: algorithm2(data, piecewise_linear(1.0), 1.5, 0.5, 0.05,
+                                                2, 0, 0)),
+    "algorithm3": (2.0, lambda data: algorithm3(data, piecewise_linear(1.0), network_spec(2, 1.0),
+                                                0.5, 0.05, 2, 0, 0)),
+    "boostnet": (2.0, lambda data: boostnet_train(data, BoostConfig(
+        network_spec(2, 1.0), gamma=0.3, T=1,
+        weak=WeakLearnerConfig(kind="algorithm2", epsilon=0.5, T_budget=2)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEARNERS))
+def test_learners_check_the_unit_ball(name):
+    """The dataset holds any finite rows; each learner raises on entry when
+    a row lies outside its unit l_q ball (q = 3 for Algorithm 2 at p = 1.5),
+    and runs when that row is on the boundary."""
+    q, learn = LEARNERS[name]
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 3))
+    X /= lq_norm(X, q)[:, None]
+    y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    learn(WeightedDataset.uniform(np.vstack([0.5 * X[:5], X[5:]]), y))
+    with pytest.raises(ValueError, match=r"data must satisfy \|\|x\|\|_"):
+        learn(WeightedDataset.uniform(np.vstack([0.5 * X[:5], (1.0 + 1e-6) * X[5:]]), y))
 
 
 def test_uniform_weights_sum_to_one():
@@ -183,7 +210,7 @@ def test_csv_roundtrip_exact(tmp_path):
     data, _ = planted_halfspace(30, 3, 0.2, 2.0, seed=11)
     path = tmp_path / "sample.csv"
     save_dataset_csv(path, data)
-    back = load_dataset_csv(path, feature_norm_q=2.0)
+    back = load_dataset_csv(path)
     assert np.array_equal(back.features, data.features)
     assert np.array_equal(back.labels, data.labels)
     assert np.array_equal(back.weights, data.weights)

@@ -51,7 +51,7 @@ def _sample(seed: int, n: int, d: int, q: float) -> WeightedDataset:
     X *= (rng.choice([rng.uniform(), 1.0], size=n) / lq_norm(X, q))[:, None]
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     w = rng.dirichlet(np.ones(n))
-    return WeightedDataset(X, y, w / w.sum(), feature_norm_q=q)
+    return WeightedDataset(X, y, w / w.sum())
 
 
 @settings(max_examples=25, deadline=None)

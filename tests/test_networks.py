@@ -246,14 +246,21 @@ def test_random_network_norms_at_budget():
 
 
 def _combine_built_network(rng, spec, dim, width, depth):
-    """random_network's draw built node by node with combine, as a reference."""
+    """random_network's draw built node by node with combine, as a
+    reference: every leaf, then each level's nodes left to right, one
+    vector draw per node."""
     B = spec.budget
-    if depth == 1:
+    nets = []
+    for _ in range(width ** (depth - 1)):
         v = rng.standard_normal(dim)
-        return Network([(v * (B / lq_norm(v, spec.leaf_p)))[None]])
-    children = [_combine_built_network(rng, spec, dim, width, depth - 1) for _ in range(width)]
-    c = rng.standard_normal(width)
-    return combine(children, c * (B / np.sum(np.abs(c))))
+        nets.append(Network([(v * (B / lq_norm(v, spec.leaf_p)))[None]]))
+    for _ in range(depth - 1):
+        parents = []
+        for i in range(0, len(nets), width):
+            c = rng.standard_normal(width)
+            parents.append(combine(nets[i:i + width], c * (B / np.sum(np.abs(c)))))
+        nets = parents
+    return nets[0]
 
 
 @pytest.mark.parametrize("depth,leaf_p,width", [(1, 2.0, 3), (2, 1.5, 1), (2, 1.5, 4),
@@ -370,15 +377,15 @@ def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
 
 def _recursive_candidate(X, spec, level, s, targets):
     """(values on X, level tensors) of one candidate, built the recursive
-    way: each node's children first, then its next target row, then its
-    fit."""
+    way: each node's children first, then the next target row of its
+    level, then its fit."""
     if level == 1:
         design, p, levels = X, spec.leaf_p, []
     else:
         parts = [_recursive_candidate(X, spec, level - 1, s, targets) for _ in range(s)]
         design, p = spec.act.value(np.stack([v for v, _ in parts], axis=1)), 1.0
         levels = [np.concatenate(same) for same in zip(*(ls for _, ls in parts))]
-    u = next(targets)
+    u = next(targets[level - 1])
     c = constrained_least_squares(design, u, p, spec.budget)
     return design @ c, levels + [c[None, :]]
 
@@ -393,15 +400,18 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
     loss = piecewise_linear(1.0)
     data, _ = planted_network(60, 3, 0.1, network_spec(2, 1.0), 2, seed=4)
     T, k, seed = 7, 6, 11
-    nodes = sum(s**j for j in range(depth))
+    shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
+    counts = [n for n, _ in shapes]
+    nodes = sum(counts)
     rows = []
     for t in range(T):
-        # Round t's block: k uniforms for its batch, then k per node, depth-first.
+        # Round t's block: k uniforms for its batch, then k per node, level
+        # by level from the leaves.
         u = round_uniforms(seed, range(t, t + 1), k * (1 + nodes))[0]
-        targets = iter(spec.budget * (2.0 * u[k:] - 1.0).reshape(nodes, k))
+        U = spec.budget * (2.0 * u[k:] - 1.0).reshape(nodes, k)
+        targets = [iter(part) for part in np.split(U, np.cumsum(counts)[:-1])]
         levels = _recursive_candidate(draw_batch(data, u[:k]), spec, depth, s, targets)[1]
         rows.append(np.concatenate([L.ravel() for L in levels]))
-    shapes = [(s ** (depth - 1 - j), s if j else data.dim) for j in range(depth)]
     risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows), np.arange(T))
     net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
     got = np.concatenate([L.ravel() for L in net.levels])
