@@ -59,7 +59,9 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
     step worth a rounding-level change of G is dropped.  A row stops after
     the step from an iterate with |F| <= _KKT_TOL*alpha, |G ln G| and the
     relative rho step <= _KKT_TOL, and leaves the working set, so it comes
-    out as it would alone: w = radius*omega/||omega||_p, on the sphere.
+    out as it would alone: w = radius*omega/||omega||_p, on the sphere.  A
+    row still live after _NEWTON_MAX_ITER steps is finished by
+    _bisect_sphere_rows in its bracket.
     """
     q, k = p - 1.0, 1.0 / (p - 1.0)
 
@@ -103,9 +105,35 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
                 live, u, rho, lo, hi, a, cr, tol, cap, ln_inv, ln_a = (
                     x[keep] for x in (live, u, rho, lo, hi, a, cr, tol, cap, ln_inv, ln_a))
         else:
-            U[live] = u
+            U[live] = _bisect_sphere_rows(bound, a, cr, lo, hi, cap, ln_inv, ln_a, p)
     # Formed in logs, so no entry underflows before w itself does.
     return np.exp(U + (math.log(radius) - np.log(np.exp(p * U).sum(axis=1)) / p)[:, None])
+
+
+def _bisect_sphere_rows(bound, a, cr, lo, hi, cap, ln_inv, ln_a, p):
+    """u = ln(omega) of rows that _lp_sphere_rows' joint iteration left
+    unconverged, by bisection on rho in their bracket (lo, hi) until no
+    float lies inside it.  At each rho every coordinate is solved alone,
+    F = c*omega + rho*s - alpha = 0, by Newton in u from the bound of its
+    root: F is convex and increasing in u, so the steps fall to the root
+    and stop when rounding stops them falling.  G = sum omega^p decreases
+    in rho, so G > 1 puts the root above rho.
+    """
+    q, rho = p - 1.0, 0.5 * (lo + hi)
+    while True:
+        rs, u = rho[:, None], bound(rho, cap, ln_inv, ln_a)
+        for _ in range(_NEWTON_MAX_ITER):
+            w, s = np.exp(u), np.exp(q * u)
+            new = u - (cr * w + rs * s - a) / (cr * w + q * rs * s + _TINY)
+            falling = new < u
+            if not falling.any():
+                break
+            u = np.where(falling, new, u)
+        over = np.exp(p * u).sum(axis=1) > 1.0
+        lo, hi = np.where(over, rho, lo), np.where(over, hi, rho)
+        rho = 0.5 * (lo + hi)
+        if not ((lo < rho) & (rho < hi)).any():
+            return u
 
 
 def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
@@ -172,14 +200,15 @@ def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     w(lam) = (X^T X + lam I)^{-1} X^T u for the lam > 0 with
     ||w(lam)|| = radius, found by safeguarded Newton steps on the secular
     equation 1/||w(lam)|| - 1/radius = 0, which is concave and increasing
-    in lam.  Directions with zero singular value never enter w.  Every
-    step is elementwise or a reduction within one fit, and fits leave the
-    Newton working set as they converge, so fit i of a stack equals the
-    fit of X[i] alone, bit for bit.
+    in lam.  They start at a lower bound of the root, so they climb to it
+    from the left.  Directions with zero singular value never enter w.
+    Every step is elementwise or a reduction within one fit, and a fit that
+    has converged keeps its lam while the others move, so fit i of a stack
+    equals the fit of X[i] alone, bit for bit.
     """
     n, k, d = X.shape
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    # Dropped directions get c = 0, so dividing them by 1 below keeps them 0.
+    # Dropped directions get c = 0 and, below, divisors of 1, so they stay 0.
     keep = s > max(k, d) * np.finfo(float).eps * s[:, :1]
     c = np.where(keep, np.einsum("nkr,nk->nr", U, u), 0.0)
     cmax = np.max(np.abs(c), axis=1)
@@ -189,11 +218,11 @@ def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     fit = np.flatnonzero(cmax > 0.0)
     s, c, cmax, keep, Vt = s[fit], c[fit], cmax[fit], keep[fit], Vt[fit]
     s0 = s[:, 0]
-    t = s / s0[:, None]
+    t = np.where(keep, s / s0[:, None], 1.0)
     c_hat = c / cmax[:, None]
     # ||c / s|| <= radius, in units of max|c| / s_max and multiplied out, so
     # that neither side can overflow.
-    inside = _rownorm(c_hat / np.where(keep, t, 1.0)) * cmax <= radius * s0
+    inside = _rownorm(c_hat / t) * cmax <= radius * s0
     i = np.flatnonzero(inside)
     W[fit[i]] = np.einsum("nr,nrd->nd", c[i] / np.where(keep[i], s[i], 1.0), Vt[i])
     b = np.flatnonzero(~inside)
@@ -201,33 +230,30 @@ def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
         return W
     # In the same units w(lam) = V q / a with a = radius s_max / max|c|,
     # q = t c_hat / (a t^2 + z) and z = a lam / s_max^2, so ||w|| = radius
-    # becomes ||q|| = 1.  Outside the ball a < ||c_hat / t|| is finite.  The
-    # search starts at z = ||t c_hat||, where ||q|| <= 1 and no entry can
-    # overflow; by concavity the first Newton step lands left of the root
-    # and the rest climb to it.
+    # becomes ||q|| = 1.  Outside the ball a < ||c_hat / t|| is finite.  As
+    # |q_i| <= ||q|| = 1 at the root, z starts at max_i (|t_i c_hat_i| -
+    # a t_i^2)+, a lower bound where no |q_i| exceeds 1, so no entry can
+    # overflow; by concavity every Newton step stays left of the root.
     a = radius * s0[b] / cmax[b]
     at2, tc = a[:, None] * t[b] * t[b], t[b] * c_hat[b]
-    z = hi = _rownorm(tc)
-    lo = np.zeros_like(z)
-    Q = tc / (at2 + z[:, None])
-    live, q = np.arange(b.size), Q
+    z = lo = np.max(np.abs(tc) - at2, axis=1, initial=0.0)
+    hi = _rownorm(tc)
     for _ in range(_NEWTON_MAX_ITER):
-        norm = _rownorm(q)
+        r = at2 + z[:, None]
+        q = tc / r
+        qq = q * q
+        n2 = qq.sum(axis=1)
+        norm = np.sqrt(n2)
         moving = np.abs(norm - 1.0) > _NEWTON_RTOL
-        if not moving.all():
-            live, q, norm, z, lo, hi, at2, tc = (
-                x[moving] for x in (live, q, norm, z, lo, hi, at2, tc))
-            if live.size == 0:
-                break
+        if not moving.any():
+            break
         over = norm > 1.0
         lo = np.where(over, z, lo)
         hi = np.where(over, hi, z)
-        dphi = (_rownorm(q / np.sqrt(at2 + z[:, None])) / norm) ** 2 / norm
-        step = z - (1.0 / norm - 1.0) / dphi
-        z = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        q = tc / (at2 + z[:, None])
-        Q[live] = q
-    w = np.einsum("nr,nrd->nd", Q, Vt[b])
+        step = z + (norm - 1.0) * n2 / (qq / r).sum(axis=1)
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        z = np.where(moving, step, z)
+    w = np.einsum("nr,nrd->nd", q, Vt[b])
     W[fit[b]] = w * (radius / _rownorm(w))[:, None]
     return W
 

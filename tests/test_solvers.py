@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, target
+from hypothesis import assume, event, example, given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -135,6 +135,47 @@ def test_least_squares_active_constraint_l2():
     assert obj(w) <= obj(w_ridge) + 1e-4
 
 
+@st.composite
+def _l2_boundary_fits(draw):
+    """X of any rank, targets u with X^T u != 0, and a radius below the
+    norm of the minimum-norm solution, so the ball constraint is active."""
+    k = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 8))
+    X = _any_rank_matrix(draw, k, d)
+    u = draw(hnp.arrays(float, k, elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    with np.errstate(over="ignore", invalid="ignore"):  # pinv of extreme X
+        min_norm = float(np.linalg.norm(np.linalg.pinv(X) @ u))
+    assume(1e-6 < min_norm < np.inf)
+    return X, u, draw(st.floats(0.01, 0.99)) * min_norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(_l2_boundary_fits())
+def test_secular_start_is_below_the_root(problem):
+    """The p=2 Newton iteration starts at lam_0 = max_i (s_i |c_i| / radius -
+    s_i^2)+, c = U^T u; since each coordinate s_i c_i / (s_i^2 + lam) of
+    w(lam) is at most ||w(lam)|| = radius at the root, lam_0 is a lower
+    bound of the root, here found by bisection on
+    ||(X^T X + lam I)^{-1} X^T u|| = radius."""
+    X, u, radius = problem
+    Uk, s, _ = np.linalg.svd(X, full_matrices=False)
+    lam0 = max(0.0, float(np.max(s * np.abs(Uk.T @ u) / radius - s * s)))
+
+    def ridge_norm(lam):
+        # (X^T X + lam I)^{-1} X^T u as the least-squares fit of [X; sqrt(lam) I]
+        A = np.vstack([X, math.sqrt(lam) * np.eye(X.shape[1])])
+        b = np.concatenate([u, np.zeros(X.shape[1])])
+        return np.linalg.norm(np.linalg.lstsq(A, b, rcond=None)[0])
+
+    lo, hi = 0.0, 1.0
+    while ridge_norm(hi) > radius:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ridge_norm(mid) > radius else (lo, mid)
+    assert lam0 <= hi * (1.0 + 1e-9) + 1e-12 * s[0] ** 2
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_least_squares_beats_random_feasible(p):
     rng = np.random.default_rng(6)
@@ -255,12 +296,16 @@ def test_least_squares_l2_kkt(problem):
 
 @st.composite
 def _l2_least_squares_stacks(draw):
-    """A stack of 1 to 6 fits of one shape, each of any rank (all-zero
-    included), with its targets, and a radius."""
+    """A stack of 1 to 6 fits of one shape, each of any rank, with an
+    all-zero X and a zero u among them when drawn, and a radius."""
     k = draw(st.integers(1, 8))
     d = draw(st.integers(1, 8))
     X = np.stack([_any_rank_matrix(draw, k, d) for _ in range(draw(st.integers(1, 6)))])
     u = draw(hnp.arrays(float, X.shape[:2], elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    if draw(st.booleans()):
+        X[draw(st.integers(0, len(X) - 1))] = 0.0
+    if draw(st.booleans()):
+        u[draw(st.integers(0, len(X) - 1))] = 0.0
     return X, u, draw(st.floats(0.01, 10.0))
 
 
@@ -279,13 +324,8 @@ def test_stacked_least_squares_l2_equals_single_fits(problem):
 
 @st.composite
 def _below_p2_least_squares_stacks(draw):
-    """A stack of 1 to 6 fits of one shape, each of any rank, with an
-    all-zero X and a zero u among them when drawn, and p and a radius."""
+    """A stack of _l2_least_squares_stacks, and p below 2."""
     X, u, radius = draw(_l2_least_squares_stacks())
-    if draw(st.booleans()):
-        X[draw(st.integers(0, len(X) - 1))] = 0.0
-    if draw(st.booleans()):
-        u[draw(st.integers(0, len(X) - 1))] = 0.0
     return X, u, draw(st.sampled_from((1.0, 1.3, 1.5, 1.9))), radius
 
 
@@ -778,13 +818,21 @@ def _lp_projection_problems(draw):
 @given(_lp_projection_problems())
 @example((np.array([-1.0]), 1.00001, 0.5))
 @example((np.array([-1.33352143, -1.0]), 1.0000000000000002, 1.0))
+# Many tied magnitudes with p near 1, where the joint Newton iteration runs
+# out of steps and bisection finishes the row.
+@example((np.array([-2.5482967479793466] + [-1.0] * 18), 1.0078125, 1.75))
+@example((np.array([-64.93816316, -10.0] + [-1.0] * 24), 1.0000000000000002, 62.0))
+@example((np.array([-2.5137196629566914] + [-1.0] * 49), 1.0000000000000002, 1.7036306764810012))
 def test_project_lp_kkt(problem):
     """The projection is feasible, keeps signs and zeros, returns a point
     inside the ball as it is, and otherwise meets the optimality
     conditions w_i + lam*p*w_i^(p-1) = |v_i| with one lam > 0 for all i
     and ||w||_p = radius."""
     v, p, radius = problem
-    out = project_lp(v, p, radius)
+    _assert_lp_kkt(v, p, radius, project_lp(v, p, radius))
+
+
+def _assert_lp_kkt(v, p, radius, out):
     assert lq_norm(out, p) <= radius * (1.0 + 1e-12)
     assert np.all(out[v == 0.0] == 0.0)
     assert np.all((np.sign(out) == np.sign(v)) | (out == 0.0))
@@ -805,6 +853,22 @@ def test_project_lp_kkt(problem):
     # (|v_i| / (lam*p))^(1/(p-1)).
     hidden = (v != 0.0) & ~normal
     assert np.all((a[hidden] / (lam * p)) ** (1.0 / q) <= 2.0 * np.finfo(float).tiny)
+
+
+def test_project_lp_tied_magnitudes_battery():
+    """Rows of 3 leading magnitudes and m up to 60 tied unit ones, with
+    p - 1 from 2^-52 to 0.1, each meet the optimality conditions, whether
+    the joint Newton iteration converges on them or bisection finishes
+    them."""
+    heads = -np.array([[2.5482967479793466, 1.0, 1.0], [64.93816316, 10.0, 1.0],
+                       [3.0, 2.0, 1.5], [1.0, 1.0, 1.0], [1.5, 1.0, 1.0], [8.0, 8.0, 1.0],
+                       [1.01, 1.0, 1.0], [20.0, 1.0, 1.0]])
+    for m in (0, 3, 9, 15, 21, 27, 33, 45, 60):
+        V = np.hstack([heads, -np.ones((len(heads), m))])
+        for p in 1.0 + np.geomspace(2.0**-52, 0.1, 16):
+            for radius in (0.3, 1.75, 5.0, 62.0):
+                for v, w in zip(V, project_lp(V, p, radius)):
+                    _assert_lp_kkt(v, p, radius, w)
 
 
 def test_project_lp_rows_match_single_rows():
@@ -880,6 +944,11 @@ def _reference_project_lp(v, p, radius):
 @given(_lp_projection_problems())
 @example((np.array([-1.0]), 1.00001, 0.5))
 @example((np.array([-1.33352143, -1.0]), 1.0000000000000002, 1.0))
+# Many tied magnitudes with p near 1, where the joint Newton iteration runs
+# out of steps and bisection finishes the row.
+@example((np.array([-2.5482967479793466] + [-1.0] * 18), 1.0078125, 1.75))
+@example((np.array([-64.93816316, -10.0] + [-1.0] * 24), 1.0000000000000002, 62.0))
+@example((np.array([-2.5137196629566914] + [-1.0] * 49), 1.0000000000000002, 1.7036306764810012))
 def test_project_lp_matches_nested_reference(problem):
     """The joint Newton solve agrees with the nested reference solver to
     1e-13 of the larger of the radius and max|v_i|."""
