@@ -11,9 +11,15 @@ import numpy as np
 
 from .losses import empirical_risk
 
-# Trials drawn per numpy call, to bound memory.  Each kind of draw takes floats
-# from its own stream, and these split cleanly, so the size changes no result.
+# Trials drawn per numpy call, to bound memory.  Each draw continues its stream
+# where the previous block stopped, so the size changes no draw and no result,
+# but for the last bits of a Rademacher supremum: BLAS may sum a block's
+# product F @ eps.T in another order for another block shape.
 BLOCK_TRIALS = 256
+# A JL trial holds its normals, its corner and its projected pairs, which grow
+# with the dimension and the number of pairs: a block holds at most this many
+# floats (8 MB), in fewer trials when one trial is large.
+JL_BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -49,11 +55,14 @@ def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> M
         raise ValueError("k must be >= 1")
     F = np.stack([np.asarray(c(X), dtype=float) for c in candidates])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    eps = rng.choice((-1.0, 1.0), size=(trials, k))
+    sups = np.empty(trials)
+    for start in range(0, trials, BLOCK_TRIALS):
+        stop = min(start + BLOCK_TRIALS, trials)
+        eps = rng.choice((-1.0, 1.0), size=(stop - start, k))
+        sups[start:stop] = np.max(F @ eps.T, axis=0)
     # Dividing by k > 0 is monotone under correct rounding, so the max of
     # the sums divided once equals the max of the divided sums.
-    sups = np.max(F @ eps.T, axis=0) / k
-    return _mc(sups)
+    return _mc(sups / k)
 
 
 @dataclass(frozen=True)
@@ -104,6 +113,26 @@ class JLCheckResult:
     trials: int
 
 
+def _haar_corner_sq_norms(C: np.ndarray, r: int, G: np.ndarray) -> np.ndarray:
+    """(b, rows) squared lengths ||K_t c||^2 of the rows c of C (m columns),
+    where K_t is the r x m corner of a Haar matrix on O(d), one per trial.
+
+    The corner is drawn from its narrower side w = min(r, m): G holds
+    (b, d, w) standard normals, and with L = cholesky(G^T G) the columns of
+    G L^-T are the first w columns of a Haar matrix (G = (G L^-T) L^T is its
+    QR factorization with a positive diagonal; Householder QR fixes the signs
+    by the data instead).  Its top h = max(r, m) rows are the h x w corner,
+    transposed when w = r.  Cholesky, solve and matmul take one matrix of
+    the stack at a time, so a trial's values do not depend on the block.
+    """
+    m = C.shape[1]
+    h = max(r, m)
+    L = np.linalg.cholesky(np.swapaxes(G, 1, 2) @ G)
+    X = np.linalg.solve(L, np.swapaxes(G[:, :h], 1, 2))  # (b, w, h): corner^T or corner
+    Y = C @ (X if r >= m else np.swapaxes(X, 1, 2))
+    return np.sum(np.square(Y, out=Y), axis=2)
+
+
 def jl_distortion_check(points, epsilon: float, trials: int, seed: int) -> JLCheckResult:
     """Frequency with which a random s-dimensional projection preserves
     all pairwise squared distances to relative error epsilon, with
@@ -123,16 +152,23 @@ def jl_distortion_check(points, epsilon: float, trials: int, seed: int) -> JLChe
     i, j = np.triu_indices(n, k=1)
     D = P[i] - P[j]
     orig = np.sum(D * D, axis=1)
+    # The differences span at most m = min(n - 1, d) dimensions; in an
+    # orthonormal basis B of that span they read C = D B, and a projection
+    # O[:r] of the whole space sees them through its r x m corner only.
+    C = D @ np.linalg.svd(P[1:] - P[0], full_matrices=False)[2].T
     # A uniform s-dim subspace S is the complement of a uniform (d-s)-dim one and
-    # ||P_S x||^2 = ||x||^2 - ||P_S^perp x||^2: orthonormalize the narrower.
+    # ||P_S x||^2 = ||x||^2 - ||P_S^perp x||^2: project onto the narrower.
     r = min(s, d - s)
+    m = C.shape[1]
+    w = min(r, m)
+    block = max(1, min(BLOCK_TRIALS, JL_BLOCK_FLOATS // (d * w + r * m + len(C) * r)))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     successes = 0
-    for _ in range(trials):
-        Q = np.linalg.qr(rng.standard_normal((d, r)))[0]
-        part = np.sum((D @ Q) ** 2, axis=1)
+    for start in range(0, trials, block):
+        G = rng.standard_normal((min(block, trials - start), d, w))
+        part = _haar_corner_sq_norms(C, r, G)
         new = (d / s) * (part if r == s else orig - part)
-        successes += bool(np.all(np.abs(new - orig) <= epsilon * orig))
+        successes += int(np.count_nonzero(np.all(np.abs(new - orig) <= epsilon * orig, axis=1)))
     freq = successes / trials
     se = math.sqrt(max(freq * (1.0 - freq), 0.0) / trials)
     return JLCheckResult(s, freq, se, 1.0 / n, trials)

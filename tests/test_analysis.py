@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncerm import analysis
@@ -67,11 +68,13 @@ def test_rademacher_linear_class_bound():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40), st.integers(2, 30), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 150.0))
+@example(100, analysis.BLOCK_TRIALS, 201, 51, 0.0)
 def test_rademacher_sup_divides_once(k, trials, n_cands, seed, log_scale):
     """The supremum max_f (F eps)/k taken as max(F eps) / k equals the old
     max(F eps / k) bit for bit: dividing by k > 0 is monotone under
     correct rounding.  Values span 1e-150..1e150, with zeros, ties and
-    subnormal quotients; rademacher_estimate agrees with the old form."""
+    subnormal quotients; rademacher_estimate agrees with the old form,
+    one product of all signs, while trials <= BLOCK_TRIALS."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((k, 3))
     F = rng.standard_normal((n_cands, k)) * 10.0 ** rng.uniform(-log_scale, log_scale,
@@ -134,7 +137,9 @@ def test_block_size_changes_nothing(block, monkeypatch):
     """Trials drawn one at a time, or BLOCK_TRIALS at a time, give the same
     per-trial values bit for bit, over several blocks and a partial last
     one.  The values are caught on their way into the MC summary, where a
-    last-bit difference in one trial would be rounded away."""
+    last-bit difference in one trial would be rounded away, and a JL
+    check's per-pair values on their way into its success rule, on both
+    sides of its corner draw."""
     data, _ = planted_halfspace(100, 4, 0.15, 2.0, seed=30)
     dirs = np.random.default_rng(31).standard_normal((15, 4))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -143,6 +148,8 @@ def test_block_size_changes_nothing(block, monkeypatch):
     loss = piecewise_linear(1.0)
     atoms = np.random.default_rng(33).standard_normal((9, 5))
     w = np.random.default_rng(34).dirichlet(np.ones(9))
+    narrow = np.random.default_rng(38).standard_normal((10, 200))  # m = 9 < r = 27
+    wide = np.random.default_rng(39).standard_normal((30, 220))  # m = 29 > r = 18
     summarize = analysis._mc
 
     def per_trial_values():
@@ -153,14 +160,68 @@ def test_block_size_changes_nothing(block, monkeypatch):
         for k in (1, 3):
             generalization_gap_check(cands, loss, data, k=k, trials=600, seed=35)
         maurey_sparsify(atoms, w, s=5, trials=600, seed=36)
+        seen += [_jl_per_pair_values(monkeypatch, narrow, 0.4, 600, 37),
+                 _jl_per_pair_values(monkeypatch, wide, 0.45, 300, 37)]
         return seen
 
     blocked = per_trial_values()
     monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
     single = per_trial_values()
-    assert len(blocked) == len(single) == 5
+    assert len(blocked) == len(single) == 7
     for a, b in zip(blocked, single):
         assert np.array_equal(a, b)
+
+
+def _rademacher_per_trial(monkeypatch, F, trials, seed):
+    """The per-trial suprema of rademacher_estimate over the rows of F."""
+    seen = []
+    summarize = analysis._mc
+    monkeypatch.setattr(analysis, "_mc", lambda v: seen.append(v.copy()) or summarize(v))
+    X = np.zeros((F.shape[1], 1))
+    rademacher_estimate([(lambda f: (lambda Z: f))(f) for f in F], X, trials, seed)
+    monkeypatch.setattr(analysis, "_mc", summarize)
+    return seen[0]
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_rademacher_blocked_signs_equal_one_draw(block, monkeypatch):
+    """One candidate with values 2^j sums the signs into an integer that
+    spells them out, exactly in any order: the blocked sign draw equals
+    the one-call draw of all trials x k signs.  An odd k leaves half of a
+    64-bit draw over at the end of an odd block."""
+    k, trials, seed = 41, 600, 50
+    F = 2.0 ** np.arange(k)[None, :]
+    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    eps = np.random.default_rng(np.random.SeedSequence(seed)).choice((-1.0, 1.0), size=(trials, k))
+    assert np.array_equal(_rademacher_per_trial(monkeypatch, F, trials, seed), eps @ F[0] / k)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_rademacher_block_size_moves_only_last_bits(block, monkeypatch):
+    """Across block sizes the per-trial suprema agree to 1e-12 relative, not
+    bit for bit: the signs are the same, but BLAS gemm may sum F @ eps.T in
+    another order for another block shape."""
+    F = np.random.default_rng(53).standard_normal((201, 100))
+    blocked = _rademacher_per_trial(monkeypatch, F, 600, 54)
+    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    np.testing.assert_allclose(_rademacher_per_trial(monkeypatch, F, 600, 54), blocked,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_rademacher_memory_is_bounded_by_the_block():
+    """51 candidates, k = 100 and 20,000 trials: the signs of all trials at
+    once would take 16 MB (and their int64 index as much again); one
+    block's draw and product stay far below."""
+    F = np.random.default_rng(55).standard_normal((51, 100))
+    cands = [(lambda f: (lambda Z: f))(f) for f in F]
+    X = np.zeros((100, 1))
+    tracemalloc.start()
+    try:
+        rademacher_estimate(cands, X, trials=20_000, seed=56)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @pytest.mark.parametrize("bad", [dict(n=1), dict(k=0)])
@@ -184,6 +245,85 @@ def test_projection_complement_identity(d, data):
     x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
     kept = np.sum((x @ Q[:, :s]) ** 2)
     assert abs(kept - (x @ x - np.sum((x @ Q[:, s:]) ** 2))) <= 1e-12 * (x @ x)
+
+
+def _reference_jl_parts(P, r, trials, seed):
+    """The JL projection as it was first written: one Householder QR of a
+    d x r Gaussian per trial.  Only its column space is used, which is
+    uniform whatever signs the QR picks.  (trials, pairs) squared lengths
+    of the pairwise differences projected onto that space."""
+    i, j = np.triu_indices(P.shape[0], k=1)
+    D = P[i] - P[j]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    parts = np.empty((trials, D.shape[0]))
+    for t in range(trials):
+        Q = np.linalg.qr(rng.standard_normal((P.shape[1], r)))[0]
+        parts[t] = np.sum((D @ Q) ** 2, axis=1)
+    return parts
+
+
+def _jl_per_pair_values(monkeypatch, P, epsilon, trials, seed):
+    """(trials, pairs) squared projected lengths that jl_distortion_check
+    feeds its success rule, caught at the corner-draw seam."""
+    blocks = []
+    corner = analysis._haar_corner_sq_norms
+    monkeypatch.setattr(analysis, "_haar_corner_sq_norms",
+                        lambda *a: blocks.append(corner(*a)) or blocks[-1])
+    jl_distortion_check(P, epsilon, trials, seed)
+    monkeypatch.setattr(analysis, "_haar_corner_sq_norms", corner)
+    return np.concatenate(blocks)
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    z = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, z, side="right") / a.size
+                               - np.searchsorted(b, z, side="right") / b.size)))
+
+
+@pytest.mark.parametrize("n, d, eps", [
+    (10, 200, 0.4),   # m = 9 < r = 27: the corner is drawn from its m columns
+    (30, 220, 0.45),  # m = 29 > r = 18: drawn from its r rows and transposed
+])
+def test_jl_corner_draw_has_the_projection_law(n, d, eps, monkeypatch):
+    """||P_S x||^2 / ||x||^2 for a uniform r-dim subspace S is Beta(r/2,
+    (d - r)/2) (Dasgupta & Gupta 2003).  Each pair's ratio has mean r/d and
+    variance 2 r (d - r) / (d^2 (d + 2)) within 5 standard errors, and the
+    extremes over the pairs, which the success rule reads, match the QR
+    reference by a two-sample KS statistic below its 0.1% critical value."""
+    trials = 2000
+    P = np.random.default_rng(60 + n).standard_normal((n, d))
+    s = math.ceil(12.0 * math.log(n) / eps**2)
+    r = min(s, d - s)
+    i, j = np.triu_indices(n, k=1)
+    orig = np.sum((P[i] - P[j]) ** 2, axis=1)
+    ratio = _jl_per_pair_values(monkeypatch, P, eps, trials, 61) / orig
+    assert ratio.shape == (trials, n * (n - 1) // 2)
+    mean, var = r / d, 2.0 * r * (d - r) / (d * d * (d + 2))
+    assert np.all(np.abs(ratio.mean(axis=0) - mean) <= 5.0 * math.sqrt(var / trials))
+    dev = ratio - ratio.mean(axis=0)
+    var_se = np.sqrt((np.mean(dev**4, axis=0) - ratio.var(axis=0) ** 2) / trials)
+    assert np.all(np.abs(ratio.var(axis=0, ddof=1) - var) <= 5.0 * var_se)
+    ref = _reference_jl_parts(P, r, trials, 62) / orig
+    critical = 1.95 * math.sqrt(2.0 / trials)
+    assert _ks_statistic(ratio.min(axis=1), ref.min(axis=1)) < critical
+    assert _ks_statistic(ratio.max(axis=1), ref.max(axis=1)) < critical
+
+
+def test_jl_memory_is_bounded_by_the_block():
+    """60 points in d = 250 at epsilon 0.49 (s = 205, r = 45): 1,770 pairs,
+    so a trial holds about 94,000 floats (0.75 MB), and 100 trials in one
+    block would take 75 MB for the projected pairs alone.  A block holds at
+    most JL_BLOCK_FLOATS (8 MB) beside the 3.5 MB of differences."""
+    P = np.random.default_rng(70).standard_normal((60, 250))
+    tracemalloc.start()
+    try:
+        jl_distortion_check(P, 0.49, trials=100, seed=71)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_jl_full_dimension_never_fails():

@@ -151,12 +151,20 @@ def _l2_boundary_fits(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_l2_boundary_fits())
+@example((np.array([[1e-24], [2e-12]]), np.array([1.0, 0.0]), 0.12501111257279263))
 def test_secular_start_is_below_the_root(problem):
     """The p=2 Newton iteration starts at lam_0 = max_i (s_i |c_i| / radius -
     s_i^2)+, c = U^T u; since each coordinate s_i c_i / (s_i^2 + lam) of
     w(lam) is at most ||w(lam)|| = radius at the root, lam_0 is a lower
     bound of the root, here found by bisection on
-    ||(X^T X + lam I)^{-1} X^T u|| = radius."""
+    ||(X^T X + lam I)^{-1} X^T u|| = radius.
+
+    The computed SVD is exact for some X + E with ||E|| about eps s_0, and
+    lam_0 is the bound of that matrix's root.  To first order E moves the
+    root by at most ||E|| (||u|| / radius + s_0) (s_0^2 + lam) /
+    (sigma^2 + lam), sigma the least singular value of X on R^d; the bound
+    may sit that far above the root of X.  In the example (s = 2e-12,
+    c = 5e-13) it sits 1.8e-4 relative above."""
     X, u, radius = problem
     Uk, s, _ = np.linalg.svd(X, full_matrices=False)
     lam0 = max(0.0, float(np.max(s * np.abs(Uk.T @ u) / radius - s * s)))
@@ -173,7 +181,11 @@ def test_secular_start_is_below_the_root(problem):
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if ridge_norm(mid) > radius else (lo, mid)
-    assert lam0 <= hi * (1.0 + 1e-9) + 1e-12 * s[0] ** 2
+    k, d = X.shape
+    sigma = s[-1] if d <= k else 0.0
+    norm_E = 4 * (k + d) * np.finfo(float).eps * s[0]
+    moved = norm_E * (np.linalg.norm(u) / radius + s[0]) * (s[0] ** 2 + hi) / (sigma**2 + hi)
+    assert lam0 <= hi * (1.0 + 1e-9) + 1e-12 * s[0] ** 2 + moved
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
