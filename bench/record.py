@@ -10,7 +10,10 @@ Each run is a child process ``perfbench/run.py --workload W --seed S
 --seconds N --trace 0``, one at a time.  With ``--baseline DIR`` (another
 checkout of the repository, outside this one) every workload and seed
 also runs there, and the two sides alternate which goes first from pair
-to pair, so drift in machine speed does not land on one side.
+to pair, so drift in machine speed does not land on one side.  Each side's
+children write and read their bytecode under PYTHONPYCACHEPREFIX, in a
+fresh temporary directory per side, so a ``__pycache__`` left in one
+checkout cannot make that side start faster than the other.
 
 The file holds the environment record once per side, every run's
 result, and per side and workload the median, quartiles and range of
@@ -23,9 +26,11 @@ a Markdown table.  The exit status is 1 if any run reports
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -51,12 +56,14 @@ def parse_args(argv):
     return args
 
 
-def run_once(checkout, workload, seed, seconds):
-    """(env, run record) of one perfbench child; env is None on failure."""
+def run_once(checkout, workload, seed, seconds, pycache):
+    """(env, run record) of one perfbench child, with its bytecode cache under
+    the directory `pycache`; env is None on failure."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache)))
     record = {"workload": workload, "seed": seed, "elapsed_s": time.perf_counter() - t0,
               "returncode": proc.returncode, "correct": False}
     lines = proc.stdout.strip().splitlines()
@@ -147,17 +154,19 @@ def main(argv=None):
     sides = {"change": ROOT} | ({"parent": args.baseline} if args.baseline else {})
     envs, runs = {}, []
     pairs = [(w, s) for w in args.workloads for s in args.seeds]
-    for i, (workload, seed) in enumerate(pairs):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            env, record = run_once(sides[side], workload, seed, args.seconds)
-            record.update(side=side, first=order[0])
-            runs.append(record)
-            if env is not None and side not in envs:
-                envs[side] = dict(env, uncommitted_changes=uncommitted(sides[side]))
-            wall_ref = record.get("metrics", {}).get("wall_ref", {}).get("value")
-            print(f"{side} {workload} seed {seed}: correct={record['correct']} "
-                  f"wall_ref={wall_ref}", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as caches:
+        for i, (workload, seed) in enumerate(pairs):
+            order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+            for side in order:
+                env, record = run_once(sides[side], workload, seed, args.seconds,
+                                       Path(caches) / side)
+                record.update(side=side, first=order[0])
+                runs.append(record)
+                if env is not None and side not in envs:
+                    envs[side] = dict(env, uncommitted_changes=uncommitted(sides[side]))
+                wall_ref = record.get("metrics", {}).get("wall_ref", {}).get("value")
+                print(f"{side} {workload} seed {seed}: correct={record['correct']} "
+                      f"wall_ref={wall_ref}", file=sys.stderr)
     summary = summarize(runs)
     out = {
         "label": args.label,

@@ -13,9 +13,18 @@ from .losses import empirical_risk
 
 # Trials drawn per numpy call, to bound memory.  Each draw continues its stream
 # where the previous block stopped, so the size changes no draw and no result,
-# but for the last bits of a Rademacher supremum: BLAS may sum a block's
-# product F @ eps.T in another order for another block shape.
+# but for the last bits of a Rademacher supremum: BLAS may round a block's
+# product F @ eps.T differently for another block shape.
 BLOCK_TRIALS = 256
+# A Rademacher block's product F @ eps.T is summed over slices of this many of
+# the k columns, one slice after another.  OpenBLAS rounds the whole product
+# differently at one and two threads for k = 500 or 5,000.  A slice rounds
+# alike at both only while it fits in one K block of the gemm kernel that
+# OpenBLAS picks at run time (its GEMM_Q); that was checked on one build
+# alone (OpenBLAS 0.3.31, SkylakeX kernel, one and two threads), and another
+# kernel or BLAS may still round the estimate differently per thread count.
+# At k <= K_SLICE it is the one product it always was.
+K_SLICE = 256
 # A JL trial holds its normals, its corner and its projected pairs, which grow
 # with the dimension and the number of pairs: a block holds at most this many
 # floats (8 MB), in fewer trials when one trial is large.
@@ -59,10 +68,18 @@ def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> M
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, trials)
         eps = rng.choice((-1.0, 1.0), size=(stop - start, k))
-        sups[start:stop] = np.max(F @ eps.T, axis=0)
+        sups[start:stop] = np.max(_sliced_product(F, eps), axis=0)
     # Dividing by k > 0 is monotone under correct rounding, so the max of
     # the sums divided once equals the max of the divided sums.
     return _mc(sups / k)
+
+
+def _sliced_product(F, eps):
+    """F @ eps.T, summed over slices of K_SLICE columns in order."""
+    S = F[:, :K_SLICE] @ eps[:, :K_SLICE].T
+    for j in range(K_SLICE, F.shape[1], K_SLICE):
+        S += F[:, j:j + K_SLICE] @ eps[:, j:j + K_SLICE].T
+    return S
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,9 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
     The Jacobian is D = c*omega + (p-1)*rho*s plus one row and column (Schur
     complement).  rho starts at hi*(1 - c/norm), hi = ||alpha||_(p/(p-1))
     its bound, and omega at 1/(c/alpha + (rho/alpha)^(1/(p-1))), a bound of
-    its root.  F is convex in u and concave in omega, so G at the roots for
+    its root from above, which one Newton step in u alone at that rho brings
+    nearer (F is convex and increasing in u, so the step stays above the
+    root).  F is convex in u and concave in omega, so G at the roots for
     this rho lies in [sum omega^p (1 - pF/D), sum omega^p exp(-pF/D)]: a step
     leaving (lo, hi) tightens the bracket with them and bisects it.  A rho
     step worth a rounding-level change of G is dropped.  A row stops after
@@ -68,17 +70,22 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
     def bound(rho, cap, ln_inv, ln_a):
         return np.minimum(cap, -np.logaddexp(ln_inv, k * (np.log(rho)[:, None] - ln_a)))
 
+    def residual(u, rho, c, a):
+        w, s = np.exp(u), np.exp(q * u)
+        cw, rs = c * w, rho[:, None] * s
+        return w, s, cw + rs - a, cw + q * rs + _TINY
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ln_a = np.log(alpha)
         ln_inv = np.where(alpha > 0.0, np.log(c) - ln_a, np.inf)
-        a, cr, tol, cap = alpha, alpha * 0.0 + c, _KKT_TOL * alpha + _TINY, np.minimum(-ln_inv, 0.0)
+        a, cap = alpha, np.minimum(-ln_inv, 0.0)
         hi = (a ** (p / q)).sum(axis=1) ** (q / p) * (1.0 + _BRACKET_MARGIN)
         lo, rho = np.zeros_like(hi), hi * np.maximum(1.0 - c[:, 0] / norm, _TINY)
         U, live, u = np.empty_like(a), np.arange(len(a)), bound(rho, cap, ln_inv, ln_a)
+        _, _, F, D = residual(u, rho, c, a)
+        u = np.minimum(u - F / D, cap)
         for _ in range(_NEWTON_MAX_ITER):
-            w, s = np.exp(u), np.exp(q * u)
-            cw, rs = cr * w, rho[:, None] * s
-            F, D = cw + rs - a, cw + q * rs + _TINY
+            w, s, F, D = residual(u, rho, c, a)
             ws, f, g = w * s, F / D, s / D
             G, wf = ws.sum(axis=1), (ws * f).sum(axis=1)
             E = G * np.log(G)
@@ -86,9 +93,12 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
             step = N * (abs(N) > _G_FLOOR) / (ws * g).sum(axis=1)
             new = rho + step
             out = ~((lo < new) & (new < hi))
-            done = (abs(E) <= _KKT_TOL) & (abs(step) <= _KKT_TOL * rho) & ~out
-            if done.any():
-                done &= (abs(F) <= tol).all(axis=1)
+            done = abs(E) <= _KKT_TOL
+            finished = done.any()
+            if finished:
+                done &= (abs(step) <= _KKT_TOL * rho) & ~out
+                done &= (abs(F) <= _KKT_TOL * a + _TINY).all(axis=1)
+                finished = done.any()
             top = cap
             if out.any():
                 lo = np.where(out & (G - p * wf > 1.0 + _BRACKET_MARGIN), rho, lo)
@@ -97,20 +107,20 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
                 new = np.where(out, 0.5 * (lo + hi), new)
                 top = np.where(out[:, None], bound(new, cap, ln_inv, ln_a), cap)
             u, rho = np.minimum(u - (f + g * (new - rho)[:, None]), top), new
-            if done.any():
+            if finished:
                 U[live[done]] = u[done]
                 if done.all():
                     break
                 keep = ~done
-                live, u, rho, lo, hi, a, cr, tol, cap, ln_inv, ln_a = (
-                    x[keep] for x in (live, u, rho, lo, hi, a, cr, tol, cap, ln_inv, ln_a))
+                live, u, rho, lo, hi, a, c, cap, ln_inv, ln_a = (
+                    x[keep] for x in (live, u, rho, lo, hi, a, c, cap, ln_inv, ln_a))
         else:
-            U[live] = _bisect_sphere_rows(bound, a, cr, lo, hi, cap, ln_inv, ln_a, p)
+            U[live] = _bisect_sphere_rows(bound, a, c, lo, hi, cap, ln_inv, ln_a, p)
     # Formed in logs, so no entry underflows before w itself does.
     return np.exp(U + (math.log(radius) - np.log(np.exp(p * U).sum(axis=1)) / p)[:, None])
 
 
-def _bisect_sphere_rows(bound, a, cr, lo, hi, cap, ln_inv, ln_a, p):
+def _bisect_sphere_rows(bound, a, c, lo, hi, cap, ln_inv, ln_a, p):
     """u = ln(omega) of rows that _lp_sphere_rows' joint iteration left
     unconverged, by bisection on rho in their bracket (lo, hi) until no
     float lies inside it.  At each rho every coordinate is solved alone,
@@ -124,7 +134,7 @@ def _bisect_sphere_rows(bound, a, cr, lo, hi, cap, ln_inv, ln_a, p):
         rs, u = rho[:, None], bound(rho, cap, ln_inv, ln_a)
         for _ in range(_NEWTON_MAX_ITER):
             w, s = np.exp(u), np.exp(q * u)
-            new = u - (cr * w + rs * s - a) / (cr * w + q * rs * s + _TINY)
+            new = u - (c * w + rs * s - a) / (c * w + q * rs * s + _TINY)
             falling = new < u
             if not falling.any():
                 break
@@ -153,7 +163,8 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if p == 2.0:
         return _scale_into_l2(v, radius)
-    a = np.abs(np.atleast_2d(v))
+    # C order, so each row of a stack is solved with the same sums as alone.
+    a = np.abs(np.atleast_2d(v), order="C")
     top = a.max(axis=-1, keepdims=True)
     # An all-zero row gives nan > inf and a subnormal top r/top = inf: inside.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -196,6 +196,18 @@ def test_rademacher_blocked_signs_equal_one_draw(block, monkeypatch):
     assert np.array_equal(_rademacher_per_trial(monkeypatch, F, trials, seed), eps @ F[0] / k)
 
 
+def test_rademacher_column_slices_cover_k(monkeypatch):
+    """At k = 600 the product runs in three column slices (the last one
+    short).  Small integer values sum exactly in any order, so each trial's
+    supremum equals the one product over all k columns."""
+    k, trials, seed = 600, 40, 57
+    assert 2 * analysis.K_SLICE < k < 3 * analysis.K_SLICE
+    F = np.random.default_rng(58).integers(-3, 4, size=(9, k)).astype(float)
+    eps = np.random.default_rng(np.random.SeedSequence(seed)).choice((-1.0, 1.0), size=(trials, k))
+    sups = _rademacher_per_trial(monkeypatch, F, trials, seed)
+    assert np.array_equal(sups, np.max(F @ eps.T, axis=0) / k)
+
+
 @pytest.mark.parametrize("block", [1, 7])
 def test_rademacher_block_size_moves_only_last_bits(block, monkeypatch):
     """Across block sizes the per-trial suprema agree to 1e-12 relative, not

@@ -1,5 +1,6 @@
 """bench/record.py writes a BENCH file of the documented shape."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -35,3 +36,15 @@ def test_record_writes_bench_schema(tmp_path):
         assert s["n"] == 1 and s["unit"] == run["metrics"][name]["unit"]
         assert s["min"] <= s["q1"] <= s["median"] <= s["q3"] <= s["max"]
     assert "| halfspace_lp | change |" in proc.stdout
+
+
+def test_record_children_compile_into_the_given_cache(tmp_path, monkeypatch):
+    """A child writes its bytecode under the prefix run_once gives it, so
+    each side starts from its own fresh cache, not the checkout's."""
+    spec = importlib.util.spec_from_file_location("bench_record", _ROOT / "bench" / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    env, run = record.run_once(_ROOT, "halfspace_lp", 3, 1, tmp_path / "pycache")
+    assert env is not None and run["correct"] is True
+    assert list((tmp_path / "pycache").rglob("ncerm/solvers.*.pyc"))

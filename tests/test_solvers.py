@@ -7,6 +7,7 @@ from hypothesis import assume, event, example, given, settings, target
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ncerm import solvers
 from ncerm.boosting import boost_weights
 from ncerm.data import WeightedDataset, planted_halfspace, planted_network
 from ncerm.halfspace import LinearModel
@@ -867,11 +868,21 @@ def _assert_lp_kkt(v, p, radius, out):
     assert np.all((a[hidden] / (lam * p)) ** (1.0 / q) <= 2.0 * np.finfo(float).tiny)
 
 
-def test_project_lp_tied_magnitudes_battery():
+def test_project_lp_tied_magnitudes_battery(monkeypatch):
     """Rows of 3 leading magnitudes and m up to 60 tied unit ones, with
     p - 1 from 2^-52 to 0.1, each meet the optimality conditions, whether
     the joint Newton iteration converges on them or bisection finishes
-    them."""
+    them.  At most 72 of the 4,608 rows reach bisection (123 without the
+    start step in u); project_lp looks the fallback up at call time, so
+    the counter sees every row that reaches it."""
+    bisect, fallback = solvers._bisect_sphere_rows, []
+
+    def counted(bound, a, *rest):
+        fallback.append(len(a))
+        return bisect(bound, a, *rest)
+
+    monkeypatch.setattr(solvers, "_bisect_sphere_rows", counted)
+    assert solvers._bisect_sphere_rows is counted
     heads = -np.array([[2.5482967479793466, 1.0, 1.0], [64.93816316, 10.0, 1.0],
                        [3.0, 2.0, 1.5], [1.0, 1.0, 1.0], [1.5, 1.0, 1.0], [8.0, 8.0, 1.0],
                        [1.01, 1.0, 1.0], [20.0, 1.0, 1.0]])
@@ -881,6 +892,7 @@ def test_project_lp_tied_magnitudes_battery():
             for radius in (0.3, 1.75, 5.0, 62.0):
                 for v, w in zip(V, project_lp(V, p, radius)):
                     _assert_lp_kkt(v, p, radius, w)
+    assert sum(fallback) <= 72
 
 
 def test_project_lp_rows_match_single_rows():
@@ -895,6 +907,23 @@ def test_project_lp_rows_match_single_rows():
     for i in range(300):
         assert np.array_equal(out[i], project_lp(W[i], 1.5, 1.0))
     assert np.array_equal(out[inside], W[inside])
+
+
+def test_project_lp_stack_outside_matches_single_rows():
+    """A 3-D stack whose every row lies outside the ball, as networks
+    project it, gives each row exactly as projecting that row alone does,
+    and so does a Fortran-ordered matrix.  Rows have 5 and 19 entries:
+    numpy sums 8 or more terms in blocks, whose order a strided row would
+    change."""
+    rng = np.random.default_rng(23)
+    for m in (5, 19):
+        W = rng.standard_normal((4, 6, m)) * rng.choice([1.0, 5.0, 40.0], size=(4, 6, 1))
+        assert np.all(lq_norm(W, 1.3) > 1.0)
+        out = project_lp(W, 1.3, 1.0)
+        assert out.shape == W.shape
+        for i in np.ndindex(W.shape[:-1]):
+            assert np.array_equal(out[i], project_lp(W[i], 1.3, 1.0))
+        assert np.array_equal(project_lp(np.asfortranarray(W[0]), 1.3, 1.0), out[0])
 
 
 def _reference_lp_magnitudes(a, lp, q):
