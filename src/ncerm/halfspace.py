@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import draw_batch
-from .solvers import constrained_least_squares, linear_kernels, lockstep_descent
+from .solvers import constrained_least_squares, lockstep_descent, row_kernels
 from .util import (NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm,
                    round_uniforms)
 
@@ -132,7 +132,7 @@ def algorithm1(data, loss, epsilon: float, delta: float, T_budget: int,
     check_unit_ball(data.features, 2.0)
     _, r, T_theory = config_alg1(data.n, data.dim, epsilon, delta)
     w = best_round(min(T_budget, T_theory), lambda ts: sphere_starts(seed, ts, data.dim, r),
-                   linear_kernels(data, loss, 2.0, r), refine_budget)
+                   row_kernels(data, loss, [(1, data.dim)], 2.0, r), refine_budget)
     return LinearModel(w, 2.0, r)
 
 
@@ -167,5 +167,5 @@ def algorithm2(data, loss, p: float, epsilon: float, delta: float, T_budget: int
         return constrained_least_squares(X, U[:, 0], p, 1.0)
 
     w = best_round(min(T_budget, T_theory), candidates,
-                   linear_kernels(data, loss, p, 1.0), refine_budget)
+                   row_kernels(data, loss, [(1, data.dim)], p, 1.0), refine_budget)
     return LinearModel(w, p, 1.0)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .halfspace import best_round, check_eps_delta, draw_rounds
 from .losses import ACTIVATIONS, LossFunction
-from .solvers import constrained_least_squares, linear_kernels, lockstep_descent, projector
+from .solvers import constrained_least_squares, lockstep_descent, row_kernels
 from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
 
 
@@ -135,27 +135,10 @@ def _level_shapes(depth: int, width: int, dim: int) -> list:
     return [(width ** (depth - 1 - j), width if j else dim) for j in range(depth)]
 
 
-def _flat(levels) -> np.ndarray:
-    """Rows (c, D) of level stacks (c, ...); _split is its inverse."""
-    return np.concatenate([L.reshape(len(L), -1) for L in levels], axis=1)
-
-
-def _split(P: np.ndarray, shapes) -> list:
+def _unflat(row: np.ndarray, shapes) -> Network:
+    """The network whose level tensors of the given shapes a row concatenates."""
     cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return [part.reshape(len(P), *shape)
-            for part, shape in zip(np.split(P, cuts, axis=1), shapes)]
-
-
-def _forward(levels, act: Activation, X: np.ndarray) -> list:
-    """Pre-activation outputs Z_j (c, n, N_j) of every level of c networks
-    whose level stacks have a leading row axis; the last is (c, n, 1).
-    Leaves are one BLAS product per row slice, levels above one einsum.
-    """
-    Z = [X @ levels[0].transpose(0, 2, 1)]
-    for C in levels[1:]:
-        A = act.value(Z[-1].reshape(len(C), len(X), *C.shape[1:]))
-        Z.append(np.einsum("cnis,cis->cni", A, C))
-    return Z
+    return Network([part.reshape(shape) for part, shape in zip(np.split(row, cuts), shapes)])
 
 
 def validate(net, spec: NetworkClassSpec) -> None:
@@ -173,7 +156,14 @@ def validate(net, spec: NetworkClassSpec) -> None:
 def evaluate(net, spec: NetworkClassSpec, x):
     """Network value at a point (1-D input) or per row of a matrix."""
     x = np.asarray(x, dtype=float)
-    out = _forward([L[None] for L in net.levels], spec.act, np.atleast_2d(x))[-1][0, :, 0]
+    # Pre-activations (1, n, N_j) of a stack of one network, level by level:
+    # the leaves one BLAS product, each level above one einsum.  These are
+    # the products whose rounding the CSV and analysis outputs carry.
+    X, levels = np.atleast_2d(x), [L[None] for L in net.levels]
+    Z = X @ levels[0].transpose(0, 2, 1)
+    for C in levels[1:]:
+        Z = np.einsum("cnis,cis->cni", spec.act.value(Z.reshape(1, len(X), *C.shape[1:])), C)
+    out = Z[0, :, 0]
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -235,59 +225,13 @@ def config_alg3(q: float, epsilon: float, delta: float, m: int):
     return k, s, T_theory
 
 
-def network_kernels(data, loss, spec: NetworkClassSpec, shapes):
-    """Row functions (risk, gradient, projection) for networks whose flat
-    rows concatenate level tensors of the given shapes, each acting on a
-    whole stack of rows.  A row's state is its flattened forward
-    pre-activations, so the gradient runs only the backward pass, which
-    evaluates each level's activation once and takes its slope from those
-    values where the activation allows (tanh, clamp).  Risks are one
-    einsum over the sample on numpy's own loops, not a BLAS dot, which
-    OpenBLAS splits across its threads when it is long; like the leaf
-    products and the einsums above them, they do not depend on which rows
-    share the call.  Depth 1 uses linear_kernels, as Algorithm 2 does:
-    their margins and weighted gradient operand differ in the last bits
-    from the leaf product and this backward pass, and sharing them keeps
-    Algorithm 3 at depth 1 equal to Algorithm 2 bit for bit.
-    """
-    if len(shapes) == 1:
-        return linear_kernels(data, loss, spec.leaf_p, spec.budget)
-    X, y, a, act, B = data.features, data.labels, data.weights, spec.act, spec.budget
-    z_shapes = [(len(X), n) for n, _ in shapes]
-
-    def risk_rows(P, rows):
-        Z = _forward(_split(P, shapes), act, X)
-        return np.einsum("cn,n->c", loss.value(-y * Z[-1][..., 0]), a, optimize=False), _flat(Z)
-
-    def grad_rows(P, state, rows):
-        # Backward pass: G holds d risk / d Z_j, from the output down.  Each
-        # level's activations A are computed once; its slope then overwrites A.
-        levels, Z = _split(P, shapes), _split(state, z_shapes)
-        G = (a * loss.grad(-y * Z[-1][..., 0]) * -y)[..., None]
-        grads = []
-        for C, Z_in in zip(levels[:0:-1], Z[-2::-1]):
-            Z_in = Z_in.reshape(len(P), len(X), *C.shape[1:])
-            A = act.value(Z_in)
-            grads.append(np.einsum("cni,cnis->cis", G, A))
-            A = act.slope(A if act.slope_from_value else Z_in, out=A)
-            G = (G[..., None] * C[:, None] * A).reshape(len(P), len(X), -1)
-        return _flat([G.transpose(0, 2, 1) @ X, *grads[::-1]])
-
-    project_leaves, project_comb = projector(spec.leaf_p, B), projector(1.0, B)
-
-    def project_rows(P):
-        W, *blocks = _split(P, shapes)
-        return _flat([project_leaves(W), *map(project_comb, blocks)])
-
-    return risk_rows, grad_rows, project_rows
-
-
 def refine_network(net, spec: NetworkClassSpec, data, loss, step_budget: int):
     """Joint monotone projected descent over all weights of the network."""
     shapes = [L.shape for L in net.levels]
-    P, _ = lockstep_descent(_flat([L[None] for L in net.levels]),
-                            *network_kernels(data, loss, spec, shapes), step_budget)
-    return Network([L[0] for L in _split(P, shapes)])
+    P, _ = lockstep_descent(np.concatenate([L.ravel() for L in net.levels]),
+                            *row_kernels(data, loss, shapes, spec.leaf_p, spec.budget, spec.act),
+                            step_budget)
+    return _unflat(P[0], shapes)
 
 
 def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
@@ -327,11 +271,12 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
             fits = constrained_least_squares(D.reshape(c * n, k, -1), u.reshape(c * n, k),
                                              spec.leaf_p if j == 0 else 1.0, spec.budget)
             levels.append(fits.reshape(c, n, -1))
-        return _flat(levels)
+        return np.concatenate([L.reshape(c, -1) for L in levels], axis=1)
 
     row = best_round(min(T_budget, T_theory), candidates,
-                     network_kernels(data, loss, spec, shapes), refine_budget)
-    return Network([L[0] for L in _split(row[None], shapes)])
+                     row_kernels(data, loss, shapes, spec.leaf_p, spec.budget, spec.act),
+                     refine_budget)
+    return _unflat(row, shapes)
 
 
 def _draw_network(rng: np.random.Generator, spec: NetworkClassSpec, dim: int,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -436,43 +437,91 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     return X, risk
 
 
-def linear_kernels(data, loss, p: float, radius: float):
-    """Row functions (risk, gradient, projection) for linear predictors.
+def row_kernels(data, loss, shapes, leaf_p: float, radius: float, act=None):
+    """Row functions (risk, gradient, projection) for networks whose rows
+    concatenate level tensors of the given shapes (networks.Network): leaf
+    weights (N_0, d) first, then one combination block (N_j, s_j) per level
+    with its one activation act.  shapes [(1, d)] is a linear predictor,
+    whose row is its weight vector; it has no level above the leaves.
 
-    Row i of W is a weight vector with margins -y_j <w, x_j>, one per
-    sample point.  A row's state is its loss values if loss.slope_from_value
-    (the sigmoid, neg_min and the tanh and clamp activations), else its
-    margins.  The margins are one BLAS matvec per row, a sum over d only.
-    Every sum over the sample (the risks, and the gradients against the
-    weighted operand a * ZnegT) is an einsum on numpy's own loops, since
-    OpenBLAS splits long dots across its threads.  So a row's values depend
-    neither on which rows share the call nor on the BLAS thread count.
-    The margins, loss values and derivatives go into two scratch arrays
-    per kernel set, grown on demand, so a state lasts until the next
-    risk_rows call; grad_rows writes over the array it does not read.  The
-    projection is bound, and p and radius checked, when the kernels are built.
+    Every level is evaluated on ZnegT = (-y x)^T: the leaf pre-activations
+    are one BLAS matmul per row, a sum over d only, so each is -y times its
+    value, and as act is odd so is every level above; the top one is the
+    margins -y f(x).  A row's state is its lower levels' pre-activations
+    followed by its loss values if loss.slope_from_value (the sigmoid,
+    neg_min and the tanh and clamp activations), else its margins.  The
+    backward pass carries d risk / d Z without the sample weights a, which
+    enter the combination gradients and, as the operand a * ZnegT, the leaf
+    gradient.  Every sum over the sample is an einsum on numpy's own loops,
+    since OpenBLAS splits long dots across its threads, so a row's values
+    depend neither on which rows share the call nor on the BLAS thread
+    count.  Pre-activations, activations, loss values and derivatives go
+    into two scratch arrays per kernel set, grown on demand, so a state
+    lasts until the next risk_rows call; grad_rows writes only over the
+    array it does not read.  Leaves are projected onto the l_{leaf_p} ball
+    and combination rows onto the l_1 ball of the radius, bound (and p and
+    radius checked) when the kernels are built.
     """
-    project_rows = projector(p, radius)
+    project_rows = projector(leaf_p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
-    a, keep_value = data.weights, loss.slope_from_value
+    a, keep_value, n, (N0, d) = data.weights, loss.slope_from_value, data.n, shapes[0]
     aZnegT = a * ZnegT
-    scratch = [np.empty((2, 0, data.n))]
+    # Columns of each level in a row, and of its outputs in a state row.
+    cuts = [0, *itertools.accumulate(N * s for N, s in shapes)]
+    zcuts = [0, *itertools.accumulate(n * N for N, _ in shapes)]
+    levels = [(cuts[j], cuts[j + 1], N, s, zcuts[j - 1], zcuts[j])
+              for j, (N, s) in enumerate(shapes) if j]
+    leaf, top = cuts[1], zcuts[-2]
+    full, last = [((),)], [0, ()]
 
-    def buffers(c):
-        if scratch[0].shape[1] < c:
-            scratch[0] = np.empty((2, c, data.n))
-        return scratch[0][0, :c], scratch[0][1, :c]
+    def at(c):
+        """Views of the first c rows of the scratch arrays, grown on demand:
+        one holds the states row by row, the other a row-major block per
+        level for its activations and derivatives."""
+        if len(full[0][0]) < c:
+            S, work = np.empty((2, c, zcuts[-1]))
+            B = [work.ravel()[c * lo:c * hi].reshape(c, -1) for lo, hi in zip(zcuts, zcuts[1:])]
+            M, V = (B[-1], S[:, top:]) if keep_value else (S[:, top:], B[-1])
+            Z = [S[:, lo:hi] for lo, hi in zip(zcuts, zcuts[1:-1])] + [M]
+            full[0] = S, Z[0].reshape(c, N0, n), M, V, B[-1], [
+                (lo, hi, N, s, z0, z1, B[j].reshape(c, N, s, n), Z[j + 1].reshape(c, N, n))
+                for j, (lo, hi, N, s, z0, z1) in enumerate(levels)]
+        *arrays, lv = full[0]
+        return *(x[:c] for x in arrays), [(*l, A[:c], out[:c]) for *l, A, out in lv]
 
-    def risk_rows(W, rows):
-        M, V = buffers(len(W))
-        np.matmul(W[:, None, :], ZnegT, out=M[:, None, :])
-        risks = np.einsum("cn,n->c", loss.value(M, V), a, optimize=False)
-        return risks, V if keep_value else M
+    def risk_rows(P, rows):
+        c = len(P)
+        if last[0] != c:  # a refinement's row count changes only as rows stop
+            last[:] = c, at(c)
+        S, Z, M, V, _, lv = last[1]
+        np.matmul(P[:, :leaf].reshape(c, N0, d), ZnegT, out=Z)
+        for lo, hi, N, s, _, _, A, out in lv:
+            A = act.value(Z.reshape(c, N, s, n), A)
+            Z = np.einsum("cisn,cis->cin", A, P[:, lo:hi].reshape(c, N, s), out=out, optimize=False)
+        return np.einsum("cn,n->c", loss.value(M, V), a, optimize=False), S
 
-    def grad_rows(W, K, rows):
-        M, V = buffers(len(W))
-        G = loss.slope(K, M if keep_value else V)
-        return np.einsum("cn,dn->cd", G, aZnegT, optimize=False)
+    def grad_rows(P, K, rows):
+        c = len(P)
+        *_, G, lv = full[0]
+        G, grads = loss.slope(K[:, top:], G[:c]), []
+        for lo, hi, N, s, z0, z1, A, _ in lv[::-1]:
+            Z, G = K[:, z0:z1].reshape(c, N, s, n), G.reshape(c, N, n)
+            A = act.value(Z, A[:c])
+            grads.append(np.einsum("cin,cisn,n->cis", G, A, a, optimize=False).reshape(c, -1))
+            A = act.slope(A if act.slope_from_value else Z, A)
+            np.multiply(A, P[:, lo:hi].reshape(c, N, s, 1), out=A)
+            G = np.multiply(A, G[:, :, None], out=A).reshape(-1, n)
+        g = np.einsum("cn,dn->cd", G, aZnegT, optimize=False)
+        return np.concatenate([g.reshape(c, -1), *grads[::-1]], axis=1) if grads else g
+
+    if levels:
+        projects = [project_rows] + [projector(1.0, radius)] * len(levels)
+
+        def project_rows(P):
+            out = np.empty_like(P)
+            for lo, hi, shape, project in zip(cuts, cuts[1:], shapes, projects):
+                out[:, lo:hi] = project(P[:, lo:hi].reshape(len(P), *shape)).reshape(len(P), -1)
+            return out
 
     return risk_rows, grad_rows, project_rows
 
@@ -483,6 +532,6 @@ def refine(model, data, loss, step_budget: int):
     step_budget = 0 returns the input.  Networks refine with
     networks.refine_network.
     """
-    kernels = linear_kernels(data, loss, model.p_exponent, model.radius)
+    kernels = row_kernels(data, loss, [(1, data.dim)], model.p_exponent, model.radius)
     W, _ = lockstep_descent(model.w, *kernels, step_budget)
     return dataclasses.replace(model, w=W[0])

@@ -20,7 +20,7 @@ from ncerm.halfspace import (
     sphere_starts,
 )
 from ncerm.losses import empirical_risk, piecewise_linear, zero_one_risk
-from ncerm.solvers import linear_kernels, lockstep_descent
+from ncerm.solvers import lockstep_descent, row_kernels
 from ncerm.util import lq_norm, round_uniforms
 
 
@@ -160,7 +160,7 @@ def test_algorithm2_chunk_size_changes_nothing_lp(monkeypatch):
 @functools.lru_cache(maxsize=None)
 def _small_linear_problem():
     data, _ = planted_halfspace(60, 4, 0.2, 2.0, seed=71)
-    return linear_kernels(data, piecewise_linear(1.0), 2.0, 1.0)
+    return row_kernels(data, piecewise_linear(1.0), [(1, data.dim)], 2.0, 1.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,8 +30,9 @@ from ncerm.networks import (
 from ncerm.util import lq_norm, round_uniforms
 from ncerm import halfspace
 from ncerm.losses import logistic_sigmoid
-from ncerm.networks import network_kernels
-from ncerm.solvers import constrained_least_squares, lockstep_descent, project_lp
+from ncerm.solvers import constrained_least_squares, row_kernels
+
+from row_kernel_problems import assert_rows_run_alone, row_kernel_problems
 
 
 @pytest.mark.parametrize("name", ACTIVATIONS)
@@ -44,6 +45,21 @@ def test_activation_odd_bounded_lipschitz(name):
     slopes = np.abs(np.diff(v) / np.diff(x))
     assert np.max(slopes) <= 1.0 + 1e-9
     assert act.value(0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ACTIVATIONS)
+def test_activation_value_odd_and_slope_even_bitwise(name):
+    """value(-x) = -value(x) and deriv(-x) = deriv(x) bit for bit, signed
+    zeros included, on a dense grid with subnormals and large magnitudes:
+    the row kernels evaluate every level at -y times its pre-activation."""
+    act = Activation(name)
+    tiny = np.finfo(float).smallest_subnormal * np.array([1.0, 2.0, 3.0, 1e3, 2.0**51])
+    mags = np.concatenate([[0.0], tiny, np.logspace(-307.0, 307.0, 2001), 1.5 * tiny,
+                           np.linspace(0.0, 8.0, 20001), [1.0, np.finfo(float).max]])
+    with np.errstate(over="ignore"):
+        x = np.concatenate([mags, np.nextafter(mags, np.inf)])
+        assert act.value(-x).tobytes() == (-act.value(x)).tobytes()
+        assert act.deriv(-x).tobytes() == act.deriv(x).tobytes()
 
 
 def test_erf_activation_is_math_erf_bitwise():
@@ -345,20 +361,44 @@ def test_combine_rejects_unequal_children():
             combine(children, np.ones(len(children)))
 
 
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_network_gradient_matches_finite_differences(m):
     """The per-level backward pass agrees with central differences of the
-    risk at depth 2 and 3 (smooth loss and activation)."""
-    spec = network_spec(m, 1.5, 2.0, "tanh")
+    risk at depth 1 to 3 (smooth loss, tanh and erf activations)."""
     data, _ = planted_network(40, 3, 0.1, network_spec(2, 1.5), 2, seed=1)
-    levels = random_network(spec, 3, 2, seed=3).levels
-    risk, grad, _ = network_kernels(data, logistic_sigmoid(1.0), spec,
-                                    [L.shape for L in levels])
-    x, row = 0.5 * np.concatenate([L.ravel() for L in levels]), np.array([0])
-    h = 1e-6
-    fd = [(risk((x + h * e)[None], row)[0][0] - risk((x - h * e)[None], row)[0][0]) / (2.0 * h)
-          for e in np.eye(x.size)]
-    assert np.allclose(grad(x[None], risk(x[None], row)[1], row)[0], fd, rtol=0.0, atol=1e-8)
+    for activation in ("tanh", "erf"):
+        spec = network_spec(m, 1.5, 2.0, activation)
+        levels = random_network(spec, 3, 2, seed=3).levels
+        risk, grad, _ = row_kernels(data, logistic_sigmoid(1.0), [L.shape for L in levels],
+                                    spec.leaf_p, spec.budget, spec.act)
+        x, row = 0.5 * np.concatenate([L.ravel() for L in levels]), np.array([0])
+        h = 1e-6
+        fd = [(risk((x + h * e)[None], row)[0][0] - risk((x - h * e)[None], row)[0][0])
+              / (2.0 * h) for e in np.eye(x.size)]
+        assert np.allclose(grad(x[None], risk(x[None], row)[1], row)[0], fd, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_kernel_risks_match_empirical_risk(m, activation):
+    """best_round picks a round by the row kernels' risks, which evaluate
+    the network on (-y x)^T, and the CSV reports empirical_risk of its
+    predictor, which evaluates it on x: the two agree to 1e-12 of the risk
+    for random networks scaled from their budget down to 1e-3 of it, widths
+    1 to 3 and two losses."""
+    data, _ = planted_network(60, 4, 0.1, network_spec(2, 1.0), 2, seed=2)
+    for width, seed, loss in ((1, 5, piecewise_linear(1.0)), (2, 6, logistic_sigmoid(2.0)),
+                              (3, 7, piecewise_linear(3.0))):
+        spec = network_spec(m, 2.0, 1.5, activation)
+        nets = [Network([f * L for L in random_network(spec, data.dim, width, seed + t).levels])
+                for t, f in enumerate((1.0, 0.5, 0.1, 1e-3))]
+        P = np.array([np.concatenate([L.ravel() for L in net.levels]) for net in nets])
+        shapes = [L.shape for L in nets[0].levels]
+        risks, _ = row_kernels(data, loss, shapes, spec.leaf_p, spec.budget, spec.act)[0](
+            P, np.arange(len(P)))
+        for net, risk in zip(nets, risks):
+            ref = empirical_risk(predictor(net, spec), loss, data)
+            assert abs(risk - ref) <= 1e-12 * ref
 
 
 def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
@@ -412,57 +452,20 @@ def test_algorithm3_candidates_match_recursive_build(depth, s, leaf_p):
         targets = [iter(part) for part in np.split(U, np.cumsum(counts)[:-1])]
         levels = _recursive_candidate(draw_batch(data, u[:k]), spec, depth, s, targets)[1]
         rows.append(np.concatenate([L.ravel() for L in levels]))
-    risks, _ = network_kernels(data, loss, spec, shapes)[0](np.array(rows), np.arange(T))
+    kernels = row_kernels(data, loss, shapes, spec.leaf_p, spec.budget, spec.act)
+    risks, _ = kernels[0](np.array(rows), np.arange(T))
     net = algorithm3(data, loss, spec, 0.5, 0.05, T, 0, seed, k=k, s=s)
     got = np.concatenate([L.ravel() for L in net.levels])
     assert np.allclose(got, rows[int(np.argmin(risks))], rtol=0.0, atol=1e-9)
 
 
-@st.composite
-def _network_rows(draw):
-    """A weighted sample, a loss, a class of depth 2-3 and width 1-4 with
-    every activation, and 1-8 rows of its flat level tensors at mixed
-    scales."""
-    m, s, c = draw(st.integers(2, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 8))
-    spec = network_spec(m, draw(st.floats(1.0, 3.0)), draw(st.sampled_from((1.5, 2.0))),
-                        draw(st.sampled_from(ACTIVATIONS)))
-    n, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.random(n) + 1e-3
-    data = WeightedDataset(rng.standard_normal((n, d)) / math.sqrt(d),
-                           rng.choice((-1.0, 1.0), size=n), weights / weights.sum())
-    loss = draw(st.sampled_from((piecewise_linear, logistic_sigmoid)))(draw(st.floats(0.5, 5.0)))
-    shapes = [(s ** (m - 1 - j), s if j else d) for j in range(m)]
-    P = rng.standard_normal((c, sum(math.prod(shape) for shape in shapes)))
-    return data, loss, spec, shapes, P * 10.0 ** rng.uniform(-2.0, 1.0, size=(c, 1))
-
-
 @settings(max_examples=100, deadline=None)
-@given(_network_rows(), st.integers(0, 30))
-def test_network_kernel_rows_run_alone(problem, budget):
-    """Each row's risk, state, gradient and projection from the stacked
-    network kernels, and its lockstep refinement, equal that row's call
-    alone, bit for bit; refinement never raises a row's risk.  A state is
-    read, or copied, before the next risk call.  project_lp on the
-    (c, N, d) leaf stack equals the same rows projected as a matrix."""
-    data, loss, spec, shapes, P = problem
-    kernels = risk_rows, grad_rows, project_rows = network_kernels(data, loss, spec, shapes)
-    every = np.arange(len(P))
-    risks, state = risk_rows(P, every)
-    grads, state, starts = grad_rows(P, state, every), state.copy(), project_rows(P)
-    X, refined = lockstep_descent(starts, *kernels, budget)
-    assert np.all(refined <= risk_rows(starts, every)[0])
-    for i in range(len(P)):
-        risk, z = risk_rows(P[i:i + 1], every[i:i + 1])
-        assert risk[0] == risks[i]
-        assert np.array_equal(z[0], state[i])
-        assert np.array_equal(grad_rows(P[i:i + 1], z, every[i:i + 1])[0], grads[i])
-        assert np.array_equal(project_rows(P[i:i + 1])[0], starts[i])
-        x, r = lockstep_descent(starts[i], *kernels, budget)
-        assert np.array_equal(x[0], X[i])
-        assert r[0] == refined[i]
-    W = P[:, :math.prod(shapes[0])].reshape(len(P), *shapes[0])
-    for p in (1.5, 2.0):
-        stacked = project_lp(W, p, spec.budget)
-        assert np.array_equal(stacked, project_lp(W.reshape(-1, W.shape[-1]), p,
-                                                  spec.budget).reshape(W.shape))
+@given(row_kernel_problems(st.integers(2, 3)), st.integers(0, 30), st.data())
+def test_network_kernel_rows_run_alone(problem, budget, data_strategy):
+    """For networks of depth 2-3, the risks, states, gradients,
+    projections and lockstep refinements of any subset of rows, and of
+    each row alone, equal those rows of the call on the whole stack, bit
+    for bit (row_kernel_problems.assert_rows_run_alone)."""
+    rows = data_strategy.draw(st.lists(st.integers(0, len(problem[-1]) - 1), min_size=1,
+                                       max_size=len(problem[-1]), unique=True))
+    assert_rows_run_alone(problem, budget, rows)

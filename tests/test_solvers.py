@@ -19,15 +19,19 @@ from ncerm.networks import network_spec
 from ncerm.solvers import (
     LS_MAX_ITER,
     constrained_least_squares,
-    linear_kernels,
     lockstep_descent,
     monotone_descent,
     project_l1,
     project_lp,
     projector,
     refine,
+    row_kernels,
 )
 from ncerm.util import NORM_TOL, lq_norm
+
+from row_kernel_problems import (
+    assert_rows_run_alone, linear_kernel_problems, linear_problem, row_kernel_problems,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -424,6 +428,11 @@ def test_least_squares_below_p2_matches_projected_gradient_reference(problem):
     assert obj(w) <= obj(ref) + 1e-4 * float(u @ u)
 
 
+def _linear_kernels(data, loss, p, radius):
+    """The row kernels of linear predictors: one level, of shape (1, d)."""
+    return row_kernels(data, loss, [(1, data.dim)], p, radius)
+
+
 def _state_lasts_one_call(kernels):
     """The kernels with each state handed out as a copy that the next risk
     call overwrites with NaN, as a kernel that reuses its buffers may."""
@@ -468,7 +477,7 @@ def test_lockstep_descent_matches_monotone_descent():
     data, _ = planted_halfspace(200, 5, 0.3, 2.0, seed=31)
     rng = np.random.default_rng(32)
     for p in (2.0, 1.0):
-        kernels = linear_kernels(data, loss, p, 1.0)
+        kernels = _linear_kernels(data, loss, p, 1.0)
         W0 = kernels[2](rng.standard_normal((6, 5)))
         W0[0] = 0.0
         for budget in (200, 7):
@@ -511,58 +520,34 @@ def test_lockstep_descent_single_row_counts_rejects_from_its_last_acceptance():
         _assert_rows_follow_monotone_descent(np.array([[x0]]), _steep_abs_kernels(), 500)
 
 
-@st.composite
-def _linear_kernel_problems(draw):
-    """A weighted sample (n, d) with some zero weights, a stack W of c
-    weight rows at mixed scales, p, and a smooth or piecewise-linear
-    loss."""
-    n, d, c = draw(st.integers(1, 60)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.random(n) * (rng.random(n) < 0.8)
-    weights = np.full(n, 1.0 / n) if weights.sum() == 0.0 else weights / weights.sum()
-    data = WeightedDataset(rng.standard_normal((n, d)), rng.choice((-1.0, 1.0), size=n),
-                           weights)
-    W = rng.standard_normal((c, d)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(c, 1))
-    kind = draw(st.sampled_from((piecewise_linear, logistic_sigmoid)))
-    return data, W, draw(st.sampled_from((1.0, 1.5, 2.0))), kind(draw(st.floats(0.5, 5.0)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(_linear_kernel_problems(), st.data())
-def test_linear_kernel_rows_are_independent(problem, data_strategy):
-    """The risks, states, gradients and projections of any subset of rows
-    equal those rows of the call on the whole stack, bit for bit.  Each
-    state is read before the next risk call, which may reuse its buffer."""
-    data, W, p, loss = problem
-    risk_rows, grad_rows, project_rows = linear_kernels(data, loss, p, 1.0)
-    rows = data_strategy.draw(st.lists(st.integers(0, len(W) - 1), min_size=1,
-                                       max_size=len(W), unique=True))
-    every = np.arange(len(W))
-    risks, state = risk_rows(W, every)
-    grads, state = grad_rows(W, state, every), state.copy()
-    risks_sub, state_sub = risk_rows(W[rows], rows)
-    assert state.shape == (len(W), data.n)
-    assert np.array_equal(risks_sub, risks[rows])
-    assert np.array_equal(state_sub, state[rows])
-    assert np.array_equal(grad_rows(W[rows], state_sub, rows), grads[rows])
-    assert np.array_equal(project_rows(W[rows]), project_rows(W)[rows])
+@given(row_kernel_problems(st.just(1)), st.integers(0, 30), st.data())
+def test_linear_kernel_rows_are_independent(problem, budget, data_strategy):
+    """For a linear predictor, the risks, states, gradients, projections
+    and lockstep refinements of any subset of rows, and of each row
+    alone, equal those rows of the call on the whole stack, bit for bit
+    (row_kernel_problems.assert_rows_run_alone)."""
+    rows = data_strategy.draw(st.lists(st.integers(0, len(problem[-1]) - 1), min_size=1,
+                                       max_size=len(problem[-1]), unique=True))
+    assert_rows_run_alone(problem, budget, rows)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_linear_kernel_problems(), st.integers(1, 20), st.integers(0, 30))
+@given(row_kernel_problems(), st.integers(1, 20), st.integers(0, 30))
 def test_linear_kernel_scratch_never_aliases_state(problem, extra, budget):
-    """The margins, loss values and derivatives share two scratch arrays
-    per kernel set, grown on demand, so a state lasts until the next risk
-    call.  Until then it is what a fresh kernel set hands out, and
-    grad_rows, which writes over the array the state is not in, leaves it
-    unchanged.  This holds as the scratch arrays grow and as fewer rows
-    reuse them, and a kernel set reused across refinements gives what
-    fresh ones give."""
-    data, W1, p, loss = problem
-    shared = linear_kernels(data, loss, p, 1.0)
+    """The pre-activations, loss values and derivatives of the row kernels,
+    linear (depth 1) or deeper, share two scratch arrays per kernel set,
+    grown on demand, so a state lasts until the next risk call.  Until
+    then it is what a fresh kernel set hands out, and grad_rows, which
+    writes over the array the state is not in, leaves it unchanged.  This
+    holds as the scratch arrays grow and as fewer rows reuse them, and a
+    kernel set reused across refinements gives what fresh ones give."""
+    data, loss, shapes, p, radius, act, W1 = problem
+    kernels = lambda: row_kernels(data, loss, shapes, p, radius, act)
+    shared = kernels()
     W2 = np.concatenate([W1[::-1]] * (1 + extra))
     for W in (W1, W2, W1[::-1], W2[::-1]):  # grows the scratch, then reuses it
-        rows, fresh = np.arange(len(W)), linear_kernels(data, loss, p, 1.0)
+        rows, fresh = np.arange(len(W)), kernels()
         (risks, state), (risks_fresh, state_fresh) = shared[0](W, rows), fresh[0](W, rows)
         kept = state.copy()
         assert risks.tobytes() == risks_fresh.tobytes()
@@ -572,21 +557,26 @@ def test_linear_kernel_scratch_never_aliases_state(problem, extra, budget):
     W0 = shared[2](W2)
     for start in (W0, W0[:1], W0):
         X, risks = lockstep_descent(start, *shared, budget)
-        X_fresh, risks_fresh = lockstep_descent(start, *linear_kernels(data, loss, p, 1.0), budget)
+        X_fresh, risks_fresh = lockstep_descent(start, *kernels(), budget)
         assert X.tobytes() == X_fresh.tobytes() and risks.tobytes() == risks_fresh.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
-@given(_linear_kernel_problems())
+@given(linear_kernel_problems)
+@example(linear_problem(26, 3, 11, 29564, logistic_sigmoid, 2.0, 0.908830852706918))
 def test_linear_kernel_matches_coordinate_sums(problem):
     """The state is the margins -y_j <w, x_j>, or their loss values when
     the loss takes its slope from its value.  Each margin equals the sum
     of its d products, accumulated coordinate by coordinate, to 1e-14 of
     the sum of their magnitudes; the order in which the kernel sums them
-    is its own.  Risk and gradient equal numpy sums over the sample to
-    1e-12 of the sum of the terms' magnitudes."""
+    is its own.  So an L-Lipschitz value is within L 1e-14 of that
+    magnitude, plus its own rounding: two correct evaluations of the
+    sigmoid near 1/2 from margins that differ in their last bits can
+    differ by 1-2 ulps of the value (the example), so the bound adds four
+    roundings, np.spacing(|value|).  Risk and gradient equal numpy sums
+    over the sample to 1e-12 of the sum of the terms' magnitudes."""
     data, W, p, loss = problem
-    risk_rows, grad_rows, _ = linear_kernels(data, loss, p, 1.0)
+    risk_rows, grad_rows, _ = _linear_kernels(data, loss, p, 1.0)
     every = np.arange(len(W))
     risks, state = risk_rows(W, every)
     grads, state = grad_rows(W, state, every), state.copy()
@@ -595,8 +585,10 @@ def test_linear_kernel_matches_coordinate_sums(problem):
     for j in range(1, W.shape[1]):
         loop += W[:, j:j + 1] * ZnegT[j]
         mag += np.abs(W[:, j:j + 1] * ZnegT[j])
-    if loss.slope_from_value:  # an L-Lipschitz value of margins within 1e-14 mag
-        assert np.all(np.abs(state - loss.value(loop)) <= loss.lipschitz * 1e-14 * mag + 1e-16)
+    if loss.slope_from_value:
+        value = loss.value(loop)
+        bound = loss.lipschitz * 1e-14 * mag + 1e-16 + 4.0 * np.spacing(np.abs(value))
+        assert np.all(np.abs(state - value) <= bound)
     else:
         assert np.all(np.abs(state - loop) <= 1e-14 * mag)
     terms = data.weights * (state if loss.slope_from_value else loss.value(state))
@@ -619,7 +611,7 @@ def test_linear_kernel_rows_are_computed_alone(kind):
     data = WeightedDataset(rng.standard_normal((n, d)), rng.choice((-1.0, 1.0), size=n),
                            weights / weights.sum())
     loss = LossFunction(kind, 2.5 if kind in (PIECEWISE_LINEAR, LOGISTIC_SIGMOID) else 1.0)
-    risk_rows, grad_rows, _ = linear_kernels(data, loss, 2.0, 1.0)
+    risk_rows, grad_rows, _ = _linear_kernels(data, loss, 2.0, 1.0)
     for c in (1, 2, 3, 7, 64, 257):
         base = rng.standard_normal((2 * c, d)) * 10.0 ** rng.uniform(-3.0, 1.0, size=(2 * c, 1))
         buf = rng.standard_normal(c * d + 2)
@@ -640,14 +632,14 @@ def test_linear_kernel_rows_are_computed_alone(kind):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_linear_kernel_problems(), st.floats(0.1, 3.0), st.integers(0, 40))
+@given(linear_kernel_problems, st.floats(0.1, 3.0), st.integers(0, 40))
 def test_lockstep_descent_rows_run_alone_and_never_raise_risk(problem, radius, budget):
     """Over random shapes, p, radius and step budgets, every row ends in
     its ball with a risk no higher than its start's, the risk returned is
     the risk of the row returned, and each row equals its own
     single-row run bit for bit."""
     data, W, p, loss = problem
-    kernels = linear_kernels(data, loss, p, radius)
+    kernels = _linear_kernels(data, loss, p, radius)
     W0 = kernels[2](W)
     X, risks = lockstep_descent(W0, *kernels, budget)
     every = np.arange(len(W0))
@@ -668,7 +660,7 @@ def _boostnet_round_problem(seed, activation, radius, rows):
     spec = network_spec(2, 2.0, 2.0, activation)
     data, _ = planted_network(20, 5, 0.3, spec, 2, seed=seed % 1000)
     data = data.with_weights(boost_weights(6.0 * rng.standard_normal(data.n), data.labels))
-    kernels = linear_kernels(data, spec.act, 2.0, radius)
+    kernels = _linear_kernels(data, spec.act, 2.0, radius)
     W = rng.standard_normal((rows, data.dim)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(rows, 1))
     return kernels, kernels[2](W)
 
@@ -761,7 +753,7 @@ def test_lockstep_descent_takes_gradients_only_at_accepted_points():
     same holds on many linear rows and on the steep 1000 |x|, whose
     starts are rejected 24 times in a row."""
     data, _ = planted_halfspace(200, 5, 0.3, 2.0, seed=31)
-    linear = linear_kernels(data, piecewise_linear(1.0), 2.0, 1.0)
+    linear = _linear_kernels(data, piecewise_linear(1.0), 2.0, 1.0)
     problems = [
         _boostnet_round_problem(15, "tanh", 3.0, 6),
         (linear, linear[2](np.random.default_rng(33).standard_normal((40, 5)))),
@@ -779,13 +771,13 @@ def test_lockstep_descent_takes_gradients_only_at_accepted_points():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_linear_kernel_problems(), st.floats(0.1, 3.0))
+@given(linear_kernel_problems, st.floats(0.1, 3.0))
 def test_linear_kernel_projection_is_project(problem, radius):
     """The projection bound into the kernels is solvers.projector at the
     same p and radius, bit for bit; at p = 2 both equal the rescale
     w * min(1, radius / ||w||)."""
     data, W, p, loss = problem
-    project_rows = linear_kernels(data, loss, p, radius)[2]
+    project_rows = _linear_kernels(data, loss, p, radius)[2]
     assert np.array_equal(project_rows(W), projector(p, radius)(W))
     assert np.array_equal(project_rows(W[0]), projector(p, radius)(W[0]))
     if p == 2.0:
@@ -800,7 +792,7 @@ def test_linear_kernels_check_p_and_radius_when_built():
     for p, radius in ((0.5, 1.0), (2.5, 1.0), (math.nan, 1.0), (1.0, 0.0),
                       (2.0, -1.0), (1.5, math.nan)):
         with pytest.raises(ValueError):
-            linear_kernels(data, loss, p, radius)
+            _linear_kernels(data, loss, p, radius)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5])
