@@ -53,9 +53,9 @@ def _mc(values: np.ndarray) -> MCEstimate:
 def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> MCEstimate:
     """MC estimate of E sup_f (1/k) sum_j eps_j f(x'_j) over the candidates.
 
-    The batch is fixed; only the signs are redrawn per trial.  Over a
-    finite candidate subset of a class the estimate lower-bounds the
-    class complexity in expectation.
+    The batch is fixed; only the signs are redrawn per trial, one raw
+    generator bit per sign (see _signs).  Over a finite candidate subset of
+    a class the estimate lower-bounds the class complexity in expectation.
     """
     _check_trials(trials)
     X = np.asarray(batch_features, dtype=float)
@@ -67,11 +67,29 @@ def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> M
     sups = np.empty(trials)
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, trials)
-        eps = rng.choice((-1.0, 1.0), size=(stop - start, k))
+        eps = _signs(rng, stop - start, k)
         sups[start:stop] = np.max(_sliced_product(F, eps), axis=0)
     # Dividing by k > 0 is monotone under correct rounding, so the max of
     # the sums divided once equals the max of the divided sums.
     return _mc(sups / k)
+
+
+def _signs(rng, b, k):
+    """(b, k) independent uniform signs +-1.0, one raw generator bit each.
+
+    Each trial takes its own ceil(k / 64) words of the bit generator's
+    output, so a block of trials continues the stream exactly where the
+    previous block stopped.  Sign j of a trial is 1 - 2 * bit (j % 64) of
+    its word j // 64; the words are read as little-endian bytes, so the
+    signs do not depend on the platform's byte order.
+    """
+    words = rng.bit_generator.random_raw(b * -(-k // 64)).reshape(b, -1)
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1, count=k,
+                         bitorder="little")
+    eps = bits.astype(float)
+    eps *= -2.0
+    eps += 1.0
+    return eps
 
 
 def _sliced_product(F, eps):
@@ -112,7 +130,7 @@ def generalization_gap_check(
     for start in range(0, trials, BLOCK_TRIALS):
         stop = min(start + BLOCK_TRIALS, trials)
         idx = batch_rng.choice(data.n, size=(stop - start, k), replace=True, p=data.weights)
-        eps = np.where(sign_rng.random(idx.shape) < 0.5, -1.0, 1.0)
+        eps = _signs(sign_rng, stop - start, k)
         G = H[:, idx].mean(axis=2)
         gaps[start:stop] = np.max(np.abs(G - full[:, None]), axis=0)
         rad[start:stop] = np.max(np.sum(F[:, idx] * eps, axis=2), axis=0) / k

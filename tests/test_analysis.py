@@ -19,6 +19,22 @@ from ncerm.networks import network_spec, predictor, random_network, zero_network
 from ncerm.util import child_seed
 
 
+def _reference_signs(seed, trials, k):
+    """The (trials, k) signs of the stream of `seed`, by shift and mask: sign
+    j of a trial is 1 - 2 * bit (j % 64) of the trial's word j // 64, and a
+    trial owns the next ceil(k / 64) words of the bit generator.  The
+    array is C-ordered like the estimators' own, since BLAS may round a
+    product over a transposed layout differently."""
+    bitgen = np.random.default_rng(np.random.SeedSequence(seed)).bit_generator
+    words = bitgen.random_raw(trials * -(-k // 64)).reshape(trials, -1)
+    j = np.arange(k)
+    bits = (words[:, j // 64] >> (j % 64).astype(np.uint64)) & np.uint64(1)
+    return np.ascontiguousarray(1.0 - 2.0 * bits)
+
+
+SIGN_KS = [1, 63, 64, 65, 100, 500]
+
+
 def test_rademacher_zero_candidate_only():
     batch = np.random.default_rng(0).standard_normal((20, 3))
     zero = [lambda X: np.zeros(X.shape[0])]
@@ -82,7 +98,7 @@ def test_rademacher_sup_divides_once(k, trials, n_cands, seed, log_scale):
     F[rng.random(F.shape) < 0.2] = 0.0
     F[-1] = F[0]
     F[rng.random(F.shape) < 0.05] = 5e-324
-    eps = np.random.default_rng(np.random.SeedSequence(seed)).choice((-1.0, 1.0), size=(trials, k))
+    eps = _reference_signs(seed, trials, k)
     old = np.max(F @ eps.T / k, axis=0)
     assert (np.max(F @ eps.T, axis=0) / k).tobytes() == old.tobytes()
     est = rademacher_estimate([(lambda f: (lambda Z: f))(f) for f in F], X, trials, seed)
@@ -156,8 +172,9 @@ def test_block_size_changes_nothing(block, monkeypatch):
         seen = []
         monkeypatch.setattr(analysis, "_mc", lambda v: seen.append(v.copy()) or summarize(v))
         # k = 1 too: a one-row product of stacked batches would take another
-        # BLAS kernel than a many-row one.
-        for k in (1, 3):
+        # BLAS kernel than a many-row one.  The other k fill a trial's last
+        # sign word partly, exactly, or with one sign over.
+        for k in (3, *SIGN_KS):
             generalization_gap_check(cands, loss, data, k=k, trials=600, seed=35)
         maurey_sparsify(atoms, w, s=5, trials=600, seed=36)
         seen += [_jl_per_pair_values(monkeypatch, narrow, 0.4, 600, 37),
@@ -167,7 +184,7 @@ def test_block_size_changes_nothing(block, monkeypatch):
     blocked = per_trial_values()
     monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
     single = per_trial_values()
-    assert len(blocked) == len(single) == 7
+    assert len(blocked) == len(single) == 2 * (1 + len(SIGN_KS)) + 3
     for a, b in zip(blocked, single):
         assert np.array_equal(a, b)
 
@@ -185,15 +202,21 @@ def _rademacher_per_trial(monkeypatch, F, trials, seed):
 
 @pytest.mark.parametrize("block", [1, 7, 256])
 def test_rademacher_blocked_signs_equal_one_draw(block, monkeypatch):
-    """One candidate with values 2^j sums the signs into an integer that
-    spells them out, exactly in any order: the blocked sign draw equals
-    the one-call draw of all trials x k signs.  An odd k leaves half of a
-    64-bit draw over at the end of an odd block."""
-    k, trials, seed = 41, 600, 50
-    F = 2.0 ** np.arange(k)[None, :]
+    """One candidate with values 2^(j - c) on a slice of at most 40 columns
+    starting at c, and 0 elsewhere, sums the slice's signs into an integer
+    that spells them out, exactly in any order.  Slice by slice, under the
+    same seed, the blocked sign draw equals the one draw of all trials x k
+    signs, whether k fills a trial's last 64-bit word partly, exactly, or
+    with one sign over, at every k of SIGN_KS."""
+    trials, seed = 600, 50
     monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
-    eps = np.random.default_rng(np.random.SeedSequence(seed)).choice((-1.0, 1.0), size=(trials, k))
-    assert np.array_equal(_rademacher_per_trial(monkeypatch, F, trials, seed), eps @ F[0] / k)
+    for k in SIGN_KS:
+        eps = _reference_signs(seed, trials, k)
+        for c in range(0, k, 40):
+            F = np.zeros((1, k))
+            F[0, c:c + 40] = 2.0 ** np.arange(F[0, c:c + 40].size)
+            assert np.array_equal(_rademacher_per_trial(monkeypatch, F, trials, seed),
+                                  eps @ F[0] / k)
 
 
 def test_rademacher_column_slices_cover_k(monkeypatch):
@@ -203,9 +226,27 @@ def test_rademacher_column_slices_cover_k(monkeypatch):
     k, trials, seed = 600, 40, 57
     assert 2 * analysis.K_SLICE < k < 3 * analysis.K_SLICE
     F = np.random.default_rng(58).integers(-3, 4, size=(9, k)).astype(float)
-    eps = np.random.default_rng(np.random.SeedSequence(seed)).choice((-1.0, 1.0), size=(trials, k))
+    eps = _reference_signs(seed, trials, k)
     sups = _rademacher_per_trial(monkeypatch, F, trials, seed)
     assert np.array_equal(sups, np.max(F @ eps.T, axis=0) / k)
+
+
+def test_sign_draw_law():
+    """200,000 signs (2,000 trials of k = 100, two words each) equal the
+    shift-and-mask reference.  Every column's frequency of +1, the
+    correlation of neighbouring columns (in a byte, across bytes and across
+    the word boundary), of the same bit in a trial's two words, and of one
+    column in consecutive trials, each lie within 4 sigma of a fair,
+    independent coin's."""
+    b, k, seed = 2000, 100, 60
+    eps = analysis._signs(np.random.default_rng(np.random.SeedSequence(seed)), b, k)
+    assert eps.dtype == np.float64
+    assert np.array_equal(eps, _reference_signs(seed, b, k))
+    freq = np.mean(eps > 0, axis=0)
+    assert np.all(np.abs(freq - 0.5) <= 4.0 * 0.5 / math.sqrt(b))
+    for corr in (eps[:, :-1] * eps[:, 1:], eps[:, :k - 64] * eps[:, 64:],
+                 eps[:-1] * eps[1:]):
+        assert np.all(np.abs(corr.mean(axis=0)) <= 4.0 / math.sqrt(corr.shape[0]))
 
 
 @pytest.mark.parametrize("block", [1, 7])

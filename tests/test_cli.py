@@ -386,11 +386,14 @@ def test_t_run_is_the_round_count_run(tmp_path, monkeypatch, argv, t_run):
     ["analysis", "--check", "rademacher", "--k", "500", "--d", "20", "--trials", "300"],
     ["nn", "--m", "3", "--d", "3", "--budget-rounds", "4", "--refine-steps", "10",
      "--repetitions", "1", "--n", "20000"],
+    ["boostnet", "--n", "20000"],
+    ["analysis", "--check", "generalization", "--n", "20000", "--d", "20"],
 ])
 def test_csv_same_for_any_blas_thread_count(tmp_path, argv):
     """At n = 20,000 a sum over the sample is long enough for OpenBLAS to
     split a dot across its threads; no such sum goes through BLAS, the
-    leaf gradients of networks at every depth included.  The
+    leaf gradients of networks at every depth included, nor BoostNet's
+    rounds or the generalization check's np.sum over its batches.  The
     Rademacher product at k = 500 goes through BLAS in slices of
     analysis.K_SLICE columns, which OpenBLAS 0.3.31's SkylakeX kernel
     rounds alike at one and two threads; other kernels and BLAS builds are
