@@ -156,14 +156,14 @@ def validate(net, spec: NetworkClassSpec) -> None:
 def evaluate(net, spec: NetworkClassSpec, x):
     """Network value at a point (1-D input) or per row of a matrix."""
     x = np.asarray(x, dtype=float)
-    # Pre-activations (1, n, N_j) of a stack of one network, level by level:
-    # the leaves one BLAS product, each level above one einsum.  These are
-    # the products whose rounding the CSV and analysis outputs carry.
-    X, levels = np.atleast_2d(x), [L[None] for L in net.levels]
-    Z = X @ levels[0].transpose(0, 2, 1)
-    for C in levels[1:]:
-        Z = np.einsum("cnis,cis->cni", spec.act.value(Z.reshape(1, len(X), *C.shape[1:])), C)
-    out = Z[0, :, 0]
+    # Pre-activations (n, N_j) level by level: the leaves one BLAS product,
+    # each level above one einsum.  These are the products whose rounding
+    # the CSV and analysis outputs carry.
+    X = np.atleast_2d(x)
+    Z = X @ net.levels[0].T
+    for C in net.levels[1:]:
+        Z = np.einsum("nis,is->ni", spec.act.value(Z.reshape(len(X), *C.shape)), C)
+    out = Z[:, 0]
     return float(out[0]) if x.ndim == 1 else out
 
 

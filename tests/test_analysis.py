@@ -335,40 +335,94 @@ def _ks_statistic(a, b):
                                - np.searchsorted(b, z, side="right") / b.size)))
 
 
-@pytest.mark.parametrize("n, d, eps", [
-    (10, 200, 0.4),   # m = 9 < r = 27: the corner is drawn from its m columns
-    (30, 220, 0.45),  # m = 29 > r = 18: drawn from its r rows and transposed
-])
-def test_jl_corner_draw_has_the_projection_law(n, d, eps, monkeypatch):
-    """||P_S x||^2 / ||x||^2 for a uniform r-dim subspace S is Beta(r/2,
-    (d - r)/2) (Dasgupta & Gupta 2003).  Each pair's ratio has mean r/d and
-    variance 2 r (d - r) / (d^2 (d + 2)) within 5 standard errors, and the
-    extremes over the pairs, which the success rule reads, match the QR
-    reference by a two-sample KS statistic below its 0.1% critical value."""
-    trials = 2000
-    P = np.random.default_rng(60 + n).standard_normal((n, d))
-    s = math.ceil(12.0 * math.log(n) / eps**2)
-    r = min(s, d - s)
-    i, j = np.triu_indices(n, k=1)
-    orig = np.sum((P[i] - P[j]) ** 2, axis=1)
-    ratio = _jl_per_pair_values(monkeypatch, P, eps, trials, 61) / orig
-    assert ratio.shape == (trials, n * (n - 1) // 2)
+def _assert_projection_law(ratio, ref, r, d):
+    """Each column of the (trials, rows) ratios ||P_S x||^2 / ||x||^2 has
+    the Beta(r/2, (d - r)/2) mean r/d and variance 2 r (d - r) / (d^2
+    (d + 2)) within 5 standard errors, and the extremes over the rows match
+    those of the reference ratios by a two-sample KS statistic below its
+    0.1% critical value."""
+    trials = len(ratio)
     mean, var = r / d, 2.0 * r * (d - r) / (d * d * (d + 2))
     assert np.all(np.abs(ratio.mean(axis=0) - mean) <= 5.0 * math.sqrt(var / trials))
     dev = ratio - ratio.mean(axis=0)
     var_se = np.sqrt((np.mean(dev**4, axis=0) - ratio.var(axis=0) ** 2) / trials)
     assert np.all(np.abs(ratio.var(axis=0, ddof=1) - var) <= 5.0 * var_se)
-    ref = _reference_jl_parts(P, r, trials, 62) / orig
-    critical = 1.95 * math.sqrt(2.0 / trials)
+    critical = 1.95 * math.sqrt(2.0 / len(ref))
     assert _ks_statistic(ratio.min(axis=1), ref.min(axis=1)) < critical
     assert _ks_statistic(ratio.max(axis=1), ref.max(axis=1)) < critical
+
+
+def _seam_per_pair_values(P, epsilon, trials, seed, points):
+    """(trials, pairs) squared projected lengths that jl_distortion_check's
+    corner draw gives the pairs of the first `points` points, in the basis
+    the check takes: for shapes whose pairs are too many to check them all."""
+    n, d = P.shape
+    s = math.ceil(12.0 * math.log(n) / epsilon**2)
+    i, j = np.triu_indices(points, k=1)
+    C = (P[i] - P[j]) @ np.linalg.svd(P[1:] - P[0], full_matrices=False)[2].T
+    rngs = list(map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2)))
+    return np.concatenate([analysis._haar_corner_sq_norms(C, min(s, d - s), d, *rngs, 200)
+                           for _ in range(0, trials, 200)])
+
+
+@pytest.mark.parametrize("n, d, eps", [
+    (10, 200, 0.4),    # m = 9 < r = 27, nu = 173 >= w = 9: drawn from its m columns
+    (30, 220, 0.45),   # m = 29 > r = 18, nu = 191 >= w = 18: from its r rows, transposed
+    (300, 304, 0.49),  # m = 299, r = 18: nu = 5 < w = 18, a singular Bartlett factor
+    (301, 300, 0.49),  # m = d = 300, r = 14: nu = 0, no Bartlett factor at all
+])
+def test_jl_corner_draw_has_the_projection_law(n, d, eps, monkeypatch):
+    """||P_S x||^2 / ||x||^2 for a uniform r-dim subspace S is Beta(r/2,
+    (d - r)/2) (Dasgupta & Gupta 2003): each pair's ratio as the check draws
+    it has that law, and its extremes over the pairs, which the success rule
+    reads, match the QR reference's (_assert_projection_law).  The corner's
+    lower nu = d - max(r, m) rows enter through a Bartlett factor of nu rows,
+    of fewer rows than columns, or of none.  The check itself projects every
+    pair of 300 points (44,850) per trial, so at those shapes the corner
+    draw sees the 45 pairs of the first 10 points."""
+    trials = 2000
+    P = np.random.default_rng(60 + n).standard_normal((n, d))
+    s = math.ceil(12.0 * math.log(n) / eps**2)
+    r = min(s, d - s)
+    points = n if n <= 30 else 10
+    i, j = np.triu_indices(points, k=1)
+    orig = np.sum((P[i] - P[j]) ** 2, axis=1)
+    if points < n:
+        ratio = _seam_per_pair_values(P, eps, trials, 61, points) / orig
+    else:
+        ratio = _jl_per_pair_values(monkeypatch, P, eps, trials, 61) / orig
+    assert ratio.shape == (trials, points * (points - 1) // 2)
+    _assert_projection_law(ratio, _reference_jl_parts(P[:points], r, trials, 62) / orig, r, d)
+
+
+@pytest.mark.parametrize("d, r, m", [
+    (12, 2, 3),   # nu = 9 >= w = 2: a square Bartlett factor, 9 of the Gram's 12 rows
+    (10, 4, 8),   # nu = 2 < w = 4: a singular one of 2 rows
+    (6, 3, 6),    # nu = 0: no factor
+    (9, 4, 2),    # m < r, nu = 5 >= w = 2: the corner drawn from its m columns
+])
+def test_haar_corner_law_where_the_bartlett_factor_weighs(d, r, m):
+    """At shapes too small for the check's own s, the corner draw's lower
+    rows are most of its Gram, so an error in the Bartlett factor's degrees
+    of freedom shows in the law of ||K c||^2 / ||c||^2 for 6 fixed rows c of
+    C (_assert_projection_law).  The reference reads the first r columns of
+    a QR of a d x r Gaussian on the first m coordinates."""
+    trials = 20_000
+    C = np.random.default_rng(63).standard_normal((6, m))
+    rngs = list(map(np.random.default_rng, np.random.SeedSequence(64).spawn(2)))
+    ratio = np.concatenate([analysis._haar_corner_sq_norms(C, r, d, *rngs, 2000)
+                            for _ in range(0, trials, 2000)]) / np.sum(C * C, axis=1)
+    qr = np.random.default_rng(65)
+    ref = np.array([np.sum((C @ np.linalg.qr(qr.standard_normal((d, r)))[0][:m]) ** 2, axis=1)
+                    for _ in range(trials)]) / np.sum(C * C, axis=1)
+    _assert_projection_law(ratio, ref, r, d)
 
 
 def test_jl_memory_is_bounded_by_the_block():
     """60 points in d = 250 at epsilon 0.49 (s = 205, r = 45): 1,770 pairs,
     so a trial holds about 94,000 floats (0.75 MB), and 100 trials in one
     block would take 75 MB for the projected pairs alone.  A block holds at
-    most JL_BLOCK_FLOATS (8 MB) beside the 3.5 MB of differences."""
+    most BLOCK_FLOATS (8 MB) beside the 3.5 MB of differences."""
     P = np.random.default_rng(70).standard_normal((60, 250))
     tracemalloc.start()
     try:
@@ -471,3 +525,172 @@ def test_maurey_validation():
         maurey_sparsify(atoms, np.array([0.7, 0.2, 0.2]), 2, 10, 0)
     with pytest.raises(ValueError):
         maurey_sparsify(atoms, np.full(3, 1.0 / 3.0), 0, 10, 0)
+
+
+def _alias_weights():
+    rng = np.random.default_rng(80)
+    spread = rng.dirichlet(np.ones(500)) * 10.0 ** rng.uniform(-6, 0, 500)
+    with_zeros = rng.dirichlet(np.ones(12))
+    with_zeros[[0, 5, 11]] = 0.0
+    return [np.array([1.0]), np.full(3, 1.0 / 3.0), np.eye(7)[3], with_zeros,
+            rng.dirichlet(np.ones(30)), rng.dirichlet(np.full(1000, 0.05)),
+            spread / spread.sum(), np.full(5, 0.2) * (1.0 + 1e-10)]
+
+
+@pytest.mark.parametrize("w", _alias_weights())
+def test_alias_table_implies_the_weights(w):
+    """Atom i is drawn with probability (prob[i] + sum over alias[j] = i of
+    (1 - prob[j])) / n: that equals w_i / sum(w) within a few ulps of the
+    largest weight, a zero weight exactly.  A zero-weight atom is never
+    drawn, not by its own slot nor as another's alias, not even for the
+    uniforms at a slot's edges; and uniforms just below 1 land in the last
+    slot."""
+    n = w.size
+    prob, alias = analysis._alias_table(w)
+    assert prob.shape == alias.shape == (n,)
+    assert np.all((prob >= 0.0) & (prob <= 1.0)) and np.all((alias >= 0) & (alias < n))
+    implied = (prob + np.bincount(alias, weights=1.0 - prob, minlength=n)) / n
+    np.testing.assert_allclose(implied, w / w.sum(), rtol=0.0,
+                               atol=8.0 * np.finfo(float).eps * w.max())
+    zero = w == 0.0
+    assert np.all(implied[zero] == 0.0) and not np.any(zero[alias[prob < 1.0]])
+    edges = np.concatenate([np.arange(n) / n, np.nextafter(np.arange(1, n + 1) / n, 0.0),
+                            np.random.default_rng(81).random(20_000)])
+    idx = analysis._alias_draw(prob, alias, edges)
+    assert np.all((idx >= 0) & (idx < n)) and not np.any(zero[idx])
+
+
+def test_alias_draw_stays_inside_the_table():
+    """u = 1 - 2^-53, the largest uniform below 1, lands in the last slot of
+    a table of every size up to 2,000, and floor(u n) = n - 1 holds for
+    large n too: a draw never reads past the table."""
+    top = np.nextafter(1.0, 0.0)
+    for n in range(1, 2001):
+        assert analysis._alias_draw(np.ones(n), np.arange(n), np.array([top]))[0] == n - 1
+    for n in (2**20 - 1, 2**31 + 11, 2**52 - 1, 2**53):
+        assert int(top * n) == n - 1
+
+
+def test_maurey_draw_reads_the_uniforms_rng_choice_reads(monkeypatch):
+    """Block by block, the alias draw maps the uniforms rng.random(shape)
+    that rng.choice would draw, so a generator of the same seed that calls
+    rng.choice block by block ends each block in the same state.  Over
+    200,000 draws each atom's frequency lies within 4 sigma of its weight."""
+    rng = np.random.default_rng(82)
+    atoms = rng.standard_normal((9, 3))
+    w = rng.dirichlet(np.ones(9))
+    w[4] = 0.0
+    w /= w.sum()
+    seen = []
+    draw = analysis._alias_draw
+    monkeypatch.setattr(analysis, "_alias_draw",
+                        lambda p, a, u: seen.append((u.copy(), draw(p, a, u))) or seen[-1][1])
+    monkeypatch.setattr(analysis, "BLOCK_TRIALS", 300)
+    trials, s = 1000, 200
+    maurey_sparsify(atoms, w, s, trials, seed=83)
+    assert [u.shape for u, _ in seen] == [(300, s)] * 3 + [(100, s)]
+    uniforms = np.random.default_rng(np.random.SeedSequence(83))
+    chooser = np.random.default_rng(np.random.SeedSequence(83))
+    for u, _ in seen:
+        assert np.array_equal(u, uniforms.random(u.shape))
+        chooser.choice(w.size, size=u.shape, replace=True, p=w)
+        assert uniforms.bit_generator.state == chooser.bit_generator.state
+    freq = np.bincount(np.concatenate([idx.ravel() for _, idx in seen]), minlength=9)
+    freq = freq / (trials * s)
+    assert freq[4] == 0.0
+    assert np.all(np.abs(freq - w) <= 4.0 * np.sqrt(w * (1.0 - w) / (trials * s)))
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_maurey_adds_its_draws_in_order(dim, block, monkeypatch):
+    """Whatever the block and the atoms' dimension, a trial's v_s adds its
+    s atoms one draw after another, as a per-trial loop over the alias
+    draw of the same uniforms does.  Atoms of magnitudes 1e-8..1e8 make a
+    pairwise sum, which numpy takes over a one-float row, give other bits."""
+    rng = np.random.default_rng(92)
+    atoms = rng.standard_normal((20, dim)) * 10.0 ** rng.uniform(-8, 8, (20, 1))
+    w = rng.dirichlet(np.ones(20))
+    s, trials, seed = 200, 30, 93
+    seen = []
+    summarize = analysis._mc
+    monkeypatch.setattr(analysis, "_mc", lambda v: seen.append(v.copy()) or summarize(v))
+    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    maurey_sparsify(atoms, w, s, trials, seed)
+    u = np.random.default_rng(np.random.SeedSequence(seed)).random((trials, s))
+    idx = analysis._alias_draw(*analysis._alias_table(w), u)
+    v = w @ atoms
+    ref = np.empty(trials)
+    for t in range(trials):
+        total = atoms[idx[t, 0]].copy()
+        for j in idx[t, 1:]:
+            total += atoms[j]
+        ref[t] = np.sum(np.square(total / s - v))
+    assert np.array_equal(seen[0], ref)
+
+
+def test_generalization_memory_is_bounded_by_the_block():
+    """21 candidates on 2,000 points at k = 1,000: a block of BLOCK_TRIALS
+    trials would gather 21 x 256 x 1,000 floats (43 MB) of candidate values
+    twice over.  A block holds one gather of at most BLOCK_FLOATS (8 MB)
+    floats at a time, with its indices and signs."""
+    data, _ = planted_halfspace(2000, 4, 0.15, 2.0, seed=84)
+    dirs = np.random.default_rng(85).standard_normal((21, 4))
+    cands = [(lambda w: (lambda X: X @ w))(w) for w in dirs]
+    tracemalloc.start()
+    try:
+        generalization_gap_check(cands, piecewise_linear(1.0), data, k=1000, trials=300,
+                                 seed=86)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def test_maurey_memory_is_bounded_by_the_block():
+    """s = 1,000 atoms of dimension 40 per trial: a block of BLOCK_TRIALS
+    trials would gather 256 x 1,000 x 40 floats (82 MB).  A block holds at
+    most BLOCK_FLOATS (8 MB) floats, in fewer trials."""
+    rng = np.random.default_rng(87)
+    atoms = rng.standard_normal((50, 40))
+    w = rng.dirichlet(np.ones(50))
+    tracemalloc.start()
+    try:
+        maurey_sparsify(atoms, w, s=1000, trials=300, seed=88)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
+def _nan_at(a, index):
+    a = np.array(a, dtype=float)
+    a[index] = np.nan
+    return a
+
+
+def _non_finite_calls():
+    atoms = np.random.default_rng(89).standard_normal((4, 3))
+    w = np.full(4, 0.25)
+    points = np.random.default_rng(90).standard_normal((10, 200))
+    data, _ = planted_halfspace(30, 3, 0.1, 2.0, seed=91)
+    bad = [lambda X: np.zeros(X.shape[0]), lambda X: np.where(X[:, 0] > 0, np.inf, 0.0)]
+    return {
+        "maurey_nan_atom": lambda: maurey_sparsify(_nan_at(atoms, (2, 1)), w, 2, 10, 0),
+        "maurey_inf_atom": lambda: maurey_sparsify(atoms * np.inf, w, 2, 10, 0),
+        "maurey_nan_weight": lambda: maurey_sparsify(atoms, _nan_at(w, 3), 2, 10, 0),
+        "jl_nan_point": lambda: jl_distortion_check(_nan_at(points, (4, 7)), 0.4, 10, 0),
+        "rademacher_nan_batch": lambda: rademacher_estimate(
+            [lambda X: X[:, 0]], _nan_at(atoms, (0, 0)), 10, 0),
+        "generalization_inf_candidate": lambda: generalization_gap_check(
+            bad, piecewise_linear(1.0), data, 5, 10, 0),
+    }
+
+
+@pytest.mark.parametrize("case", list(_non_finite_calls()))
+def test_monte_carlo_rejects_non_finite_inputs(case):
+    """A NaN or infinite atom, weight, point or candidate value is a
+    one-line ValueError, not a NaN estimate or a LinAlgError."""
+    with pytest.raises(ValueError) as info:
+        _non_finite_calls()[case]()
+    assert "\n" not in str(info.value) and "finite" in str(info.value)
