@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import empirical_risk
 
 # Trials drawn per numpy call, to bound memory.  Each draw continues its stream
 # where the previous block stopped, so the size changes no draw and no result,
@@ -54,6 +53,8 @@ def _block(trial_floats: int) -> int:
 def _candidate_values(candidates, X) -> np.ndarray:
     """(candidates, rows) values of the candidates on X, all finite."""
     F = np.stack([np.asarray(c(X), dtype=float) for c in candidates])
+    if F.shape != (len(F), len(X)):
+        raise ValueError(f"candidates returned shape {F.shape[1:]}, expected ({len(X)},)")
     if not np.all(np.isfinite(F)):
         raise ValueError("candidate values must be finite")
     return F
@@ -132,15 +133,16 @@ def generalization_gap_check(
 
     G(f) is the plain average of h(-y' f(x')) over k importance-resampled
     points; the Rademacher term is estimated on fresh per-trial batches.
-    Candidates are evaluated once on the sample, since on stacked batches a
-    value could depend on its row, and so on the block size.
+    Candidates are evaluated once on the sample, for their risks and for
+    every batch, since on stacked batches a value could depend on its row,
+    and so on the block size.
     """
     _check_trials(trials)
     if data.n < 2 or k < 1:
         raise ValueError("need k >= 1 and a sample of at least two points")
-    full = np.array([empirical_risk(c, loss, data) for c in candidates])
     F = _candidate_values(candidates, data.features)
     H = loss.value(-data.labels * F)
+    full = np.array([np.einsum("n,n->", data.weights, h, optimize=False) for h in H])
     batch_rng, sign_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     gaps, rad = np.empty(trials), np.empty(trials)
     # A trial holds one gather of the candidates at its batch at a time, beside

@@ -42,7 +42,7 @@ class LinearModel:
         return float(lq_norm(self.w, self.p_exponent))
 
     def check_feasible(self) -> None:
-        if self.norm() > self.radius + NORM_TOL:
+        if not self.norm() <= self.radius + NORM_TOL:
             raise ValueError(
                 f"||w||_{self.p_exponent} = {self.norm()} exceeds radius {self.radius}"
             )

@@ -146,8 +146,8 @@ def validate(net, spec: NetworkClassSpec) -> None:
     levels = net.levels
     if len(levels) > spec.depth:
         raise ValueError(f"network depth {len(levels)} exceeds class depth {spec.depth}")
-    norms = [lq_norm(levels[0], spec.leaf_p), *(np.sum(np.abs(C), axis=1) for C in levels[1:])]
-    for j, (L, norm) in enumerate(zip(levels, norms), start=1):
+    for j, L in enumerate(levels, start=1):
+        norm = lq_norm(L, 1.0 if j > 1 else spec.leaf_p)
         if not (np.all(np.isfinite(L)) and np.max(norm) <= spec.budget + NORM_TOL):
             raise ValueError(f"level {j} weights must be finite with norms within "
                              f"budget {spec.budget} (max norm {np.max(norm)})")
@@ -282,14 +282,11 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
 def _draw_network(rng: np.random.Generator, spec: NetworkClassSpec, dim: int,
                   width: int, depth: int) -> list:
     """Level tensors of a random network, every norm at the budget: one
-    standard normal draw per level, leaves first.  Each row is scaled by
-    its own norm (l_p at the leaves, l_1 above) taken alone, as a network
-    built node by node with combine is: lq_norm of the same row within a
-    stack can differ in the last bit."""
+    standard normal draw per level, leaves first, each row scaled by its
+    norm (l_p at the leaves, l_1 above)."""
     levels = [rng.standard_normal(shape) for shape in _level_shapes(depth, width, dim)]
     for j, L in enumerate(levels):
-        for v in L:
-            v *= spec.budget / lq_norm(v, 1.0 if j else spec.leaf_p)
+        L *= (spec.budget / lq_norm(L, 1.0 if j else spec.leaf_p))[:, None]
     return levels
 
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from .util import lq_scaled
+
 LS_MAX_ITER = 500
 _STEP_FLOOR = 1e-13
 _STALL_REJECTS = 25
@@ -47,18 +49,19 @@ def project_l1(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
-    """Project rows alpha >= 0 (max 1, l_p norm `norm` > c) onto the ball of
-    radius c (m, 1).  With w = c*omega, s = omega^(p-1), Newton runs on the
-    KKT system F = c*omega + rho*s - alpha = 0, G ln G = 0 (G = sum omega^p)
-    jointly in rho and u = ln(omega), whose rounding is |u|*eps for every p.
-    The Jacobian is D = c*omega + (p-1)*rho*s plus one row and column (Schur
-    complement).  rho starts at hi*(1 - c/norm), hi = ||alpha||_(p/(p-1))
+    """Project rows alpha >= 0 (max 1, l_p norm `norm`) outside the ball of
+    radius c (m, 1) onto it.  With w = c*omega, s = omega^(p-1), Newton runs
+    on the KKT system F = c*omega + rho*s - alpha = 0, G ln G = 0 (G = sum
+    omega^p) jointly in rho and u = ln(omega), whose rounding is |u|*eps for
+    every p.  The Jacobian is D = c*omega + (p-1)*rho*s plus one row and
+    column (Schur complement).  rho starts at hi*(1 - c/norm), hi = ||alpha||_(p/(p-1))
     its bound, and omega at 1/(c/alpha + (rho/alpha)^(1/(p-1))), a bound of
     its root from above, which one Newton step in u alone at that rho brings
     nearer (F is convex and increasing in u, so the step stays above the
     root).  F is convex in u and concave in omega, so G at the roots for
     this rho lies in [sum omega^p (1 - pF/D), sum omega^p exp(-pF/D)]: a step
-    leaving (lo, hi) tightens the bracket with them and bisects it.  A rho
+    leaving (lo, hi) tightens the bracket with them and bisects it, or, if
+    neither bound decides, holds rho for a step in u alone.  A rho
     step worth a rounding-level change of G is dropped.  A row stops after
     the step from an iterate with |F| <= _KKT_TOL*alpha, |G ln G| and the
     relative rho step <= _KKT_TOL, and leaves the working set, so it comes
@@ -102,10 +105,10 @@ def _lp_sphere_rows(alpha, c, norm, p: float, radius: float) -> np.ndarray:
                 finished = done.any()
             top = cap
             if out.any():
-                lo = np.where(out & (G - p * wf > 1.0 + _BRACKET_MARGIN), rho, lo)
-                up = np.exp(p * (u - f)).sum(axis=1) < 1.0 - _BRACKET_MARGIN
-                hi = np.where(out & up, rho, hi)
-                new = np.where(out, 0.5 * (lo + hi), new)
+                above = out & (G - p * wf > 1.0 + _BRACKET_MARGIN)
+                below = out & (np.exp(p * (u - f)).sum(axis=1) < 1.0 - _BRACKET_MARGIN)
+                lo, hi = np.where(above, rho, lo), np.where(below, rho, hi)
+                new = np.where(out, np.where(above | below, 0.5 * (lo + hi), rho), new)
                 top = np.where(out[:, None], bound(new, cap, ln_inv, ln_a), cap)
             u, rho = np.minimum(u - (f + g * (new - rho)[:, None]), top), new
             if finished:
@@ -150,11 +153,11 @@ def _bisect_sphere_rows(bound, a, c, lo, hi, cap, ln_inv, ln_a, p):
 def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
     """Euclidean projection onto the l_p ball, p in (1, 2].
 
-    p = 2 rescales.  For p in (1, 2) a row is tested and solved in units of
-    its largest magnitude t, as proj_{rB}(v) = t proj_{(r/t)B}(v/t), so no
-    magnitude of v or radius overflows or underflows.  A row outside the
-    ball is solved by one safeguarded Newton iteration on its whole KKT
-    system w_i + lam*p*w_i^(p-1) = |v_i|, ||w||_p = radius (_lp_sphere_rows).
+    p = 2 rescales.  For p in (1, 2) a row is unchanged if lq_norm(v, p) <=
+    radius, else solved in units of its largest magnitude t, as proj_{rB}(v)
+    = t proj_{(r/t)B}(v/t), so no magnitude of v or radius overflows or
+    underflows, by one safeguarded Newton iteration on its whole KKT system
+    w_i + lam*p*w_i^(p-1) = |v_i|, ||w||_p = radius (_lp_sphere_rows).
     A stack is projected along its last axis, each row as it would be alone.
     """
     if not (1.0 < p <= 2.0):
@@ -166,15 +169,11 @@ def project_lp(v: np.ndarray, p: float, radius: float) -> np.ndarray:
         return _scale_into_l2(v, radius)
     # C order, so each row of a stack is solved with the same sums as alone.
     a = np.abs(np.atleast_2d(v), order="C")
-    top = a.max(axis=-1, keepdims=True)
-    # An all-zero row gives nan > inf and a subnormal top r/top = inf: inside.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        alpha, c = a / top, radius / top
-        norm = (alpha**p).sum(axis=-1) ** (1.0 / p)
-        outside = norm > c[..., 0]
+    top, alpha, norm = lq_scaled(a, p)
+    outside = top[..., 0] * norm > radius  # lq_norm(v, p) > radius
     if not outside.any():
         return v.copy()
-    a[outside] = _lp_sphere_rows(alpha[outside], c[outside], norm[outside], p, radius)
+    a[outside] = _lp_sphere_rows(alpha[outside], radius / top[outside], norm[outside], p, radius)
     return np.sign(v) * a.reshape(v.shape)
 
 

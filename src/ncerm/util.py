@@ -67,16 +67,31 @@ def dual_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def lq_scaled(a: np.ndarray, q: float):
+    """(top, a / top, ||a / top||_q) along the last axis of magnitudes a, C-ordered
+    and at least 2-D so a row is summed and powered alike alone or in a stack;
+    top = max keeping its axis, and a zero row gives 0s."""
+    top = a.max(axis=-1, keepdims=True)
+    alpha = a / np.where(top > 0.0, top, 1.0)
+    return top, alpha, (alpha**q).sum(axis=-1) ** (1.0 / q)
+
+
 def lq_norm(x: np.ndarray, q: float) -> np.ndarray | float:
-    """l_q norm along the last axis; q may be inf."""
+    """l_q norm along the last axis; q may be inf.  Alone or in a stack, a row has one norm."""
     x = np.asarray(x, dtype=float)
     if math.isinf(q):
         return np.max(np.abs(x), axis=-1)
-    return np.sum(np.abs(x) ** q, axis=-1) ** (1.0 / q)
+    a = np.abs(np.atleast_2d(x), order="C")
+    if q == 1.0:
+        norm = a.sum(axis=-1)
+    else:
+        top, _, norm = lq_scaled(a, q)
+        norm *= top[..., 0]
+    return norm if x.ndim > 1 else norm[0]
 
 
 def check_unit_ball(features, q: float) -> None:
     """Raise ValueError unless every row x of features has ||x||_q <= 1."""
     top = float(np.max(lq_norm(features, q)))
-    if top > 1.0 + NORM_TOL:
+    if not top <= 1.0 + NORM_TOL:
         raise ValueError(f"data must satisfy ||x||_{q} <= 1 (max {top!r})")

@@ -694,3 +694,16 @@ def test_monte_carlo_rejects_non_finite_inputs(case):
     with pytest.raises(ValueError) as info:
         _non_finite_calls()[case]()
     assert "\n" not in str(info.value) and "finite" in str(info.value)
+
+
+@pytest.mark.parametrize("wrong", [lambda X: np.zeros((len(X), 2)), lambda X: 0.0])
+def test_monte_carlo_rejects_wrong_shaped_candidates(wrong):
+    """A candidate whose values are not one per row is a one-line ValueError
+    in both estimators that evaluate candidates."""
+    data, _ = planted_halfspace(30, 3, 0.1, 2.0, seed=91)
+    calls = (lambda: rademacher_estimate([wrong], data.features, 10, 0),
+             lambda: generalization_gap_check([wrong], piecewise_linear(1.0), data, 5, 10, 0))
+    for call in calls:
+        with pytest.raises(ValueError, match="shape") as info:
+            call()
+        assert "\n" not in str(info.value)

@@ -828,6 +828,8 @@ def _lp_projection_problems(draw):
 @example((np.array([-2.5482967479793466] + [-1.0] * 18), 1.0078125, 1.75))
 @example((np.array([-64.93816316, -10.0] + [-1.0] * 24), 1.0000000000000002, 62.0))
 @example((np.array([-2.5137196629566914] + [-1.0] * 49), 1.0000000000000002, 1.7036306764810012))
+# On the sphere to the last bit: the inside test must agree with lq_norm.
+@example((np.array([-0.01]), 1.5, 0.01))
 def test_project_lp_kkt(problem):
     """The projection is feasible, keeps signs and zeros, returns a point
     inside the ball as it is, and otherwise meets the optimality
@@ -862,11 +864,10 @@ def _assert_lp_kkt(v, p, radius, out):
 
 def test_project_lp_tied_magnitudes_battery(monkeypatch):
     """Rows of 3 leading magnitudes and m up to 60 tied unit ones, with
-    p - 1 from 2^-52 to 0.1, each meet the optimality conditions, whether
-    the joint Newton iteration converges on them or bisection finishes
-    them.  At most 72 of the 4,608 rows reach bisection (123 without the
-    start step in u); project_lp looks the fallback up at call time, so
-    the counter sees every row that reaches it."""
+    p - 1 from 2^-52 to 0.1, each meet the optimality conditions, and the
+    joint Newton iteration converges on all 4,608 rows, so none reaches
+    bisection; project_lp looks the fallback up at call time, so the
+    counter sees every row that reaches it."""
     bisect, fallback = solvers._bisect_sphere_rows, []
 
     def counted(bound, a, *rest):
@@ -884,7 +885,7 @@ def test_project_lp_tied_magnitudes_battery(monkeypatch):
             for radius in (0.3, 1.75, 5.0, 62.0):
                 for v, w in zip(V, project_lp(V, p, radius)):
                     _assert_lp_kkt(v, p, radius, w)
-    assert sum(fallback) <= 72
+    assert sum(fallback) == 0
 
 
 def test_project_lp_rows_match_single_rows():

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ncerm.util import ceil_big_product
+from ncerm.util import ceil_big_product, lq_norm
 
 
 @settings(max_examples=300, deadline=None)
@@ -34,3 +36,30 @@ def test_ceil_big_product_rejects_bad_inputs():
     for args in ((0.0, 2.0, 1, 1.0), (1.0, -2.0, 1, 1.0), (1.0, 2.0, 1, 0.0), (1.0, 2.0, -1, 1.0)):
         with pytest.raises(ValueError):
             ceil_big_product(*args)
+
+
+@st.composite
+def _stacks(draw):
+    """A (b, m, d) stack of magnitudes 1e-300..1e300 with random signs, some
+    entries and some whole rows zero."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 20)))
+    exponents = draw(hnp.arrays(float, shape, elements=st.floats(-300.0, 300.0)))
+    signs = draw(hnp.arrays(float, shape, elements=st.sampled_from((-1.0, 0.0, 1.0, 1.0))))
+    zero_rows = draw(hnp.arrays(bool, shape[:2]))
+    return np.where(zero_rows[..., None], 0.0, signs * 10.0**exponents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks(), st.sampled_from((1.0, 1.2, 1.5, 1.9, 2.0, math.inf)))
+def test_lq_norm_of_a_row_same_alone_and_in_stacks(X, q):
+    """A row's l_q norm has the same bits alone, in its matrix and in the 3-D
+    stack, C- or Fortran-ordered, and no sum overflows for magnitudes up
+    to 1e300."""
+    norms = lq_norm(X, q)
+    assert norms.shape == X.shape[:2] and np.all(np.isfinite(norms))
+    for i, M in enumerate(X):
+        assert np.array_equal(lq_norm(M, q), norms[i])
+        assert np.array_equal(lq_norm(np.asfortranarray(M), q), norms[i])
+        for j, row in enumerate(M):
+            assert lq_norm(row, q) == norms[i, j]
+    assert np.all((norms == 0.0) == ~X.any(axis=-1))
