@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .networks import Predictor, evaluate_stack
+
 
 # Trials drawn per numpy call, to bound memory.  Each draw continues its stream
 # where the previous block stopped, so the size changes no draw and no result,
@@ -51,13 +53,46 @@ def _block(trial_floats: int) -> int:
 
 
 def _candidate_values(candidates, X) -> np.ndarray:
-    """(candidates, rows) values of the candidates on X, all finite."""
-    F = np.stack([np.asarray(c(X), dtype=float) for c in candidates])
+    """(candidates, rows) values of the candidates on X, all finite.
+
+    Network predictors of one activation and one set of level shapes are
+    evaluated as one stack (networks.evaluate_stack), in blocks of at most
+    BLOCK_FLOATS floats, when the first of them comes up; each row has the
+    bits the predictor gives alone.  Every other candidate is called on X.
+    """
+    stacks = {}
+    for i, c in enumerate(candidates):
+        if isinstance(c, Predictor):
+            stacks.setdefault((c.spec.activation, tuple(L.shape for L in c.net.levels)),
+                              []).append(i)
+    at_first = {group[0]: group for group in stacks.values()}
+    rows = [None] * len(candidates)
+    for i, c in enumerate(candidates):
+        if i in at_first:
+            _stack_rows(rows, candidates, at_first[i], X)
+        elif not isinstance(c, Predictor):
+            rows[i] = np.asarray(c(X), dtype=float)
+    F = np.stack(rows)
     if F.shape != (len(F), len(X)):
         raise ValueError(f"candidates returned shape {F.shape[1:]}, expected ({len(X)},)")
     if not np.all(np.isfinite(F)):
         raise ValueError("candidate values must be finite")
     return F
+
+
+def _stack_rows(rows, candidates, group, X) -> None:
+    """Fill rows[j] for the predictors candidates[j], j in group, which share
+    an activation and level shapes, a block of networks at a time."""
+    levels = candidates[group[0]].net.levels
+    # A network holds its leaf pre-activations, their activated copy and its
+    # stacked level tensors.
+    block = max(1, BLOCK_FLOATS // (2 * len(X) * len(levels[0]) + sum(L.size for L in levels)))
+    for start in range(0, len(group), block):
+        part = group[start:start + block]
+        # evaluate_stack reads only the activation, which the group shares.
+        V = evaluate_stack([candidates[j].net for j in part], candidates[part[0]].spec, X)
+        for j, v in zip(part, V):
+            rows[j] = v
 
 
 def _mc(values: np.ndarray) -> MCEstimate:

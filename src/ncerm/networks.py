@@ -153,23 +153,46 @@ def validate(net, spec: NetworkClassSpec) -> None:
                              f"budget {spec.budget} (max norm {np.max(norm)})")
 
 
+def evaluate_stack(nets, spec: NetworkClassSpec, x) -> np.ndarray:
+    """Values of equally shaped networks, one row per network: (networks,
+    rows) for a matrix x, (networks,) at a point.  Only spec's activation
+    is read.  Each row has the bits evaluate gives its network alone."""
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    # Pre-activations (c, n, N_j) level by level, each level tensor with a
+    # leading network axis: the leaves one BLAS gemm per network, the
+    # operands of X @ W.T, and each level above one einsum over the whole
+    # stack, its sum over s innermost.  These are the products whose
+    # rounding the CSV and analysis outputs carry.
+    levels = [np.concatenate(Ls).reshape(len(Ls), *Ls[0].shape)
+              for Ls in zip(*(net.levels for net in nets))]
+    Z = np.matmul(X, levels[0].transpose(0, 2, 1))
+    for C in levels[1:]:
+        Z = np.einsum("cnis,cis->cni", spec.act.value(Z.reshape(len(C), len(X), *C.shape[1:])), C)
+    return Z[:, :, 0] if x.ndim > 1 else Z[:, 0, 0]
+
+
 def evaluate(net, spec: NetworkClassSpec, x):
     """Network value at a point (1-D input) or per row of a matrix."""
-    x = np.asarray(x, dtype=float)
-    # Pre-activations (n, N_j) level by level: the leaves one BLAS product,
-    # each level above one einsum.  These are the products whose rounding
-    # the CSV and analysis outputs carry.
-    X = np.atleast_2d(x)
-    Z = X @ net.levels[0].T
-    for C in net.levels[1:]:
-        Z = np.einsum("nis,is->ni", spec.act.value(Z.reshape(len(X), *C.shape)), C)
-    out = Z[:, 0]
-    return float(out[0]) if x.ndim == 1 else out
+    out = evaluate_stack([net], spec, x)[0]
+    return out if out.ndim else float(out)
 
 
-def predictor(net, spec: NetworkClassSpec):
+@dataclass(frozen=True, eq=False)
+class Predictor:
+    """The vectorized callable X -> evaluate(net, spec, X) of the risk
+    functions; analysis evaluates predictors of one shape as a stack."""
+
+    net: Network
+    spec: NetworkClassSpec
+
+    def __call__(self, X):
+        return evaluate(self.net, self.spec, X)
+
+
+def predictor(net, spec: NetworkClassSpec) -> Predictor:
     """Vectorized callable suitable for the risk functions."""
-    return lambda X: evaluate(net, spec, X)
+    return Predictor(net, spec)
 
 
 def net_to_dict(net) -> dict:

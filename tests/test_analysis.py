@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from ncerm.analysis import (
 )
 from ncerm.data import planted_halfspace
 from ncerm.losses import piecewise_linear
-from ncerm.networks import network_spec, predictor, random_network, zero_network
+from ncerm.networks import Network, network_spec, predictor, random_network, zero_network
 from ncerm.util import child_seed
 
 
@@ -85,12 +86,17 @@ def test_rademacher_linear_class_bound():
 @given(st.integers(1, 40), st.integers(2, 30), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 150.0))
 @example(100, analysis.BLOCK_TRIALS, 201, 51, 0.0)
+@example(2, 2, 3, 666, 0.0)
+@example(2, 2, 2, 70, 0.0)
 def test_rademacher_sup_divides_once(k, trials, n_cands, seed, log_scale):
     """The supremum max_f (F eps)/k taken as max(F eps) / k equals the old
-    max(F eps / k) bit for bit: dividing by k > 0 is monotone under
-    correct rounding.  Values span 1e-150..1e150, with zeros, ties and
-    subnormal quotients; rademacher_estimate agrees with the old form,
-    one product of all signs, while trials <= BLOCK_TRIALS."""
+    max(F eps / k) bit for bit, up to the sign of a zero: dividing by k > 0
+    is monotone under correct rounding, but np.max over a column holding
+    both +0.0 and -0.0 (a subnormal sum divided by k) may return either, so
+    the bytes are compared after adding +0.0.  Values span 1e-150..1e150,
+    with zeros, ties and subnormal quotients; rademacher_estimate agrees
+    with the old form, one product of all signs, while trials <=
+    BLOCK_TRIALS."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((k, 3))
     F = rng.standard_normal((n_cands, k)) * 10.0 ** rng.uniform(-log_scale, log_scale,
@@ -100,7 +106,7 @@ def test_rademacher_sup_divides_once(k, trials, n_cands, seed, log_scale):
     F[rng.random(F.shape) < 0.05] = 5e-324
     eps = _reference_signs(seed, trials, k)
     old = np.max(F @ eps.T / k, axis=0)
-    assert (np.max(F @ eps.T, axis=0) / k).tobytes() == old.tobytes()
+    assert (np.max(F @ eps.T, axis=0) / k + 0.0).tobytes() == (old + 0.0).tobytes()
     est = rademacher_estimate([(lambda f: (lambda Z: f))(f) for f in F], X, trials, seed)
     assert (est.value, est.trials) == (float(old.mean()), trials)
     assert est.stderr == float(old.std(ddof=1) / math.sqrt(trials))
@@ -120,6 +126,72 @@ def test_rademacher_network_class_bound():
     est = rademacher_estimate(cands, X, trials=400, seed=10)
     bound = math.sqrt(spec.input_q / k) * spec.budget**spec.depth
     assert est.value <= bound + 3.0 * est.stderr
+
+
+# A network kind (depth, width, activation); a member (which, seed, budget,
+# leaf_p) is a plain lambda at which = -2, a depth-1 zero network at -1 and a
+# random network of kind `which` (mod the kinds drawn) otherwise.
+_NET_KIND = st.tuples(st.integers(1, 3), st.integers(1, 4), st.sampled_from(["tanh", "clamp", "erf"]))
+_MEMBER = st.tuples(st.integers(-2, 2), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 2.5]),
+                    st.sampled_from([1.5, 2.0]))
+
+
+def _mixed_candidates(d, kinds, members):
+    cands = []
+    for which, seed, budget, leaf_p in members:
+        if which == -2:
+            w = np.random.default_rng(seed).standard_normal(d)
+            cands.append(lambda Z, w=w: Z @ w)
+        elif which == -1:
+            cands.append(predictor(zero_network(d), network_spec(1, budget, leaf_p, "tanh")))
+        else:
+            depth, width, act = kinds[which % len(kinds)]
+            spec = network_spec(depth, budget, leaf_p, act)
+            cands.append(predictor(random_network(spec, d, width, seed), spec))
+    return cands
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 30), st.lists(_NET_KIND, min_size=1, max_size=3),
+       st.lists(_MEMBER, min_size=1, max_size=24), st.integers(0, 2**32 - 1),
+       st.floats(-3.0, 3.0), st.integers(1, 300))
+@example(6, 100, [(2, 2, "tanh")], [(-1, 0, 1.0, 2.0)] + [(0, i, 1.0, 2.0) for i in range(200)],
+         7, 0.0, 1000)
+def test_stacked_candidate_values_equal_each_alone(d, n, kinds, members, seed, log_scale,
+                                                   small):
+    """_candidate_values evaluates network predictors of one activation and
+    level shapes as one stack, whatever their budgets and leaf exponents;
+    its rows equal np.stack of every candidate called alone, byte for byte,
+    in candidate order.  So they do with BLOCK_FLOATS set small enough to
+    split each stack over many blocks, down to one network per block.  The
+    scale 10^log_scale reaches the clamp's kinks and the squashing's tails;
+    the example is the montecarlo workload's shape."""
+    cands = _mixed_candidates(d, kinds, members)
+    X = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** log_scale
+    alone = np.stack([np.asarray(c(X), dtype=float) for c in cands])
+    assert analysis._candidate_values(cands, X).tobytes() == alone.tobytes()
+    with mock.patch.object(analysis, "BLOCK_FLOATS", small):
+        assert analysis._candidate_values(cands, X).tobytes() == alone.tobytes()
+
+
+def test_stacked_networks_keep_their_error_messages():
+    """A stack of network predictors fails with the message the plain 2-D
+    products gave: a batch of another dimension than the leaves raises
+    matmul's own ValueError, and a NaN weight the non-finite check's."""
+    spec = network_spec(2, 1.0, 2.0, "tanh")
+    X = np.random.default_rng(3).standard_normal((20, 3))
+    wide = [random_network(spec, 4, 2, s) for s in range(3)]
+    with pytest.raises(ValueError) as plain:
+        X @ wide[0].levels[0].T
+    nets = [random_network(spec, 3, 2, s) for s in range(3)]
+    leaves = nets[1].levels[0].copy()
+    leaves[0, -1] = np.nan
+    nets[1] = Network([leaves, *nets[1].levels[1:]])
+    for stack, message in ((wide, str(plain.value)), (nets, "candidate values must be finite")):
+        with pytest.raises(ValueError) as info:
+            rademacher_estimate([lambda Z: np.zeros(len(Z)), *(predictor(n, spec) for n in stack)],
+                                X, 10, 0)
+        assert str(info.value) == message
 
 
 def test_generalization_gap_within_bound():

@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ncerm
-from ncerm import halfspace
+from ncerm import experiments, halfspace
 from ncerm.cli import COMMANDS, build_parser, command_options, main
+from ncerm.networks import Network
 
 FAST_ARGS = {
     "halfspace": ["--n", "40", "--d", "3", "--repetitions", "2",
@@ -307,6 +309,35 @@ def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@pytest.mark.parametrize("fault", ["input_dimension", "nan_weight"])
+def test_rademacher_network_stack_error_is_one_line(capsys, monkeypatch, fault):
+    """A stack of network candidates that cannot be evaluated ends in the
+    one-line error the plain 2-D products gave: matmul's own message for
+    leaves wider than the batch, the non-finite check's for a NaN weight."""
+    real = experiments.random_network
+
+    def faulty(spec, d, width, seed):
+        if fault == "input_dimension":
+            return real(spec, d + 1, width, seed)
+        net = real(spec, d, width, seed)
+        leaves = net.levels[0].copy()
+        leaves[0, 0] = np.nan
+        return Network([leaves, *net.levels[1:]])
+
+    monkeypatch.setattr(experiments, "random_network", faulty)
+    assert main(["analysis", "--check", "rademacher", "--d", "4", "--n", "5",
+                 "--trials", "10"]) == 1
+    if fault == "input_dimension":  # the default batch is 100 x 4, each leaf level 2 x 5
+        with pytest.raises(ValueError) as plain:
+            np.zeros((100, 4)) @ np.zeros((2, 5)).T
+        message = str(plain.value)
+    else:
+        message = "candidate values must be finite"
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncerm import networks
 from ncerm.data import WeightedDataset, draw_batch, planted_network
 from ncerm.halfspace import algorithm2
 from ncerm.losses import empirical_risk, piecewise_linear
@@ -141,6 +142,18 @@ def test_evaluate_hand_computed():
     assert len(zero_network(4).levels) == 1
 
 
+def _plain_evaluate(net, spec, x):
+    """evaluate as it was written over one network: the leaves one 2-D
+    product X @ W.T, each level above one einsum without a network axis."""
+    x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    Z = X @ net.levels[0].T
+    for C in net.levels[1:]:
+        Z = np.einsum("nis,is->ni", spec.act.value(Z.reshape(len(X), *C.shape)), C)
+    out = Z[:, 0]
+    return float(out[0]) if x.ndim == 1 else out
+
+
 def _stacked_evaluate(net, spec, x):
     """evaluate as it was written over a stack of one network: each level's
     operands carry a leading axis of length 1."""
@@ -158,25 +171,33 @@ def _stacked_evaluate(net, spec, x):
        st.sampled_from([0, 1, 7, 200, 3000]), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0))
 @example(2, 2, 6, "tanh", 100, 0, 0.0)
 def test_evaluate_equals_stacked_products(depth, width, dim, act, n, seed, log_scale):
-    """evaluate's plain 2-D products give the bytes of the stack-of-one
-    products they replaced, at depth 1 to 4, for every activation, for one
-    point (n = 0: a 1-D input) and for matrices of 1 to 3,000 rows, whose
-    scale 10^log_scale reaches the clamp's kinks and the squashing's tails."""
+    """evaluate, the stacked pass on a stack of one, gives the bytes of both
+    earlier forms, the stack-of-one products and the plain 2-D products, at
+    depth 1 to 4, for every activation, for one point (n = 0: a 1-D input)
+    and for matrices of 1 to 3,000 rows, whose scale 10^log_scale reaches
+    the clamp's kinks and the squashing's tails."""
     spec = network_spec(depth, 1.0, 2.0, act)
     net = random_network(spec, dim, width, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, dim) if n else dim) * 10.0 ** log_scale
-    new, old = evaluate(net, spec, x), _stacked_evaluate(net, spec, x)
-    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
-    assert type(new) is type(old)
+    new = evaluate(net, spec, x)
+    for old in (_stacked_evaluate(net, spec, x), _plain_evaluate(net, spec, x)):
+        assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+        assert type(new) is type(old)
 
 
-def test_predictor_wraps_evaluate():
+def test_predictor_wraps_evaluate(monkeypatch):
+    """A predictor calls the module's evaluate as it stands at call time, so
+    a wrapper installed after the predictor was built (a tracer's) sees it."""
     spec = network_spec(1, 1.0)
     net = Network([[[0.5, -0.5]]])
     f = predictor(net, spec)
     X = np.array([[1.0, 1.0], [1.0, -1.0]])
     assert np.array_equal(f(X), evaluate(net, spec, X))
+    calls = []
+    monkeypatch.setattr(networks, "evaluate", lambda *a: calls.append(a) or evaluate(*a))
+    assert np.array_equal(f(X), evaluate(net, spec, X))
+    assert len(calls) == 1 and calls[0][0] is net
 
 
 def test_json_roundtrip_exact(tmp_path):
