@@ -10,15 +10,16 @@ the combination rescaled so its l1 weight equals the class budget B.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .halfspace import algorithm1, algorithm2, config_alg1
-from .losses import empirical_risk, zero_one_risk
+from .losses import NonFiniteError, zero_one_risk
 from .networks import Network, NetworkClassSpec, algorithm3, combine, evaluate
-from .util import NORM_TOL, check_unit_ball, child_seed
+from .util import NORM_TOL, child_seed
 
 _MU_HI = 1.0 - 1e-15
 WEAK_DELTA = 0.05  # failure probability of a weak learner's theory round count
@@ -66,9 +67,10 @@ class BoostConfig:
         if self.class_spec.depth < 2:
             raise ValueError("boosting needs class depth >= 2")
 
-    @property
+    @functools.cached_property
     def weak_spec(self) -> NetworkClassSpec:
-        """The class of the weak networks: one level shallower."""
+        """The class of the weak networks: one level shallower, built once,
+        with its activation, for every round."""
         return replace(self.class_spec, depth=self.class_spec.depth - 1)
 
 
@@ -152,7 +154,7 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
     error, and the minimum margin of the rescaled combination (B/b_t) f_t.
     """
     spec, weak_spec = config.class_spec, config.weak_spec
-    check_unit_ball(data.features, spec.input_q)
+    data.check_unit_ball(spec.input_q)
     X, y, B, act = data.features, data.labels, spec.budget, spec.act
     T = config.T if config.T is not None else default_rounds(data.n, B, config.gamma)
     if T < 1:
@@ -162,12 +164,17 @@ def boostnet_train(data, config: BoostConfig) -> BoostResult:
         data_t = data.with_weights(boost_weights(M, y))
         net_t = weak_learn(data_t, config, child_seed(config.seed, t))
         F = evaluate(net_t, weak_spec, X)
-        g_val = empirical_risk(lambda _: F, act, data_t)
+        if not np.all(np.isfinite(F)):
+            raise NonFiniteError("predictor produced non-finite values")
+        # sigma is odd, so G_t = sum_i a_i sigma(-y_i g(x_i)) is the weighted
+        # sum of -y sigma(g), the values the combination adds.
+        S = act.value(F)
+        g_val = float(np.einsum("n,n->", data_t.weights, -y * S, optimize=False))
         clamped = g_val < -0.5 or g_val >= _MU_HI
         mu = min(max(-0.5, g_val), _MU_HI)
         c = 0.5 * math.log((1.0 - mu) / (1.0 + mu))
         b += abs(c)
-        M += c * act.value(F)
+        M += c * S
         zero_one = zero_one_risk(lambda _: M, data)
         min_margin = float((B / b) * np.min(y * M)) if b > 0 else 0.0
         children.append(net_t)

@@ -5,11 +5,11 @@ from __future__ import annotations
 import copy
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import dual_exponent, lq_norm
+from .util import check_unit_ball, dual_exponent, lq_norm
 
 _WEIGHT_SUM_TOL = 1e-12
 _PLANT_MAX_CHUNKS = 10_000
@@ -23,10 +23,12 @@ def _checked_weights(weights, n: int) -> np.ndarray:
     w = np.ascontiguousarray(weights, dtype=float)
     if w.shape != (n,):
         raise ValueError("weights must have one entry per row")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    # A NaN makes the minimum NaN, which fails the test.
+    if not (np.minimum.reduce(w) >= 0.0 and np.isfinite(np.maximum.reduce(w))):
         raise ValueError("weights must be finite and nonnegative")
-    if abs(w.sum() - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
+    total = np.add.reduce(w)
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1 (got {total!r})")
     return w
 
 
@@ -38,15 +40,19 @@ class WeightedDataset:
     labels:   (n,) values in {-1, +1}
     weights:  (n,) nonnegative, summing to 1
 
-    Each learner checks on entry that the rows lie in its unit l_q ball.
+    Each learner checks on entry that the rows lie in its unit l_q ball
+    (check_unit_ball).  features is a read-only copy of the given array,
+    so the largest row norm, computed once per q, stays that of the rows.
     """
 
     features: np.ndarray
     labels: np.ndarray
     weights: np.ndarray
+    # q -> largest ||x||_q over the rows, shared with every with_weights copy.
+    _max_norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.features, dtype=float)
+        X = np.array(self.features, dtype=float, order="C")
         y = np.ascontiguousarray(self.labels, dtype=float)
         if X.ndim != 2 or X.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) matrix")
@@ -56,6 +62,7 @@ class WeightedDataset:
             raise ValueError("features must be finite")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
+        X.flags.writeable = False
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "weights", _checked_weights(self.weights, X.shape[0]))
@@ -68,9 +75,19 @@ class WeightedDataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    def check_unit_ball(self, q: float) -> None:
+        """util.check_unit_ball of the features, their largest l_q row norm
+        computed on the first call for this q by this dataset or any of its
+        with_weights copies."""
+        top = self._max_norms.get(q)
+        if top is None:
+            top = self._max_norms[q] = float(np.max(lq_norm(self.features, q)))
+        check_unit_ball(self.features, q, top)
+
     def with_weights(self, weights: np.ndarray) -> "WeightedDataset":
         """The same points under new weights; only the weights are checked,
-        and the feature and label arrays are shared."""
+        and the feature and label arrays and the norms found by
+        check_unit_ball are shared."""
         out = copy.copy(self)
         object.__setattr__(out, "weights", _checked_weights(weights, self.n))
         return out

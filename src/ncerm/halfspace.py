@@ -18,8 +18,7 @@ import numpy as np
 
 from .data import draw_batch
 from .solvers import constrained_least_squares, lockstep_descent, row_kernels
-from .util import (NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm,
-                   round_uniforms)
+from .util import NORM_TOL, ceil_big_product, dual_exponent, lq_norm, round_uniforms
 
 CHUNK_ROUNDS = 256
 
@@ -129,7 +128,7 @@ def algorithm1(data, loss, epsilon: float, delta: float, T_budget: int,
     unit sphere (sphere_starts), for min(T_budget, T_theory) rounds with
     r and T_theory from config_alg1; output norm stays within r.
     """
-    check_unit_ball(data.features, 2.0)
+    data.check_unit_ball(2.0)
     _, r, T_theory = config_alg1(data.n, data.dim, epsilon, delta)
     w = best_round(min(T_budget, T_theory), lambda ts: sphere_starts(seed, ts, data.dim, r),
                    row_kernels(data, loss, [(1, data.dim)], 2.0, r), refine_budget)
@@ -156,7 +155,7 @@ def algorithm2(data, loss, p: float, epsilon: float, delta: float, T_budget: int
     own block, and fitted in one stacked solve.  k and T_theory come from
     config_alg2; a given k replaces the derived one but not its T_theory.
     """
-    check_unit_ball(data.features, dual_exponent(p))
+    data.check_unit_ball(dual_exponent(p))
     k_cfg, T_theory = config_alg2(data.n, data.dim, p, epsilon, delta)
     k = k_cfg if k is None else int(k)
     if k < 1:

@@ -124,6 +124,15 @@ class LossFunction:
         return _apply(slope, t, out, self.lipschitz, value if from_value else None)
 
     @property
+    def functions(self):
+        """(value, slope, L): the kind's value and slope functions f(x, L, out),
+        each writing into out (x's shape) and returning it, and L; the row
+        kernels call them directly.  value(t, L, out) is self.value(t, out),
+        and slope(k, L, out) is self.slope(k, out)."""
+        value, slope, _ = _KINDS[self.kind]
+        return value, slope, self.lipschitz
+
+    @property
     def slope_from_value(self) -> bool:
         """Whether slope reads h(t) rather than t (all kinds but piecewise_linear and erf)."""
         return _KINDS[self.kind][2]

@@ -16,6 +16,7 @@ and keeps the best after optional joint local refinement.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 from .halfspace import best_round, check_eps_delta, draw_rounds
 from .losses import ACTIVATIONS, LossFunction
 from .solvers import constrained_least_squares, lockstep_descent, row_kernels
-from .util import NORM_TOL, ceil_big_product, check_unit_ball, dual_exponent, lq_norm
+from .util import NORM_TOL, ceil_big_product, dual_exponent, lq_norm
 
 
 class Activation(LossFunction):
@@ -137,8 +138,8 @@ def _level_shapes(depth: int, width: int, dim: int) -> list:
 
 def _unflat(row: np.ndarray, shapes) -> Network:
     """The network whose level tensors of the given shapes a row concatenates."""
-    cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-    return Network([part.reshape(shape) for part, shape in zip(np.split(row, cuts), shapes)])
+    cuts = [0, *itertools.accumulate(N * s for N, s in shapes)]
+    return Network([row[lo:hi].reshape(shape) for lo, hi, shape in zip(cuts, cuts[1:], shapes)])
 
 
 def validate(net, spec: NetworkClassSpec) -> None:
@@ -270,28 +271,32 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
     of min(T_theory, T_budget) rounds of halfspace.best_round wins,
     exactly as in Algorithm 2 at depth 1.
     """
-    check_unit_ball(data.features, spec.input_q)
+    data.check_unit_ball(spec.input_q)
     k_cfg, s_cfg, T_theory = config_alg3(spec.input_q, epsilon, delta, spec.depth)
     k = k_cfg if k is None else int(k)
     s = s_cfg if s is None else int(s)
     if k < 1 or s < 1:
         raise ValueError("k and s must be >= 1")
     shapes = _level_shapes(spec.depth, s, data.dim)
-    counts = [n for n, _ in shapes]
+    # Where each level's nodes start in a round's targets, leaves first.
+    cuts = [0, *itertools.accumulate(n for n, _ in shapes)]
 
     def candidates(ts):
         c = len(ts)
-        X, U = draw_rounds(data, seed, ts, k, sum(counts), spec.budget)
+        X, U = draw_rounds(data, seed, ts, k, cuts[-1], spec.budget)
         # Leaves fit the round's batch and each level above the activated
         # outputs of its children; each level of the chunk is one stacked fit.
-        D, levels = np.repeat(X[:, None], counts[0], axis=1), []
-        for j, u in enumerate(np.split(U, np.cumsum(counts)[:-1], axis=1)):
-            n = u.shape[1]
+        # The leaves' batch is broadcast, and copied by the reshape only
+        # where there is more than one leaf.
+        D, levels = np.broadcast_to(X[:, None], (c, cuts[1], *X.shape[1:])), []
+        for j, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            u, n = U[:, lo:hi], hi - lo
             if j:
-                Z = np.einsum("cnkd,cnd->cnk", D, levels[-1])
+                Z = np.einsum("cnkd,cnd->cnk", D.reshape(c, -1, k, D.shape[-1]), levels[-1])
                 D = np.ascontiguousarray(
                     spec.act.value(Z).reshape(c, n, s, k).transpose(0, 1, 3, 2))
-            fits = constrained_least_squares(D.reshape(c * n, k, -1), u.reshape(c * n, k),
+            D = D.reshape(c * n, k, -1)
+            fits = constrained_least_squares(D, u.reshape(c * n, k),
                                              spec.leaf_p if j == 0 else 1.0, spec.budget)
             levels.append(fits.reshape(c, n, -1))
         return np.concatenate([L.reshape(c, -1) for L in levels], axis=1)

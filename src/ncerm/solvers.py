@@ -198,7 +198,7 @@ def projector(p: float, radius: float):
 
 
 def _rownorm(A: np.ndarray) -> np.ndarray:
-    return np.sqrt((A * A).sum(axis=-1))
+    return np.sqrt(np.add.reduce(A * A, axis=-1))
 
 
 def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
@@ -222,50 +222,56 @@ def _secular_fits(X: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
     # Dropped directions get c = 0 and, below, divisors of 1, so they stay 0.
     keep = s > max(k, d) * np.finfo(float).eps * s[:, :1]
     c = np.where(keep, np.einsum("nkr,nk->nr", U, u), 0.0)
-    cmax = np.max(np.abs(c), axis=1)
+    cmax = np.maximum.reduce(np.abs(c), axis=1)
     W = np.zeros((n, d))
     # An all-zero X, or u orthogonal to its range, has w = 0; the rest have
     # a kept direction, so s_max > 0.
     fit = np.flatnonzero(cmax > 0.0)
-    s, c, cmax, keep, Vt = s[fit], c[fit], cmax[fit], keep[fit], Vt[fit]
+    if len(fit) < n:
+        s, c, cmax, keep, Vt = s[fit], c[fit], cmax[fit], keep[fit], Vt[fit]
     s0 = s[:, 0]
     t = np.where(keep, s / s0[:, None], 1.0)
     c_hat = c / cmax[:, None]
     # ||c / s|| <= radius, in units of max|c| / s_max and multiplied out, so
     # that neither side can overflow.
     inside = _rownorm(c_hat / t) * cmax <= radius * s0
-    i = np.flatnonzero(inside)
-    W[fit[i]] = np.einsum("nr,nrd->nd", c[i] / np.where(keep[i], s[i], 1.0), Vt[i])
-    b = np.flatnonzero(~inside)
-    if b.size == 0:
-        return W
+    if np.count_nonzero(inside):
+        W[fit[inside]] = np.einsum("nr,nrd->nd", c[inside] / np.where(keep[inside], s[inside], 1.0),
+                                   Vt[inside])
+        b = ~inside
+        if not np.count_nonzero(b):
+            return W
+        s0, cmax, t, c_hat, Vt, fit = (x[b] for x in (s0, cmax, t, c_hat, Vt, fit))
     # In the same units w(lam) = V q / a with a = radius s_max / max|c|,
     # q = t c_hat / (a t^2 + z) and z = a lam / s_max^2, so ||w|| = radius
     # becomes ||q|| = 1.  Outside the ball a < ||c_hat / t|| is finite.  As
     # |q_i| <= ||q|| = 1 at the root, z starts at max_i (|t_i c_hat_i| -
     # a t_i^2)+, a lower bound where no |q_i| exceeds 1, so no entry can
     # overflow; by concavity every Newton step stays left of the root.
-    a = radius * s0[b] / cmax[b]
-    at2, tc = a[:, None] * t[b] * t[b], t[b] * c_hat[b]
-    z = lo = np.max(np.abs(tc) - at2, axis=1, initial=0.0)
+    a = radius * s0 / cmax
+    at2, tc = a[:, None] * t * t, t * c_hat
+    z = lo = np.maximum.reduce(np.abs(tc) - at2, axis=1, initial=0.0)
     hi = _rownorm(tc)
     for _ in range(_NEWTON_MAX_ITER):
         r = at2 + z[:, None]
         q = tc / r
         qq = q * q
-        n2 = qq.sum(axis=1)
-        norm = np.sqrt(n2)
-        moving = np.abs(norm - 1.0) > _NEWTON_RTOL
-        if not moving.any():
+        n2 = np.add.reduce(qq, axis=1)
+        e = np.sqrt(n2) - 1.0  # ||q|| - 1
+        moving = np.abs(e) > _NEWTON_RTOL
+        live = np.count_nonzero(moving)
+        if not live:
             break
-        over = norm > 1.0
+        over = e > 0.0
         lo = np.where(over, z, lo)
         hi = np.where(over, hi, z)
-        step = z + (norm - 1.0) * n2 / (qq / r).sum(axis=1)
-        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        z = np.where(moving, step, z)
-    w = np.einsum("nr,nrd->nd", q, Vt[b])
-    W[fit[b]] = w * (radius / _rownorm(w))[:, None]
+        step = z + e * n2 / np.add.reduce(qq / r, axis=1)
+        bracketed = (lo < step) & (step < hi)
+        if np.count_nonzero(bracketed) < len(step):
+            step = np.where(bracketed, step, 0.5 * (lo + hi))
+        z = step if live == len(z) else np.where(moving, step, z)
+    w = np.einsum("nr,nrd->nd", q, Vt)
+    W[fit] = w * (radius / _rownorm(w))[:, None]
     return W
 
 
@@ -380,13 +386,17 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     row of W, holding what the gradient at that row needs.  The state need
     only last until the next risk_rows call, so kernels may hand out their
     own reused buffers.  grad_rows(W, state, rows) gives the c gradients
-    and project_rows(W) the c projected rows.  Each row is computed on its
-    own.  The live rows are compact working copies, written back to X as
-    they stop.  The rows a trial accepts take their gradient at once, from
-    that trial's own state, so an accepted point is evaluated once and no
-    state is carried from step to step; when every live row accepts, the
-    trial arrays are adopted whole.  A negative step_budget is a
-    ValueError.  Returns (X, risks) with risks[i] <= risk(X0[i]).
+    as a fresh array, and project_rows(W) the c projected rows, also
+    fresh.  Each row is computed on its own.  The live rows are compact
+    working copies, written back to X as they stop.  The rows a trial
+    accepts take their gradient at once, from that trial's own state, so
+    an accepted point is evaluated once and no state is carried from step
+    to step.  When every live row accepts, which is most steps, the trial
+    point and risk arrays are adopted whole and one grad_rows call on all
+    of them gives the new gradients, with no gather or scatter; each row
+    keeps max(||g||, 1), the divisor of its step, and only new gradients
+    are normed.  A negative step_budget is a ValueError.  Returns (X,
+    risks) with risks[i] <= risk(X0[i]).
     """
     if step_budget < 0:
         raise ValueError(f"refinement step budget must be >= 0, not {step_budget}")
@@ -399,39 +409,46 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     x, r = X.copy(), risk.copy()
     eta, rejects = np.ones(len(X)), np.zeros(len(X), dtype=int)
     g = grad_rows(x, state, rows)
-    gnorm = np.sqrt((g * g).sum(axis=1))
-    done = gnorm == 0.0
+    # Each row's max(||g||, 1), the divisor of its step.
+    gnorm = np.sqrt(np.add.reduce(g * g, axis=1))
+    done, gnorm = gnorm == 0.0, np.maximum(gnorm, 1.0)
     for step in range(step_budget):
-        if done.any():
-            X[rows[done]], risk[rows[done]] = x[done], r[done]
-            keep = ~done
-            rows, x, r, eta, rejects, g, gnorm = (
-                a[keep] for a in (rows, x, r, eta, rejects, g, gnorm))
-            if rows.size == 0:
+        if np.count_nonzero(done):
+            stop = rows[done]
+            X[stop], risk[stop] = x[done], r[done]
+            if len(stop) == len(rows):
                 return X, risk
-        x_new = project_rows(x - (eta / np.maximum(gnorm, 1.0))[:, None] * g)
+            keep = np.flatnonzero(~done)
+            rows, x, r, eta, rejects, g, gnorm = (
+                a.take(keep, axis=0) for a in (rows, x, r, eta, rejects, g, gnorm))
+        x_new = project_rows(x - (eta / gnorm)[:, None] * g)
         r_new, state = risk_rows(x_new, rows)
-        accept = r_new < r
-        done = r - r_new <= _GAIN_RTOL * np.maximum(np.abs(r_new), 1e-3)
-        if accept.all():
-            x, r = x_new, r_new
-            rejects[:] = 0
-            eta = np.minimum(eta * 1.25, 1e3)
-            moved = slice(None)
-        else:
-            np.copyto(x, x_new, where=accept[:, None])
-            np.copyto(r, r_new, where=accept)
-            rejects = np.where(accept, 0, rejects + 1)
-            eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
-            done = np.where(accept, done, (eta < _STEP_FLOOR) | (rejects >= _STALL_REJECTS))
-            moved = accept & ~done
-            if not moved.any():
-                continue
+        gain = r - r_new
+        accept = gain > 0.0  # r_new < r
+        done = gain <= _GAIN_RTOL * np.maximum(np.abs(r_new), 1e-3)
         # Rows that moved take their gradient now, unless the budget is spent.
-        if step + 1 < step_budget:
-            g[moved] = grad_rows(x_new[moved], state[moved], rows[moved])
-            gnorm = np.sqrt((g * g).sum(axis=1))
-            done |= gnorm == 0.0
+        more = step + 1 < step_budget
+        if np.count_nonzero(accept) == len(accept):
+            x, r = x_new, r_new
+            rejects.fill(0)
+            eta = np.minimum(eta * 1.25, 1e3)
+            if more:
+                g = grad_rows(x, state, rows)
+                new = np.sqrt(np.add.reduce(g * g, axis=1))
+                done |= new == 0.0
+                gnorm = np.maximum(new, 1.0)
+            continue
+        np.copyto(x, x_new, where=accept[:, None])
+        np.copyto(r, r_new, where=accept)
+        rejects = np.where(accept, 0, rejects + 1)
+        eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
+        done = np.where(accept, done, (eta < _STEP_FLOOR) | (rejects >= _STALL_REJECTS))
+        moved = accept & ~done
+        if more and np.count_nonzero(moved):
+            g[moved] = g_moved = grad_rows(x_new[moved], state[moved], rows[moved])
+            new = np.sqrt(np.add.reduce(g_moved * g_moved, axis=1))
+            done[moved] = new == 0.0
+            gnorm[moved] = np.maximum(new, 1.0)
     X[rows], risk[rows] = x, r
     return X, risk
 
@@ -459,11 +476,15 @@ def row_kernels(data, loss, shapes, leaf_p: float, radius: float, act=None):
     lasts until the next risk_rows call; grad_rows writes only over the
     array it does not read.  Leaves are projected onto the l_{leaf_p} ball
     and combination rows onto the l_1 ball of the radius, bound (and p and
-    radius checked) when the kernels are built.
+    radius checked) when the kernels are built; the loss's and act's value
+    and slope functions and L are looked up then too and called directly.
     """
     project_rows = projector(leaf_p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
     a, keep_value, n, (N0, d) = data.weights, loss.slope_from_value, data.n, shapes[0]
+    value, slope, L = loss.functions
+    if act is not None:
+        act_value, act_slope, act_L = act.functions
     aZnegT = a * ZnegT
     # Columns of each level in a row, and of its outputs in a state row.
     cuts = [0, *itertools.accumulate(N * s for N, s in shapes)]
@@ -485,8 +506,8 @@ def row_kernels(data, loss, shapes, leaf_p: float, radius: float, act=None):
             full[0] = S, Z[0].reshape(c, N0, n), M, V, B[-1], [
                 (lo, hi, N, s, z0, z1, B[j].reshape(c, N, s, n), Z[j + 1].reshape(c, N, n))
                 for j, (lo, hi, N, s, z0, z1) in enumerate(levels)]
-        *arrays, lv = full[0]
-        return *(x[:c] for x in arrays), [(*l, A[:c], out[:c]) for *l, A, out in lv]
+        S, Z, M, V, G, lv = full[0]
+        return S[:c], Z[:c], M[:c], V[:c], G[:c], [(*l, A[:c], out[:c]) for *l, A, out in lv]
 
     def risk_rows(P, rows):
         c = len(P)
@@ -495,19 +516,19 @@ def row_kernels(data, loss, shapes, leaf_p: float, radius: float, act=None):
         S, Z, M, V, _, lv = last[1]
         np.matmul(P[:, :leaf].reshape(c, N0, d), ZnegT, out=Z)
         for lo, hi, N, s, _, _, A, out in lv:
-            A = act.value(Z.reshape(c, N, s, n), A)
+            A = act_value(Z.reshape(c, N, s, n), act_L, A)
             Z = np.einsum("cisn,cis->cin", A, P[:, lo:hi].reshape(c, N, s), out=out, optimize=False)
-        return np.einsum("cn,n->c", loss.value(M, V), a, optimize=False), S
+        return np.einsum("cn,n->c", value(M, L, V), a, optimize=False), S
 
     def grad_rows(P, K, rows):
         c = len(P)
         *_, G, lv = full[0]
-        G, grads = loss.slope(K[:, top:], G[:c]), []
+        G, grads = slope(K[:, top:], L, G[:c]), []
         for lo, hi, N, s, z0, z1, A, _ in lv[::-1]:
             Z, G = K[:, z0:z1].reshape(c, N, s, n), G.reshape(c, N, n)
-            A = act.value(Z, A[:c])
+            A = act_value(Z, act_L, A[:c])
             grads.append(np.einsum("cin,cisn,n->cis", G, A, a, optimize=False).reshape(c, -1))
-            A = act.slope(A if act.slope_from_value else Z, A)
+            A = act_slope(A if act.slope_from_value else Z, act_L, A)
             np.multiply(A, P[:, lo:hi].reshape(c, N, s, 1), out=A)
             G = np.multiply(A, G[:, :, None], out=A).reshape(-1, n)
         g = np.einsum("cn,dn->cd", G, aZnegT, optimize=False)

@@ -90,8 +90,10 @@ def lq_norm(x: np.ndarray, q: float) -> np.ndarray | float:
     return norm if x.ndim > 1 else norm[0]
 
 
-def check_unit_ball(features, q: float) -> None:
-    """Raise ValueError unless every row x of features has ||x||_q <= 1."""
-    top = float(np.max(lq_norm(features, q)))
+def check_unit_ball(features, q: float, top: float | None = None) -> None:
+    """Raise ValueError unless every row x of features has ||x||_q <= 1;
+    top, when given, is the largest of those norms, computed before."""
+    if top is None:
+        top = float(np.max(lq_norm(features, q)))
     if not top <= 1.0 + NORM_TOL:
         raise ValueError(f"data must satisfy ||x||_{q} <= 1 (max {top!r})")

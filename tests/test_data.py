@@ -91,6 +91,46 @@ def test_learners_check_the_unit_ball(name):
         learn(WeightedDataset.uniform(np.vstack([0.5 * X[:5], (1.0 + 1e-6) * X[5:]]), y))
 
 
+def test_unit_ball_norm_is_found_once_per_dataset_and_q(monkeypatch):
+    """A dataset and its with_weights copies share the largest row norm per
+    q: it is computed once across the copies and all T rounds of
+    boostnet_train, and again for another q or a new dataset over the
+    same points.  The features are a read-only copy, so the norm stays
+    theirs."""
+    import ncerm.data
+
+    calls = []
+
+    def counting_lq_norm(x, q):
+        calls.append(q)
+        return lq_norm(x, q)
+
+    data, _ = planted_network(40, 3, 0.3, network_spec(2, 1.0), 2, seed=4)
+    monkeypatch.setattr(ncerm.data, "lq_norm", counting_lq_norm)
+    copy = data.with_weights(np.full(data.n, 1.0 / data.n))
+    copy.check_unit_ball(2.0)
+    data.check_unit_ball(2.0)
+    result = boostnet_train(data, BoostConfig(
+        network_spec(2, 1.0), gamma=0.3, T=4,
+        weak=WeakLearnerConfig(kind="algorithm3", epsilon=0.5, k=4, T_budget=2)))
+    assert len(result.rounds) == 4 and calls == [2.0]
+    copy.check_unit_ball(3.0)
+    assert calls == [2.0, 3.0]
+    data.check_unit_ball(3.0)
+    fresh = WeightedDataset(data.features, data.labels, data.weights)
+    fresh.check_unit_ball(2.0)
+    assert calls == [2.0, 3.0, 2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        data.features[0, 0] = 2.0
+    # The dataset copies the caller's array, so writing to it later leaves
+    # the rows, and their checked norm, as they were.
+    X = np.array(data.features)
+    own = WeightedDataset(X, data.labels, data.weights)
+    X[0] = 2.0
+    own.check_unit_ball(2.0)
+    assert not np.shares_memory(own.features, X) and own.features[0, 0] != 2.0
+
+
 def test_uniform_weights_sum_to_one():
     for n in (1, 3, 7, 100):
         data = WeightedDataset.uniform(np.zeros((n, 2)), np.ones(n))

@@ -631,6 +631,45 @@ def test_linear_kernel_rows_are_computed_alone(kind):
                 assert grads[i].tobytes() == grad_i[0].tobytes()
 
 
+@pytest.mark.parametrize("kind", (PIECEWISE_LINEAR, LOGISTIC_SIGMOID, NEG_MIN, *ACTIVATIONS))
+def test_linear_kernel_losses_equal_the_loss_methods(kind):
+    """The row kernels call the loss's value and slope functions and L,
+    looked up once when they are built (LossFunction.functions).  Risks,
+    states and gradients equal, byte for byte, the same sums over the
+    kernel's margins of LossFunction.value and slope, and slope equals
+    grad.  L is 1 and, where the kind allows, 3 and 7.3; at 7.3 the end
+    -1/(2L) of the piecewise-linear loss rounds off its anchor 0, so its
+    putmask correction runs, and margins fall on its kinks exactly."""
+    n = 7
+    x = np.array([1.0, -1.0, 0.5, 0.25, 1.0, -0.75, 0.125])[:, None]
+    data = WeightedDataset(x, np.array([-1.0, 1.0, -1.0, 1.0, 1.0, -1.0, 1.0]),
+                           np.arange(1.0, n + 1.0) / (n * (n + 1) / 2))
+    ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)
+    for L in (1.0, 3.0, 7.3) if kind in (PIECEWISE_LINEAR, LOGISTIC_SIGMOID) else (1.0,):
+        loss = LossFunction(kind, L)
+        if L == 7.3:
+            assert L * (-0.5 / L) + 0.5 != 0.0
+        # The margins of the first column are w itself: on both kinks, at
+        # zero and either side of them.
+        W = np.array([[-0.5 / L], [0.5 / L], [0.0], [np.nextafter(-0.5 / L, 0.0)],
+                      [-0.49 / L], [2.0], [-3.0]])
+        risk_rows, grad_rows, _ = _linear_kernels(data, loss, 2.0, 10.0)
+        every = np.arange(len(W))
+        risks, state = risk_rows(W, every)
+        state = state.copy()
+        grads = grad_rows(W, state.copy(), every)
+        M = np.matmul(W[:, None, :], ZnegT)[:, 0]
+        H = loss.value(M)
+        K = H if loss.slope_from_value else M
+        assert state.tobytes() == K.tobytes()
+        assert risks.tobytes() == np.einsum("cn,n->c", H, data.weights,
+                                            optimize=False).tobytes()
+        slopes = loss.slope(K.copy())
+        assert slopes.tobytes() == loss.grad(M).tobytes()
+        assert grads.tobytes() == np.einsum("cn,dn->cd", slopes, data.weights * ZnegT,
+                                            optimize=False).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(linear_kernel_problems, st.floats(0.1, 3.0), st.integers(0, 40))
 def test_lockstep_descent_rows_run_alone_and_never_raise_risk(problem, radius, budget):
