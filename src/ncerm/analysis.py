@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import draw_indices
 from .networks import Predictor, evaluate_stack
+from .util import blocks
 
 
-# Trials drawn per numpy call, to bound memory.  Each draw continues its stream
-# where the previous block stopped, so the size changes no draw and no result,
-# but for the last bits of a Rademacher supremum: BLAS may round a block's
-# product F @ eps.T differently for another block shape.
-BLOCK_TRIALS = 256
+# Trials run in the blocks of util.blocks, sized by the floats one trial holds;
+# each block's draw continues its stream where the previous block stopped.
+#
 # A Rademacher block's product F @ eps.T is summed over slices of this many of
 # the k columns, one slice after another.  OpenBLAS rounds the whole product
 # differently at one and two threads for k = 500 or 5,000.  A slice rounds
@@ -26,12 +26,6 @@ BLOCK_TRIALS = 256
 # kernel or BLAS may still round the estimate differently per thread count.
 # At k <= K_SLICE it is the one product it always was.
 K_SLICE = 256
-# A trial's arrays grow with its inputs (a JL trial's normals, corner and
-# projected pairs; a Rademacher or generalization trial's signs and candidate
-# values at its batch; a Maurey trial's uniforms and drawn atoms): a block
-# holds at most this many floats (8 MB), in fewer trials when one trial is
-# large, and one trial at least.
-BLOCK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -47,17 +41,12 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be >= 2")
 
 
-def _block(trial_floats: int) -> int:
-    """Trials per block: at most BLOCK_TRIALS, and BLOCK_FLOATS over all."""
-    return max(1, min(BLOCK_TRIALS, BLOCK_FLOATS // trial_floats))
-
-
 def _candidate_values(candidates, X) -> np.ndarray:
     """(candidates, rows) values of the candidates on X, all finite.
 
     Network predictors of one activation and one set of level shapes are
-    evaluated as one stack (networks.evaluate_stack), in blocks of at most
-    BLOCK_FLOATS floats, when the first of them comes up; each row has the
+    evaluated as one stack (networks.evaluate_stack), in the blocks of
+    util.blocks, when the first of them comes up; each row has the
     bits the predictor gives alone.  Every other candidate is called on X.
     """
     stacks = {}
@@ -86,9 +75,8 @@ def _stack_rows(rows, candidates, group, X) -> None:
     levels = candidates[group[0]].net.levels
     # A network holds its leaf pre-activations, their activated copy and its
     # stacked level tensors.
-    block = max(1, BLOCK_FLOATS // (2 * len(X) * len(levels[0]) + sum(L.size for L in levels)))
-    for start in range(0, len(group), block):
-        part = group[start:start + block]
+    for ts in blocks(len(group), 2 * len(X) * len(levels[0]) + sum(L.size for L in levels)):
+        part = group[ts.start:ts.stop]
         # evaluate_stack reads only the activation, which the group shares.
         V = evaluate_stack([candidates[j].net for j in part], candidates[part[0]].spec, X)
         for j, v in zip(part, V):
@@ -116,11 +104,9 @@ def rademacher_estimate(candidates, batch_features, trials: int, seed: int) -> M
     F = _candidate_values(candidates, X)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sups = np.empty(trials)
-    block = _block(2 * k + len(F))  # a trial's signs, their bits, its column of F eps
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        eps = _signs(rng, stop - start, k)
-        sups[start:stop] = np.max(_sliced_product(F, eps), axis=0)
+    for ts in blocks(trials, 2 * k + len(F)):  # signs, their bits, a column of F eps
+        eps = _signs(rng, len(ts), k)
+        sups[ts.start:ts.stop] = np.max(_sliced_product(F, eps), axis=0)
     # Dividing by k > 0 is monotone under correct rounding, so the max of
     # the sums divided once equals the max of the divided sums.
     return _mc(sups / k)
@@ -182,15 +168,13 @@ def generalization_gap_check(
     gaps, rad = np.empty(trials), np.empty(trials)
     # A trial holds one gather of the candidates at its batch at a time, beside
     # its indices, their uniforms and its signs.
-    block = _block(k * (len(F) + 4))
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        idx = batch_rng.choice(data.n, size=(stop - start, k), replace=True, p=data.weights)
-        eps = _signs(sign_rng, stop - start, k)
-        gaps[start:stop] = np.max(np.abs(H[:, idx].mean(axis=2) - full[:, None]), axis=0)
+    for ts in blocks(trials, k * (len(F) + 4)):
+        idx = draw_indices(data.weights, batch_rng.random((len(ts), k)))
+        eps = _signs(sign_rng, len(ts), k)
+        gaps[ts.start:ts.stop] = np.max(np.abs(H[:, idx].mean(axis=2) - full[:, None]), axis=0)
         S = F[:, idx]
         S *= eps
-        rad[start:stop] = np.max(np.sum(S, axis=2), axis=0) / k
+        rad[ts.start:ts.stop] = np.max(np.sum(S, axis=2), axis=0) / k
         del S  # before the next block's gather
     rad_est, gap_est = _mc(rad), _mc(gaps)
     bound = 4.0 * loss.lipschitz * (rad_est.value + 3.0 * rad_est.stderr)
@@ -252,8 +236,8 @@ def jl_distortion_check(points, epsilon: float, trials: int, seed: int) -> JLChe
     A trial reads its projection through the corner of a Haar rotation that
     the pairs see, drawn from the top rows of a Gaussian and a Bartlett
     factor for the rest (see _haar_corner_sq_norms): normals from one child
-    stream of the seed, chi draws from the other.  Trials run in blocks of
-    at most BLOCK_TRIALS trials and BLOCK_FLOATS floats.
+    stream of the seed, chi draws from the other.  Trials run in the blocks
+    of util.blocks.
     """
     _check_trials(trials)
     P = np.asarray(points, dtype=float)
@@ -281,11 +265,10 @@ def jl_distortion_check(points, epsilon: float, trials: int, seed: int) -> JLChe
     w, h = min(r, m), max(r, m)
     # A trial holds its normals and their stack with the Bartlett factor, its
     # corner and its projected pairs.
-    block = _block((2 * (h + min(d - h, w)) + h) * w + len(C) * r)
     normal_rng, chi_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     successes = 0
-    for start in range(0, trials, block):
-        part = _haar_corner_sq_norms(C, r, d, normal_rng, chi_rng, min(block, trials - start))
+    for ts in blocks(trials, (2 * (h + min(d - h, w)) + h) * w + len(C) * r):
+        part = _haar_corner_sq_norms(C, r, d, normal_rng, chi_rng, len(ts))
         new = (d / s) * (part if r == s else orig - part)
         successes += int(np.count_nonzero(np.all(np.abs(new - orig) <= epsilon * orig, axis=1)))
     freq = successes / trials
@@ -336,7 +319,7 @@ def maurey_sparsify(atoms, weights, s: int, trials: int, seed: int) -> MaureyRes
     A trial maps s uniforms of the generator (the ones rng.choice would
     draw, so the generator's state after a block is the same) to atoms
     through a Walker alias table of the weights (see _alias_table).  Trials
-    run in blocks of at most BLOCK_TRIALS trials and BLOCK_FLOATS floats.
+    run in the blocks of util.blocks.
     """
     _check_trials(trials)
     A = np.asarray(atoms, dtype=float)
@@ -356,10 +339,8 @@ def maurey_sparsify(atoms, weights, s: int, trials: int, seed: int) -> MaureyRes
     errs = np.empty(trials)
     # A trial holds its uniforms, the alias draw's indices and lookups, its
     # drawn atoms and their sum.
-    block = _block(s * (v.size + 6) + 2 * v.size)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        idx = _alias_draw(prob, alias, rng.random((stop - start, s)))
+    for ts in blocks(trials, s * (v.size + 6) + 2 * v.size):
+        idx = _alias_draw(prob, alias, rng.random((len(ts), s)))
         # v_s adds its atoms one draw after another: numpy sums the outer
         # axis of the (s, trials, dim) gather row by row when a row holds
         # two floats or more, and pairwise for one, so a one-float row
@@ -369,5 +350,5 @@ def maurey_sparsify(atoms, weights, s: int, trials: int, seed: int) -> MaureyRes
         del G  # before the next block's gather
         diff /= s
         diff -= v
-        errs[start:stop] = np.sum(np.square(diff, out=diff), axis=1)
+        errs[ts.start:ts.stop] = np.sum(np.square(diff, out=diff), axis=1)
     return MaureyResult(_mc(errs), b * b / s, s)

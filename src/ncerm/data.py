@@ -102,19 +102,19 @@ class WeightedDataset:
         return WeightedDataset(features, labels, w)
 
 
-def draw_batch(data: WeightedDataset, u) -> np.ndarray:
-    """Feature rows (*u.shape, d) of the draws at uniforms u in [0, 1), of
-    any shape: point i with probability weight_i.
-
-    Indices come from the weights' CDF at u, the arithmetic of
-    rng.choice(n, size=u.shape, replace=True, p=weights) on the uniforms
-    it draws, without its per-call checks of p (the dataset already holds
-    finite nonnegative weights that sum to 1).  Zero-weight points are
-    never drawn.
-    """
-    cdf = np.cumsum(data.weights)
+def draw_indices(weights: np.ndarray, u) -> np.ndarray:
+    """Indices (u.shape) of the draws at uniforms u in [0, 1): i with
+    probability weights_i, by the arithmetic of rng.choice(n, size=u.shape,
+    replace=True, p=weights) on the uniforms it draws (the weights' CDF at
+    u), without its checks of p.  Zero-weight points are never drawn."""
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return data.features[cdf.searchsorted(u, side="right")]
+    return cdf.searchsorted(u, side="right")
+
+
+def draw_batch(data: WeightedDataset, u) -> np.ndarray:
+    """Feature rows (*u.shape, d) of the draws at uniforms u (draw_indices)."""
+    return data.features[draw_indices(data.weights, u)]
 
 
 def _sample_q_ball(rng: np.random.Generator, count: int, d: int, q: float) -> np.ndarray:

@@ -4,9 +4,9 @@ Two initialization schemes share the same outer loop, best_round, which
 Algorithm 3 also runs: draw a candidate per round from an independent
 block of a counter-based stream, optionally refine it locally, and keep
 the earliest round with the lowest weighted surrogate risk.  Rounds are
-drawn, fitted, refined and scored CHUNK_ROUNDS at a time; a chunk is one
-draw in which every round still gets its own block, so the chunk size
-changes no result.
+drawn, fitted, refined and scored a chunk at a time, its size from
+util.blocks; a chunk is one draw in which every round still gets its own
+block, so the chunk size changes no result.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ import numpy as np
 
 from .data import draw_batch
 from .solvers import constrained_least_squares, lockstep_descent, row_kernels
-from .util import NORM_TOL, ceil_big_product, dual_exponent, lq_norm, round_uniforms
-
-CHUNK_ROUNDS = 256
+from .util import NORM_TOL, blocks, ceil_big_product, dual_exponent, lq_norm, round_uniforms
 
 
 @dataclass(frozen=True)
@@ -86,22 +84,23 @@ def config_alg2(n: int, d: int, p: float, epsilon: float, delta: float):
     return k, ceil_big_product(5.0, 4.0 / epsilon, k, math.log(1.0 / delta))
 
 
-def best_round(T: int, candidates, kernels, refine_budget: int) -> np.ndarray:
+def best_round(T: int, candidates, kernels, refine_budget: int,
+               row_floats: int) -> np.ndarray:
     """Parameter row of the earliest best round among rounds 0..T-1.
 
     candidates(ts) returns the feasible starts of rounds ts as the rows of
     a (len(ts), dim) matrix, each row the one its round gives alone;
     kernels are the row functions (risk and state, gradient, projection)
-    of its model class.  Starts are drawn, refined by lockstep_descent and
-    scored CHUNK_ROUNDS at a time by the same row-wise risk, which computes
+    of its model class, whose scratch holds row_floats floats per row.
+    Starts are drawn, refined by lockstep_descent and scored in the chunks
+    of util.blocks(T, row_floats) by the same row-wise risk, which computes
     each row on its own, so the chunk size changes no result.
     """
     if T < 1:
         raise ValueError("T_budget must be >= 1")
     best_w, best_risk = None, math.inf
-    for start in range(0, T, CHUNK_ROUNDS):
-        W0 = candidates(range(start, min(T, start + CHUNK_ROUNDS)))
-        W, risks = lockstep_descent(W0, *kernels, refine_budget)
+    for ts in blocks(T, row_floats):
+        W, risks = lockstep_descent(candidates(ts), *kernels, refine_budget)
         j = int(np.argmin(risks))
         if risks[j] < best_risk:
             best_w, best_risk = W[j].copy(), risks[j]
@@ -131,7 +130,7 @@ def algorithm1(data, loss, epsilon: float, delta: float, T_budget: int,
     data.check_unit_ball(2.0)
     _, r, T_theory = config_alg1(data.n, data.dim, epsilon, delta)
     w = best_round(min(T_budget, T_theory), lambda ts: sphere_starts(seed, ts, data.dim, r),
-                   row_kernels(data, loss, [(1, data.dim)], 2.0, r), refine_budget)
+                   row_kernels(data, loss, [(1, data.dim)], 2.0, r), refine_budget, 2 * data.n)
     return LinearModel(w, 2.0, r)
 
 
@@ -166,5 +165,5 @@ def algorithm2(data, loss, p: float, epsilon: float, delta: float, T_budget: int
         return constrained_least_squares(X, U[:, 0], p, 1.0)
 
     w = best_round(min(T_budget, T_theory), candidates,
-                   row_kernels(data, loss, [(1, data.dim)], p, 1.0), refine_budget)
+                   row_kernels(data, loss, [(1, data.dim)], p, 1.0), refine_budget, 2 * data.n)
     return LinearModel(w, p, 1.0)

@@ -303,7 +303,7 @@ def algorithm3(data, loss, spec: NetworkClassSpec, epsilon: float, delta: float,
 
     row = best_round(min(T_budget, T_theory), candidates,
                      row_kernels(data, loss, shapes, spec.leaf_p, spec.budget, spec.act),
-                     refine_budget)
+                     refine_budget, 2 * data.n * cuts[-1])
     return _unflat(row, shapes)
 
 

@@ -472,12 +472,13 @@ def row_kernels(data, loss, shapes, leaf_p: float, radius: float, act=None):
     since OpenBLAS splits long dots across its threads, so a row's values
     depend neither on which rows share the call nor on the BLAS thread
     count.  Pre-activations, activations, loss values and derivatives go
-    into two scratch arrays per kernel set, grown on demand, so a state
-    lasts until the next risk_rows call; grad_rows writes only over the
-    array it does not read.  Leaves are projected onto the l_{leaf_p} ball
-    and combination rows onto the l_1 ball of the radius, bound (and p and
-    radius checked) when the kernels are built; the loss's and act's value
-    and slope functions and L are looked up then too and called directly.
+    into two scratch arrays per kernel set, n floats per node and row each
+    (2n sum N_j per row), grown on demand, so a state lasts until the next
+    risk_rows call; grad_rows writes only over the array it does not read.
+    Leaves are projected onto the l_{leaf_p} ball and combination rows onto
+    the l_1 ball of the radius, bound (and p and radius checked) when the
+    kernels are built; the loss's and act's value and slope functions and L
+    are looked up then too and called directly.
     """
     project_rows = projector(leaf_p, radius)
     ZnegT = np.ascontiguousarray((-data.labels[:, None] * data.features).T)

@@ -1,5 +1,5 @@
-"""Shared plumbing: seed derivation, per-round uniforms and exact ceilings
-of huge products."""
+"""Shared plumbing: seed derivation, per-round uniforms, the one block size
+and exact ceilings of huge products."""
 
 from __future__ import annotations
 
@@ -14,6 +14,22 @@ _EXACT_DIGIT_LIMIT = 400
 
 # Slack allowed on every norm budget and on the unit-ball data condition.
 NORM_TOL = 1e-9
+
+# The one block size of every batched loop (restart rounds, Monte Carlo trials,
+# stacked networks), to bound memory: at most BLOCK_ROWS rows and BLOCK_FLOATS
+# floats (8 MB) of their working arrays per block.  Each row gets its own draws
+# and sums, so the size changes no result but the last bits of a Rademacher
+# supremum, whose F @ eps.T BLAS may round differently for another block shape.
+BLOCK_ROWS = 256
+BLOCK_FLOATS = 1 << 20
+
+
+def blocks(total: int, row_floats: int):
+    """Step-1 ranges that cover 0..total-1 in order, each of at most
+    max(1, min(BLOCK_ROWS, BLOCK_FLOATS // row_floats)) rows."""
+    size = max(1, min(BLOCK_ROWS, BLOCK_FLOATS // row_floats))
+    for start in range(0, total, size):
+        yield range(start, min(total, start + size))
 
 
 def round_uniforms(seed: int, ts: range, m: int) -> np.ndarray:

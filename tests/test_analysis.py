@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncerm import analysis
+from ncerm import analysis, util
 from ncerm.analysis import (
     generalization_gap_check,
     jl_distortion_check,
@@ -85,7 +85,7 @@ def test_rademacher_linear_class_bound():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 40), st.integers(2, 30), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.floats(0.0, 150.0))
-@example(100, analysis.BLOCK_TRIALS, 201, 51, 0.0)
+@example(100, util.BLOCK_ROWS, 201, 51, 0.0)
 @example(2, 2, 3, 666, 0.0)
 @example(2, 2, 2, 70, 0.0)
 def test_rademacher_sup_divides_once(k, trials, n_cands, seed, log_scale):
@@ -96,7 +96,7 @@ def test_rademacher_sup_divides_once(k, trials, n_cands, seed, log_scale):
     the bytes are compared after adding +0.0.  Values span 1e-150..1e150,
     with zeros, ties and subnormal quotients; rademacher_estimate agrees
     with the old form, one product of all signs, while trials <=
-    BLOCK_TRIALS."""
+    util.BLOCK_ROWS."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((k, 3))
     F = rng.standard_normal((n_cands, k)) * 10.0 ** rng.uniform(-log_scale, log_scale,
@@ -162,7 +162,7 @@ def test_stacked_candidate_values_equal_each_alone(d, n, kinds, members, seed, l
     """_candidate_values evaluates network predictors of one activation and
     level shapes as one stack, whatever their budgets and leaf exponents;
     its rows equal np.stack of every candidate called alone, byte for byte,
-    in candidate order.  So they do with BLOCK_FLOATS set small enough to
+    in candidate order.  So they do with util.BLOCK_FLOATS set small enough to
     split each stack over many blocks, down to one network per block.  The
     scale 10^log_scale reaches the clamp's kinks and the squashing's tails;
     the example is the montecarlo workload's shape."""
@@ -170,7 +170,7 @@ def test_stacked_candidate_values_equal_each_alone(d, n, kinds, members, seed, l
     X = np.random.default_rng(seed).standard_normal((n, d)) * 10.0 ** log_scale
     alone = np.stack([np.asarray(c(X), dtype=float) for c in cands])
     assert analysis._candidate_values(cands, X).tobytes() == alone.tobytes()
-    with mock.patch.object(analysis, "BLOCK_FLOATS", small):
+    with mock.patch.object(util, "BLOCK_FLOATS", small):
         assert analysis._candidate_values(cands, X).tobytes() == alone.tobytes()
 
 
@@ -222,7 +222,7 @@ def test_generalization_gap_shrinks_with_k():
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_block_size_changes_nothing(block, monkeypatch):
-    """Trials drawn one at a time, or BLOCK_TRIALS at a time, give the same
+    """Trials drawn one at a time, or BLOCK_ROWS at a time, give the same
     per-trial values bit for bit, over several blocks and a partial last
     one.  The values are caught on their way into the MC summary, where a
     last-bit difference in one trial would be rounded away, and a JL
@@ -254,7 +254,7 @@ def test_block_size_changes_nothing(block, monkeypatch):
         return seen
 
     blocked = per_trial_values()
-    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    monkeypatch.setattr(util, "BLOCK_ROWS", block)
     single = per_trial_values()
     assert len(blocked) == len(single) == 2 * (1 + len(SIGN_KS)) + 3
     for a, b in zip(blocked, single):
@@ -281,7 +281,7 @@ def test_rademacher_blocked_signs_equal_one_draw(block, monkeypatch):
     signs, whether k fills a trial's last 64-bit word partly, exactly, or
     with one sign over, at every k of SIGN_KS."""
     trials, seed = 600, 50
-    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    monkeypatch.setattr(util, "BLOCK_ROWS", block)
     for k in SIGN_KS:
         eps = _reference_signs(seed, trials, k)
         for c in range(0, k, 40):
@@ -328,7 +328,7 @@ def test_rademacher_block_size_moves_only_last_bits(block, monkeypatch):
     another order for another block shape."""
     F = np.random.default_rng(53).standard_normal((201, 100))
     blocked = _rademacher_per_trial(monkeypatch, F, 600, 54)
-    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    monkeypatch.setattr(util, "BLOCK_ROWS", block)
     np.testing.assert_allclose(_rademacher_per_trial(monkeypatch, F, 600, 54), blocked,
                                rtol=1e-12, atol=0.0)
 
@@ -494,7 +494,7 @@ def test_jl_memory_is_bounded_by_the_block():
     """60 points in d = 250 at epsilon 0.49 (s = 205, r = 45): 1,770 pairs,
     so a trial holds about 94,000 floats (0.75 MB), and 100 trials in one
     block would take 75 MB for the projected pairs alone.  A block holds at
-    most BLOCK_FLOATS (8 MB) beside the 3.5 MB of differences."""
+    most util.BLOCK_FLOATS (8 MB) beside the 3.5 MB of differences."""
     P = np.random.default_rng(70).standard_normal((60, 250))
     tracemalloc.start()
     try:
@@ -657,7 +657,7 @@ def test_maurey_draw_reads_the_uniforms_rng_choice_reads(monkeypatch):
     draw = analysis._alias_draw
     monkeypatch.setattr(analysis, "_alias_draw",
                         lambda p, a, u: seen.append((u.copy(), draw(p, a, u))) or seen[-1][1])
-    monkeypatch.setattr(analysis, "BLOCK_TRIALS", 300)
+    monkeypatch.setattr(util, "BLOCK_ROWS", 300)
     trials, s = 1000, 200
     maurey_sparsify(atoms, w, s, trials, seed=83)
     assert [u.shape for u, _ in seen] == [(300, s)] * 3 + [(100, s)]
@@ -671,6 +671,34 @@ def test_maurey_draw_reads_the_uniforms_rng_choice_reads(monkeypatch):
     freq = freq / (trials * s)
     assert freq[4] == 0.0
     assert np.all(np.abs(freq - w) <= 4.0 * np.sqrt(w * (1.0 - w) / (trials * s)))
+
+
+def test_generalization_batches_are_the_ones_rng_choice_draws(monkeypatch):
+    """Block by block, the generalization check maps the uniforms
+    rng.random(shape) of its batch stream to the indices that
+    rng.choice(n, shape, replace=True, p=weights) draws from them, zero
+    weights included, so a generator of the same seed that calls rng.choice
+    block by block ends each block in the same state."""
+    data, _ = planted_halfspace(50, 3, 0.15, 2.0, seed=94)
+    w = np.random.default_rng(95).dirichlet(np.ones(50))
+    w[[3, 17]] = 0.0
+    data = data.with_weights(w / w.sum())
+    seen = []
+    draw = analysis.draw_indices
+    monkeypatch.setattr(analysis, "draw_indices",
+                        lambda p, u: seen.append((u.copy(), draw(p, u))) or seen[-1][1])
+    monkeypatch.setattr(util, "BLOCK_ROWS", 7)
+    generalization_gap_check([lambda X: X[:, 0]], piecewise_linear(1.0), data, k=11,
+                             trials=30, seed=96)
+    assert [u.shape for u, _ in seen] == [(7, 11)] * 4 + [(2, 11)]
+    uniforms, chooser = (np.random.default_rng(np.random.SeedSequence(96).spawn(2)[0])
+                         for _ in range(2))
+    for u, idx in seen:
+        assert np.array_equal(u, uniforms.random(u.shape))
+        assert np.array_equal(idx, chooser.choice(50, size=u.shape, replace=True,
+                                                  p=data.weights))
+        assert uniforms.bit_generator.state == chooser.bit_generator.state
+        assert not np.isin([3, 17], idx).any()
 
 
 @pytest.mark.parametrize("block", [1, 7, 256])
@@ -687,7 +715,7 @@ def test_maurey_adds_its_draws_in_order(dim, block, monkeypatch):
     seen = []
     summarize = analysis._mc
     monkeypatch.setattr(analysis, "_mc", lambda v: seen.append(v.copy()) or summarize(v))
-    monkeypatch.setattr(analysis, "BLOCK_TRIALS", block)
+    monkeypatch.setattr(util, "BLOCK_ROWS", block)
     maurey_sparsify(atoms, w, s, trials, seed)
     u = np.random.default_rng(np.random.SeedSequence(seed)).random((trials, s))
     idx = analysis._alias_draw(*analysis._alias_table(w), u)
@@ -702,9 +730,9 @@ def test_maurey_adds_its_draws_in_order(dim, block, monkeypatch):
 
 
 def test_generalization_memory_is_bounded_by_the_block():
-    """21 candidates on 2,000 points at k = 1,000: a block of BLOCK_TRIALS
+    """21 candidates on 2,000 points at k = 1,000: a block of BLOCK_ROWS
     trials would gather 21 x 256 x 1,000 floats (43 MB) of candidate values
-    twice over.  A block holds one gather of at most BLOCK_FLOATS (8 MB)
+    twice over.  A block holds one gather of at most util.BLOCK_FLOATS (8 MB)
     floats at a time, with its indices and signs."""
     data, _ = planted_halfspace(2000, 4, 0.15, 2.0, seed=84)
     dirs = np.random.default_rng(85).standard_normal((21, 4))
@@ -720,9 +748,9 @@ def test_generalization_memory_is_bounded_by_the_block():
 
 
 def test_maurey_memory_is_bounded_by_the_block():
-    """s = 1,000 atoms of dimension 40 per trial: a block of BLOCK_TRIALS
+    """s = 1,000 atoms of dimension 40 per trial: a block of BLOCK_ROWS
     trials would gather 256 x 1,000 x 40 floats (82 MB).  A block holds at
-    most BLOCK_FLOATS (8 MB) floats, in fewer trials."""
+    most util.BLOCK_FLOATS (8 MB) floats, in fewer trials."""
     rng = np.random.default_rng(87)
     atoms = rng.standard_normal((50, 40))
     w = rng.dirichlet(np.ones(50))

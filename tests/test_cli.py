@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ncerm
-from ncerm import experiments, halfspace
+from ncerm import experiments, halfspace, util
 from ncerm.cli import COMMANDS, build_parser, command_options, main
 from ncerm.networks import Network
 
@@ -51,11 +51,11 @@ def test_repeat_runs_byte_identical(tmp_path, name):
     ["parity", *FAST_ARGS["parity"]],
 ])
 def test_csv_same_for_any_chunk_size(tmp_path, monkeypatch, argv):
-    """Rounds drawn CHUNK_ROUNDS at a time or 3 at a time give the same
+    """Rounds drawn in util.blocks' chunks or 3 at a time give the same
     CSV, byte for byte."""
     name, *rest = argv
     whole = _run(tmp_path, name, rest, "whole")
-    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 3)
+    monkeypatch.setattr(util, "BLOCK_ROWS", 3)
     assert _run(tmp_path, name, rest, "chunked") == whole
 
 

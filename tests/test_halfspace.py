@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncerm import halfspace
+from ncerm import util
 from ncerm.data import WeightedDataset, planted_halfspace
 from ncerm.halfspace import (
     LinearModel,
@@ -133,12 +134,12 @@ def test_refined_runs_reach_planted_risk():
 
 @pytest.mark.parametrize("p", [2.0, 1.0])
 def test_algorithm2_chunk_size_changes_nothing(p, monkeypatch):
-    """Rounds refined one at a time or CHUNK_ROUNDS at a time in lockstep
+    """Rounds refined one at a time or BLOCK_ROWS at a time in lockstep
     give the same weights, bit for bit, on criterion-5-shaped data."""
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(200, 5, 0.3, p, seed=41)
     chunked = algorithm2(data, loss, p, 0.5, 0.05, 300, 200, 43)
-    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
+    monkeypatch.setattr(util, "BLOCK_ROWS", 1)
     single = algorithm2(data, loss, p, 0.5, 0.05, 300, 200, 43)
     assert np.array_equal(chunked.w, single.w)
     chunked.check_feasible()
@@ -151,10 +152,24 @@ def test_algorithm2_chunk_size_changes_nothing_lp(monkeypatch):
     loss = piecewise_linear(1.0)
     data, _ = planted_halfspace(200, 5, 0.3, 1.5, seed=41)
     chunked = algorithm2(data, loss, 1.5, 0.5, 0.05, 30, 200, 43)
-    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
+    monkeypatch.setattr(util, "BLOCK_ROWS", 1)
     single = algorithm2(data, loss, 1.5, 0.5, 0.05, 30, 200, 43)
     assert np.array_equal(chunked.w, single.w)
     chunked.check_feasible()
+
+
+def test_algorithm2_memory_is_bounded_by_the_chunk():
+    """n = 100,000: a round's refinement holds 2n floats of scratch (1.6 MB),
+    so 256 rounds in one chunk would take 410 MB.  util.blocks holds a chunk
+    to util.BLOCK_FLOATS (8 MB), 5 rounds here."""
+    data, _ = planted_halfspace(100_000, 5, 0.1, 2.0, seed=3)
+    tracemalloc.start()
+    try:
+        algorithm2(data, piecewise_linear(1.0), 2.0, 0.5, 0.05, 256, 5, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,7 +182,7 @@ def _small_linear_problem():
 @given(st.integers(1, 60), st.integers(1, 70), st.integers(1, 60), st.integers(0, 15),
        st.integers(0, 2**32 - 1))
 def test_best_round_same_row_for_any_chunk_size(T, chunk, period, refine_budget, seed):
-    """best_round returns, for any T and CHUNK_ROUNDS, the row of the
+    """best_round returns, for any T and BLOCK_ROWS, the row of the
     earliest round of least risk with every round refined alone.  Rounds
     repeat with the given period, so equal risks straddle chunk edges."""
     kernels = _small_linear_problem()
@@ -176,8 +191,8 @@ def test_best_round_same_row_for_any_chunk_size(T, chunk, period, refine_budget,
         return kernels[2](np.array([np.random.default_rng([seed, t % period]).standard_normal(4)
                                     for t in ts]))
 
-    with mock.patch.object(halfspace, "CHUNK_ROUNDS", chunk):
-        row = best_round(T, candidates, kernels, refine_budget)
+    with mock.patch.object(util, "BLOCK_ROWS", chunk):
+        row = best_round(T, candidates, kernels, refine_budget, 2 * 60)
     alone = [lockstep_descent(candidates([t]), *kernels, refine_budget) for t in range(T)]
     W, risks = (np.concatenate(parts) for parts in zip(*alone))
     assert np.array_equal(row, W[int(np.argmin(risks))])

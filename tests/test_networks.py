@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncerm import networks
-from ncerm.data import WeightedDataset, draw_batch, planted_network
+from ncerm.data import WeightedDataset, draw_batch, planted_halfspace, planted_network
 from ncerm.halfspace import algorithm2
 from ncerm.losses import empirical_risk, piecewise_linear
 from ncerm.networks import (
@@ -29,7 +30,7 @@ from ncerm.networks import (
     zero_network,
 )
 from ncerm.util import lq_norm, round_uniforms
-from ncerm import halfspace
+from ncerm import util
 from ncerm.losses import logistic_sigmoid
 from ncerm.solvers import constrained_least_squares, row_kernels
 
@@ -453,17 +454,46 @@ def test_kernel_risks_match_empirical_risk(m, activation):
 
 
 def test_algorithm3_depth2_chunk_size_changes_nothing(monkeypatch):
-    """Depth-2 rounds refined one at a time or CHUNK_ROUNDS at a time in
+    """Depth-2 rounds refined one at a time or BLOCK_ROWS at a time in
     lockstep give the same network, bit for bit."""
     spec = network_spec(2, 1.0)
     loss = piecewise_linear(1.0)
     data, _ = planted_network(80, 3, 0.15, spec, 2, seed=6)
     args = (data, loss, spec, 0.5, 0.05, 60, 40, 3)
     chunked = algorithm3(*args, k=8, s=2)
-    monkeypatch.setattr(halfspace, "CHUNK_ROUNDS", 1)
+    monkeypatch.setattr(util, "BLOCK_ROWS", 1)
     single = algorithm3(*args, k=8, s=2)
     assert all(np.array_equal(a, b) for a, b in zip(chunked.levels, single.levels))
     validate(chunked, spec)
+
+
+def test_algorithm3_depth3_chunk_size_changes_nothing(monkeypatch):
+    """Depth-3 rounds with four leaves, refined one at a time or all 40 in
+    one chunk, give the same network, bit for bit."""
+    spec = network_spec(3, 1.0)
+    data, _ = planted_network(80, 3, 0.15, network_spec(2, 1.0), 2, seed=6)
+    args = (data, piecewise_linear(1.0), spec, 0.5, 0.05, 40, 30, 7)
+    chunked = algorithm3(*args, k=6, s=2)
+    monkeypatch.setattr(util, "BLOCK_ROWS", 1)
+    single = algorithm3(*args, k=6, s=2)
+    assert [L.shape for L in chunked.levels] == [(4, 3), (2, 2), (1, 2)]
+    assert all(np.array_equal(a, b) for a, b in zip(chunked.levels, single.levels))
+    validate(chunked, spec)
+
+
+def test_algorithm3_depth3_memory_is_bounded_by_the_chunk():
+    """n = 100,000 at depth 3 with four leaves: a round's refinement holds
+    2n floats of scratch per node, 1.4 million (11 MB), so the 8 rounds in
+    one chunk would take 90 MB.  util.blocks puts one round in a chunk."""
+    data, _ = planted_halfspace(100_000, 5, 0.1, 2.0, seed=3)
+    tracemalloc.start()
+    try:
+        algorithm3(data, piecewise_linear(1.0), network_spec(3, 1.0), 0.5, 0.05, 8, 3, 5,
+                   k=8, s=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def _recursive_candidate(X, spec, level, s, targets):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncerm.util import ceil_big_product, lq_norm
+from ncerm import util
+from ncerm.util import blocks, ceil_big_product, lq_norm
 
 
 @settings(max_examples=300, deadline=None)
@@ -63,3 +64,17 @@ def test_lq_norm_of_a_row_same_alone_and_in_stacks(X, q):
         for j, row in enumerate(M):
             assert lq_norm(row, q) == norms[i, j]
     assert np.all((norms == 0.0) == ~X.any(axis=-1))
+
+
+@pytest.mark.parametrize("total,row_floats,size", [
+    (0, 1, 256), (1, 1, 256), (600, 1, 256), (600, 2 * 200, 256),
+    (600, 2 * 100_000, 5), (3, 2 * 700_000, 1), (600, util.BLOCK_FLOATS + 1, 1),
+])
+def test_blocks_cover_the_rows_in_order(total, row_floats, size):
+    """blocks gives step-1 ranges of `size` rows, the last one short, that
+    cover 0..total-1 in order: at most BLOCK_ROWS rows, BLOCK_FLOATS floats
+    over all, and one row at least."""
+    parts = list(blocks(total, row_floats))
+    assert [t for ts in parts for t in ts] == list(range(total))
+    assert all(ts.step == 1 and len(ts) == size for ts in parts[:-1])
+    assert all(0 < len(ts) <= size for ts in parts)
