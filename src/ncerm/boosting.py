@@ -62,8 +62,8 @@ class BoostConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.gamma > 0):
-            raise ValueError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError("gamma must be positive and finite")
         if self.class_spec.depth < 2:
             raise ValueError("boosting needs class depth >= 2")
 

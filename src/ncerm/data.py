@@ -177,8 +177,9 @@ def _plant(rng: np.random.Generator, n: int, d: int, q: float, margin: float, f)
 def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: int):
     """Linearly separable sample with margin: y_i <w*, x_i> >= margin.
 
-    w* is a random direction normalized to ||w*||_p = 1; points live in the
-    unit l_q ball (q dual to p) and are rejection-sampled to the margin.
+    w* is a random direction normalized to ||w*||_p = 1, p in [1, 2]; points
+    live in the unit l_q ball (q dual to p) and are rejection-sampled to the
+    margin.
     Returns (dataset, planted LinearModel).
     """
     from .halfspace import LinearModel
@@ -187,6 +188,8 @@ def planted_halfspace(n: int, d: int, margin: float, p_exponent: float, seed: in
         raise ValueError("margin must be in (0, 1)")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not (1.0 <= p_exponent <= 2.0):
+        raise ValueError("p must be in [1, 2]")
     q = dual_exponent(p_exponent)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     w = rng.standard_normal(d)

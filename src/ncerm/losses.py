@@ -26,7 +26,10 @@ def _piecewise_linear(t, L, out):
     # Clamped, L*t + 1/2 maps the anchors -1/(2L), 0, 1/(2L) to 0, 1/2, 1
     # exactly where its ends round to 0 and 1 (as at L = 1); else set after.
     lo, hi = -0.5 / L, 0.5 / L
-    np.add(np.multiply(np.clip(t, lo, hi, out=out), L, out=out), 0.5, out=out)
+    np.clip(t, lo, hi, out=out)
+    if L != 1.0:  # x * 1.0 is x, bit for bit
+        np.multiply(out, L, out=out)
+    np.add(out, 0.5, out=out)
     if L * lo + 0.5 != 0.0:
         np.putmask(out, t <= lo, 0.0)
     if L * hi + 0.5 != 1.0:
@@ -37,7 +40,8 @@ def _piecewise_linear(t, L, out):
 def _piecewise_linear_slope(t, L, out):
     mask = t >= -0.5 / L
     mask &= t < 0.5 / L
-    return np.multiply(mask, L, out=out)
+    np.copyto(out, mask)  # one bool -> float cast; 1.0 * L is L and 0.0 * L is 0
+    return out if L == 1.0 else np.multiply(out, L, out=out)
 
 
 def _sigmoid(t, L, out):
@@ -58,7 +62,8 @@ _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise math.erf, object dtype out
 # (x's shape).  value reads t and never writes over it; slope reads h(t) when
 # slope_from_value, else t, and may write over what it reads.  The last three
 # kinds are the network activations (L = 1); erf is rescaled from slope
-# 2/sqrt(pi) to 1.
+# 2/sqrt(pi) to 1.  The piecewise-linear value and slope skip their x L pass
+# at L = 1, where it would change no bit.
 _KINDS = {
     PIECEWISE_LINEAR: (_piecewise_linear, _piecewise_linear_slope, False),
     LOGISTIC_SIGMOID: (_sigmoid, _sigmoid_slope, True),

@@ -48,7 +48,7 @@ class NetworkClassSpec:
     """Class parameters: depth, norm budget, leaf exponent, activation.
 
     leaf_p in (1, 2] bounds leaf weights; its dual input_q bounds the data
-    (||x||_q <= 1); budget >= 1 caps every weight-vector norm.
+    (||x||_q <= 1); a finite budget >= 1 caps every weight-vector norm.
     """
 
     depth: int
@@ -59,8 +59,8 @@ class NetworkClassSpec:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.budget < 1.0:
-            raise ValueError("budget must be >= 1")
+        if not (math.isfinite(self.budget) and self.budget >= 1.0):
+            raise ValueError("budget must be finite and >= 1")
         if not (1.0 < self.leaf_p <= 2.0):
             raise ValueError("leaf_p must be in (1, 2]")
         Activation(self.activation)  # raises ValueError for an unknown name

@@ -395,7 +395,11 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
     point and risk arrays are adopted whole and one grad_rows call on all
     of them gives the new gradients, with no gather or scatter; each row
     keeps max(||g||, 1), the divisor of its step, and only new gradients
-    are normed.  A negative step_budget is a ValueError.  Returns (X,
+    are normed.  When only some rows accept, the accepted and moved rows'
+    positions are found once and every update, gather and scatter of
+    those rows goes by position; step sizes and reject counts are first
+    updated on all rows as if rejected, then overwritten at the accepted
+    positions.  A negative step_budget is a ValueError.  Returns (X,
     risks) with risks[i] <= risk(X0[i]).
     """
     if step_budget < 0:
@@ -438,14 +442,17 @@ def lockstep_descent(X0, risk_rows, grad_rows, project_rows, step_budget: int):
                 done |= new == 0.0
                 gnorm = np.maximum(new, 1.0)
             continue
-        np.copyto(x, x_new, where=accept[:, None])
-        np.copyto(r, r_new, where=accept)
-        rejects = np.where(accept, 0, rejects + 1)
-        eta = np.where(accept, np.minimum(eta * 1.25, 1e3), eta * 0.5)
+        acc = np.flatnonzero(accept)
+        x[acc], r[acc] = x_new.take(acc, axis=0), r_new.take(acc)
+        grown = np.minimum(eta.take(acc) * 1.25, 1e3)
+        eta *= 0.5
+        rejects += 1
+        eta[acc], rejects[acc] = grown, 0
         done = np.where(accept, done, (eta < _STEP_FLOOR) | (rejects >= _STALL_REJECTS))
-        moved = accept & ~done
-        if more and np.count_nonzero(moved):
-            g[moved] = g_moved = grad_rows(x_new[moved], state[moved], rows[moved])
+        moved = acc[~done.take(acc)]
+        if more and len(moved):
+            g[moved] = g_moved = grad_rows(x_new.take(moved, axis=0), state.take(moved, axis=0),
+                                           rows.take(moved))
             new = np.sqrt(np.add.reduce(g_moved * g_moved, axis=1))
             done[moved] = new == 0.0
             gnorm[moved] = np.maximum(new, 1.0)

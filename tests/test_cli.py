@@ -292,6 +292,17 @@ BAD_INPUTS = {
     "zero_repetitions_nn": (["nn", "--repetitions", "0"], None),
     "zero_instances_hardness": (["hardness", "--instances", "0"], None),
     "out_in_missing_directory": (["hardness", "--instances", "1", "--out", "{path}/x.csv"], None),
+    "infinite_budget_nn": (["nn", "--budget", "inf"], None),
+    "nan_budget_nn": (["nn", "--budget", "nan"], None),
+    "nan_p_halfspace": (["halfspace", "--p", "nan"], None),
+    "infinite_gamma_boostnet": (["boostnet", "--gamma", "inf"], None),
+}
+# Cases whose error must name the option at fault, not a later symptom.
+ERROR_NAMES = {
+    "infinite_budget_nn": "budget must",
+    "nan_budget_nn": "budget must",
+    "nan_p_halfspace": "p must",
+    "infinite_gamma_boostnet": "gamma must",
 }
 
 
@@ -299,7 +310,8 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
     """Each input ends in one 'error:' line and exit code 1: no traceback,
-    and no estimate with a standard error of 0 from a single trial."""
+    and no estimate with a standard error of 0 from a single trial.  The
+    cases in ERROR_NAMES must be reported against their option."""
     argv, text = BAD_INPUTS[case]
     path = tmp_path / "input"
     if text is not None:
@@ -308,6 +320,7 @@ def test_bad_input_is_a_clean_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.err.count("\n") == 1
+    assert ERROR_NAMES.get(case, "") in captured.err
     assert captured.out == ""
 
 

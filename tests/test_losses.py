@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -260,8 +260,18 @@ def _loss_cases(draw):
     return name, L, loss, t
 
 
+def _ramp_kinks(L):
+    """The piecewise-linear case at L with t = +-1/(2L) and one ulp to
+    either side of each, where the slope's half-open mask turns."""
+    kinks = np.array([-0.5 / L, 0.5 / L])
+    t = np.concatenate([kinks, np.nextafter(kinks, -np.inf), np.nextafter(kinks, np.inf)])
+    return PIECEWISE_LINEAR, L, piecewise_linear(L), t
+
+
 @settings(max_examples=400, deadline=None)
 @given(_loss_cases())
+@example(_ramp_kinks(1.0))
+@example(_ramp_kinks(3.0))
 def test_loss_values_and_derivatives_match_reference_bitwise(case):
     """value and grad equal the reference formulas bit for bit, with and
     without out=; out is filled and returned, and a 0-d input without out

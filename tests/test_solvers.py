@@ -784,6 +784,20 @@ def test_lockstep_descent_boostnet_regime_takes_both_step_kinds():
     _assert_rows_follow_monotone_descent(W0, kernels, 150)
 
 
+def test_lockstep_descent_ramp_loss_regime_is_mostly_partial_steps():
+    """In Algorithm 2's restart regime (250 ramp-loss rows on n = 200,
+    budget 200) most steps are accepted by only some rows, and each row
+    still equals its own monotone_descent run bit for bit."""
+    data, _ = planted_halfspace(200, 5, 0.3, 2.0, seed=31)
+    kernels = _linear_kernels(data, piecewise_linear(1.0), 2.0, 1.0)
+    W0 = kernels[2](np.random.default_rng(32).standard_normal((250, 5)))
+    recording, log = _recording_kernels(kernels)
+    lockstep_descent(W0, *recording, 200)
+    kinds = _step_kinds(log, 200)
+    assert kinds.count("some") > len(kinds) / 2
+    _assert_rows_follow_monotone_descent(W0, kernels, 200)
+
+
 def test_lockstep_descent_takes_gradients_only_at_accepted_points():
     """With steps of both kinds, rejected trials and budgets that end in
     the middle of a run, lockstep_descent asks for a gradient only at
